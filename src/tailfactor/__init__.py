@@ -1,6 +1,5 @@
 """Heavy-tailed linear factor models: spectral-measure estimation toolkit."""
 
-from ._kernels import BACKEND
 from .estimators import (
     ConvConfig,
     TwoStepConfig,
@@ -41,7 +40,7 @@ from .numerics import (
 from .sampling import (
     RngStream,
     generate_dataset,
-    sample_conditional_pareto_vec,
+    sample_conditional_pareto,
     sample_latent,
     sample_pareto,
     sample_tilted_pareto,
@@ -51,7 +50,6 @@ from .transport import TransportPlan, ground_cost, wasserstein_p, wasserstein_pp
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConvConfig",
     "DiscreteMeasure",
     "ExperimentConfig",
@@ -81,7 +79,7 @@ __all__ = [
     "measure_from_json",
     "measure_to_json",
     "run_convergence_experiment",
-    "sample_conditional_pareto_vec",
+    "sample_conditional_pareto",
     "sample_latent",
     "sample_pareto",
     "sample_tilted_pareto",

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DegenerateDesignError,
     NearSingularError,
@@ -33,6 +32,22 @@ class KMeansResult:
     history: tuple = field(default=(), compare=False)
 
 
+def _assign_points(points, centers):
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels.astype(np.int64), inertia
+
+
+def _center_update(points, labels, k):
+    d = points.shape[1]
+    sums = np.zeros((k, d))
+    counts = np.zeros(k, dtype=np.int64)
+    np.add.at(sums, labels, points)
+    np.add.at(counts, labels, 1)
+    return sums, counts
+
+
 def _kmeans_pp_seed(points, k, gen):
     """k-means++ D^2 seeding."""
     n = points.shape[0]
@@ -59,9 +74,9 @@ def _lloyd(points, centers, max_iters, tol):
     labels = None
     inertia = np.inf
     for _ in range(max_iters):
-        labels, inertia = _kernels.assign_points(points, centers)
+        labels, inertia = _assign_points(points, centers)
         history.append(inertia)
-        sums, counts = _kernels.center_update(points, labels, k)
+        sums, counts = _center_update(points, labels, k)
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -72,17 +87,17 @@ def _lloyd(points, centers, max_iters, tol):
                 far = int(np.argmax(d2))
                 new_centers[c] = points[far]
                 d2[far] = -1.0
-            labels, inertia = _kernels.assign_points(points, new_centers)
+            labels, inertia = _assign_points(points, new_centers)
             history[-1] = inertia
-            sums, counts = _kernels.center_update(points, labels, k)
+            sums, counts = _center_update(points, labels, k)
             nonempty = counts > 0
             new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         move = np.abs(new_centers - centers).sum(axis=1).max()
         centers = new_centers
         if move <= tol:
             break
-    labels, inertia = _kernels.assign_points(points, centers)
-    _, counts = _kernels.center_update(points, labels, k)
+    labels, inertia = _assign_points(points, centers)
+    _, counts = _center_update(points, labels, k)
     return centers, counts, inertia, history
 
 

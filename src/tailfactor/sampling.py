@@ -8,15 +8,12 @@ bit-reproducible across platforms.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MaxTrialsExceededError, WorstCaseDimensionError
 from .measures import ModelSpec, SampleBatch, _fmt
-
-PILOT_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,73 +61,49 @@ def sample_tilted_pareto(alpha: float, c: float, rng, size=None):
     return tilted_pareto_quantile(u, alpha, c)
 
 
-@lru_cache(maxsize=256)
-def _pilot_exceed_prob(m: int, alpha: float, t: float) -> float:
-    """Monte Carlo pre-estimate of P(||z||_1 >= t) for m i.i.d. Pareto(alpha).
+def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
+    """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t.
 
-    Uses a private stream derived from the parameters so the estimate is
-    deterministic and does not consume entropy from caller streams.
+    Exact rejection sampling.  Proposals come from the law conditioned on
+    max(z) >= a with a = t/m, an event that contains ||z||_1 >= t, drawn by
+    inverse CDF: the index J = 0..m-1 of the first coordinate at or above a
+    has P(J = j) proportional to (1-q)^j with q = P(z_1 >= a) = (1+a)^-alpha;
+    coordinates before J are truncated to [0, a), coordinate J is
+    conditioned on z_J >= a and the ones after J are unconditioned.  A
+    proposal is accepted if its norm reaches t and every coordinate is
+    finite.  The acceptance rate is at least m^-(alpha+1) for every t
+    (single big jump: Asmussen & Kroese, Adv. Appl. Prob. 2006), so the
+    default budget is 1000 * ceil(m^(alpha+1)) proposals per vector.
+    Raises MaxTrialsExceededError once count * max_trials proposals leave
+    vectors missing.
     """
-    k0 = np.uint64(0x9E3779B97F4A7C15) ^ np.uint64(m)
-    k1 = np.float64(alpha).view(np.uint64) ^ np.uint64(
-        int(np.float64(t).view(np.uint64)) >> 1
-    )
-    gen = np.random.Generator(np.random.Philox(key=[int(k0), int(k1)]))
-    z = pareto_quantile(gen.random((PILOT_DRAWS, m)), alpha)
-    hits = int((z.sum(axis=1) >= t).sum())
-    return max(hits, 1) / PILOT_DRAWS
-
-
-def default_max_trials(m: int, alpha: float, t: float) -> int:
-    """Trial budget: 1000 draws per expected acceptance, never less than 1000."""
-    if t <= 0:
-        return 1000
-    p_hat = _pilot_exceed_prob(m, float(alpha), float(t))
-    return 1000 * math.ceil(1.0 / p_hat)
-
-
-def _conditional_pareto_bulk(count, m, alpha, t, gen, max_trials):
-    """Fill ``count`` i.i.d. Pareto(alpha) vectors conditioned on l1-norm >= t.
-
-    Chunked vectorized rejection; raises MaxTrialsExceededError once the
-    total number of draws exceeds count * max_trials.
-    """
-    if count == 0:
-        return np.empty((0, m))
-    out = np.empty((count, m))
-    filled = 0
-    total_draws = 0
-    p_hat = _pilot_exceed_prob(m, float(alpha), float(t)) if t > 0 else 1.0
-    while filled < count:
-        need = count - filled
-        chunk = max(1024, min(int(4 * need / p_hat), 4_000_000))
-        z = pareto_quantile(gen.random((chunk, m)), alpha)
-        acc = z[z.sum(axis=1) >= t]
-        take = min(acc.shape[0], need)
-        out[filled : filled + take] = acc[:take]
-        filled += take
-        total_draws += chunk
-        if filled < count and total_draws > max_trials * count:
-            raise MaxTrialsExceededError(
-                f"no acceptance after {total_draws} draws (t={t}, m={m})"
-            )
-    return out
-
-
-def sample_conditional_pareto_vec(m, alpha, t, rng, max_trials=None):
-    """One vector of m i.i.d. Pareto(alpha) components given ||z||_1 >= t."""
     gen = _as_generator(rng)
     if max_trials is None:
-        max_trials = default_max_trials(m, alpha, t)
-    trials = 0
-    while trials < max_trials:
-        chunk = min(max_trials - trials, 4096)
-        z = pareto_quantile(gen.random((chunk, m)), alpha)
-        hit = np.nonzero(z.sum(axis=1) >= t)[0]
-        if hit.size:
-            return z[hit[0]]
-        trials += chunk
-    raise MaxTrialsExceededError(f"no acceptance in {max_trials} trials (t={t})")
+        max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
+    a = max(float(t), 0.0) / m
+    q = (1.0 + a) ** (-alpha)
+    cols = np.arange(m)
+    first_cdf = np.cumsum((1.0 - q) ** cols)
+    out = np.empty((count, m))
+    filled = proposals = 0
+    while filled < count:
+        if proposals >= count * max_trials:
+            raise MaxTrialsExceededError(
+                f"accepted {filled} of {count} vectors after {proposals} "
+                f"proposals (t={t}, m={m})"
+            )
+        need = count - filled
+        u = gen.random((need, m + 1))
+        first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
+        first = np.minimum(first, m - 1)[:, None]
+        z = pareto_quantile(u[:, 1:] * np.where(cols < first, 1.0 - q, 1.0), alpha)
+        with np.errstate(over="ignore"):  # overflowed proposals are rejected
+            z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
+        acc = z[(z.sum(axis=1) >= t) & np.isfinite(z).all(axis=1)]
+        out[filled : filled + acc.shape[0]] = acc
+        filled += acc.shape[0]
+        proposals += need
+    return out
 
 
 def worst_case_tilts(n: int, s: float):
@@ -171,10 +144,7 @@ def sample_latent_batch(spec: ModelSpec, n: int, n_context: int, gen) -> np.ndar
         ]
     )
     mask = z.sum(axis=1) >= t
-    k = int(mask.sum())
-    if k:
-        max_trials = default_max_trials(2, alpha, t)
-        z[mask] = _conditional_pareto_bulk(k, 2, alpha, t, gen, max_trials)
+    z[mask] = sample_conditional_pareto(int(mask.sum()), 2, alpha, t, gen)
     return z
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatchError, SolverFailureError
 from .measures import DiscreteMeasure
 
@@ -38,6 +37,13 @@ def ground_cost(w, w2, p: float = 1.0) -> float:
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     return float(np.abs(w - w2).sum() ** p)
+
+
+def _l1_cost_matrix(xs, ys, p):
+    diff = np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
+    if p != 1.0:
+        diff = diff**p
+    return diff
 
 
 def _northwest_corner(a, b):
@@ -189,7 +195,7 @@ def wasserstein_pp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0):
     keep_b = np.nonzero(wb >= WEIGHT_DROP)[0]
     xa = np.ascontiguousarray(np.asarray(mu.atoms, dtype=np.float64)[keep_a])
     xb = np.ascontiguousarray(np.asarray(nu.atoms, dtype=np.float64)[keep_b])
-    cost = _kernels.l1_cost_matrix(xa, xb, float(p))
+    cost = _l1_cost_matrix(xa, xb, float(p))
     flow, obj = solve_transport(wa[keep_a], wb[keep_b], cost)
     gamma = np.zeros((mu.n_atoms, nu.n_atoms))
     gamma[np.ix_(keep_a, keep_b)] = flow

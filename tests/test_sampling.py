@@ -11,7 +11,7 @@ from tailfactor.sampling import (
     generate_dataset,
     pareto_quantile,
     read_batch,
-    sample_conditional_pareto_vec,
+    sample_conditional_pareto,
     sample_latent_batch,
     sample_pareto,
     sample_tilted_pareto,
@@ -64,52 +64,46 @@ def test_conditional_sampler_against_quadrature():
     den2, _ = integrate.quad(lambda z: dens(z), t, np.inf)
     target = num / (den1 + den2)
 
-    gen = RngStream(23, 0).generator()
-    draws = np.array(
-        [sample_conditional_pareto_vec(2, alpha, t, gen) for _ in range(40_000)]
-    )
+    # 400 k draws put the 2 % tolerance at 4.6 standard errors of the
+    # tail fraction (target 0.116).
+    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(23, 0))
     assert np.all(draws.sum(axis=1) >= t)
     frac = float((draws[:, 0] > q).mean())
     assert frac == pytest.approx(target, rel=0.02)
 
 
 def test_conditional_sampler_max_trials_budget():
-    # An absurdly high threshold with a tiny trial budget must fail loudly.
-    gen = RngStream(1, 0).generator()
-    with pytest.raises(MaxTrialsExceededError):
-        sample_conditional_pareto_vec(2, 2.0, 1e12, gen, max_trials=64)
+    # One proposal per vector cannot fill 1,000 vectors at an acceptance
+    # rate near 1/4 (t = 1e12).  At the edge of the float range (t = inf,
+    # 1e308) proposals with an overflowed coordinate are rejected, so these
+    # fail with the typed error too and never return infinite coordinates.
+    for t in (1e12, math.inf, 1e308):
+        with pytest.raises(MaxTrialsExceededError):
+            sample_conditional_pareto(1000, 2, 2.0, t, RngStream(1, 0), max_trials=1)
 
 
 def test_rejection_cost_scales_with_acceptance_probability():
-    # Count uniform draws the bulk rejection sampler consumes per accepted
-    # vector; the per-vector cost must track 1/P(accept), not worse.
-    from tailfactor.sampling import _conditional_pareto_bulk, default_max_trials
-
-    class CountingGen:
+    # Count the proposals the sampler draws per accepted vector.  Proposing
+    # from the law conditioned on max(z) >= t/m accepts with probability at
+    # least m^-(alpha+1) at every threshold, so the cost must stay below
+    # that bound's inverse however rare the event {||z||_1 >= t} is.
+    class CountingGen(np.random.Generator):
         def __init__(self, seed):
-            self.gen = RngStream(seed, 0).generator()
+            super().__init__(RngStream(seed, 0).generator().bit_generator)
             self.rows = 0
 
         def random(self, size=None):
             if size is not None:
                 self.rows += int(np.atleast_1d(size)[0])
-            return self.gen.random(size)
+            return super().random(size)
 
-    alpha = 1.0
-    costs = {}
-    for t in (10.0, 100.0):
+    alpha, m = 1.0, 2
+    for t in (10.0, 100.0, 1e6):
         cg = CountingGen(5)
-        out = _conditional_pareto_bulk(
-            500, 2, alpha, t, cg, default_max_trials(2, alpha, t)
-        )
-        assert out.shape == (500, 2)
+        out = sample_conditional_pareto(500, m, alpha, t, cg)
+        assert out.shape == (500, m)
         assert np.all(out.sum(axis=1) >= t)
-        costs[t] = cg.rows / 500
-    # P(||z||_1 >= t) ~ 2/t for alpha=1, so tenfold threshold means
-    # roughly tenfold cost; allow slack for chunk-size overshoot.
-    ratio = costs[100.0] / costs[10.0]
-    assert 3.0 < ratio < 40.0
-    assert costs[100.0] < 100.0 / 2.0 * 20.0  # within 20x of the ideal 1/p
+        assert cg.rows / 500 <= m ** (alpha + 1)
 
 
 def test_worst_case_tilts_and_threshold_formulas():

@@ -21,6 +21,10 @@ class MaxTrialsExceededError(TailFactorError):
     """Rejection sampler failed to accept within the trial budget."""
 
 
+class SampleOverflowError(TailFactorError):
+    """A sampler proposal overflowed float64, so the law cannot be drawn."""
+
+
 class WorstCaseDimensionError(TailFactorError):
     """The worst-case latent law is only defined for two factors."""
 

@@ -1,4 +1,5 @@
-"""Shared numeric kernels: Lloyd k-means, small dense inverse, log-log OLS."""
+"""Shared numeric kernels: k-means (exact on a line, Lloyd otherwise), small
+dense inverse, log-log OLS."""
 
 from dataclasses import dataclass, field
 
@@ -33,18 +34,19 @@ class KMeansResult:
 
 
 def _assign_points(points, centers):
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.empty((points.shape[0], centers.shape[0]))
+    for c, center in enumerate(centers):
+        d2[:, c] = ((points - center) ** 2).sum(axis=1)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels.astype(np.int64), inertia
+    return labels, inertia
 
 
 def _center_update(points, labels, k):
-    d = points.shape[1]
-    sums = np.zeros((k, d))
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(sums, labels, points)
-    np.add.at(counts, labels, 1)
+    sums = np.column_stack(
+        [np.bincount(labels, weights=col, minlength=k) for col in points.T]
+    )
+    counts = np.bincount(labels, minlength=k)
     return sums, counts
 
 
@@ -101,31 +103,156 @@ def _lloyd(points, centers, max_iters, tol):
     return centers, counts, inertia, history
 
 
-def kmeans(points, cfg: KMeansConfig) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding, best of cfg.restarts runs.
+def _line_order(points):
+    """Order of the points along the line they span, or None if they span more.
 
-    Deterministic given cfg.seed: restart r uses the Philox stream keyed by
-    (cfg.seed, r).  Centers are returned sorted lexicographically with the
-    matching cluster mass fractions.
+    The line runs through the extreme points of the widest coordinate j.
+    The points count as collinear when each lies within 2^10 machine
+    epsilons (relative to the largest coordinate) of it, i.e. off the line
+    by rounding only.  Returns (argsort along j, j).
+    """
+    j = int(np.argmax(np.ptp(points, axis=0)))
+    lo = points[np.argmin(points[:, j])]
+    span = points[np.argmax(points[:, j])] - lo
+    if span[j] > 0:
+        off = (points - lo) - np.outer((points[:, j] - lo[j]) / span[j], span)
+        tol = 2**10 * np.finfo(np.float64).eps * np.abs(points).max()
+        if not np.abs(off).max() <= tol:
+            return None
+    return np.argsort(points[:, j]), j
+
+
+def _leftmost_argmin(vals, lens):
+    """Flat index of the first minimum of each consecutive segment of vals."""
+    starts = np.cumsum(lens) - lens
+    low = np.repeat(np.minimum.reduceat(vals, starts), lens)
+    hits = np.where(vals == low, np.arange(vals.size), vals.size)
+    return np.minimum.reduceat(hits, starts)
+
+
+def _best_boundaries(cost, u, k):
+    """Boundaries 0 = b_0 < b_1 < ... < b_k = u of the least-cost partition
+    of u ordered groups into k contiguous runs, cost(a, b) being the cost of
+    groups a..b-1.
+
+    Exact 1-D DP (Wang & Song, R Journal 2011): ``best[b]`` is the least cost
+    of the first b groups in l runs.  Layers 2..k-1 use the monotone
+    divide-and-conquer recursion (Groenlund et al., arXiv:1701.07204), one
+    recursion level of all pending intervals per vectorized step; the last
+    layer needs only b = u, one scan.  Every minimum is the leftmost, so
+    ties go to the smallest split index.
+    """
+    best = np.full(u + 1, np.inf)
+    best[1:] = cost(0, np.arange(1, u + 1))
+    choice = []
+    for layer in range(2, k):
+        top = u - k + layer
+        new, arg = np.full(u + 1, np.inf), np.zeros(u + 1, dtype=np.int64)
+        # pending intervals: b in [b_lo, b_hi], split a in [a_lo, a_hi]
+        b_lo, b_hi = np.array([layer]), np.array([top])
+        a_lo, a_hi = np.array([layer - 1]), np.array([top - 1])
+        while b_lo.size:
+            mid = (b_lo + b_hi) // 2
+            lens = np.minimum(a_hi, mid - 1) - a_lo + 1
+            seg = np.repeat(np.arange(mid.size), lens)
+            a = a_lo[seg] + np.arange(seg.size) - (np.cumsum(lens) - lens)[seg]
+            vals = best[a] + cost(a, mid[seg])
+            first = _leftmost_argmin(vals, lens)
+            new[mid], arg[mid] = vals[first], a[first]
+            left, right = b_lo < mid, mid < b_hi
+            b_lo = np.concatenate([b_lo[left], mid[right] + 1])
+            b_hi = np.concatenate([mid[left] - 1, b_hi[right]])
+            a_lo = np.concatenate([a_lo[left], arg[mid][right]])
+            a_hi = np.concatenate([arg[mid][left], a_hi[right]])
+        best = new
+        choice.append(arg)
+    bounds = [u]
+    if k > 1:
+        a = np.arange(k - 1, u)
+        bounds.append(int(a[np.argmin(best[a] + cost(a, u))]))
+    for arg in reversed(choice):
+        bounds.append(int(arg[bounds[-1]]))
+    bounds.append(0)
+    return np.array(bounds[::-1])
+
+
+def _exact_line_labels(points, order, j, k):
+    """Labels of the least-inertia partition of collinear points.
+
+    Optimal clusters of points on a line are contiguous along it, and their
+    inertia is that of coordinate j times a constant, so the search runs
+    over contiguous runs of the values of coordinate j in sorted order,
+    splitting only between distinct values.
+    """
+    key = points[order, j]
+    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    cuts = np.concatenate(([0], cuts, [key.size]))
+    u = cuts.size - 1
+    if u < k:
+        raise TooFewPointsError(f"{u} distinct points for k={k}")
+    # Prefix sums of the values and of their squares at the group
+    # boundaries; centering keeps the cancellation in the cost small.
+    key = key - key.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(key)))[cuts]
+    s2 = np.concatenate(([0.0], np.cumsum(key * key)))[cuts]
+
+    def cost(a, b):
+        return (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / (cuts[b] - cuts[a])
+
+    bounds = _best_boundaries(cost, u, k)
+    labels = np.empty(key.size, dtype=np.int64)
+    labels[order] = np.repeat(np.arange(k), np.diff(cuts[bounds]))
+    return labels
+
+
+def kmeans(points, cfg: KMeansConfig) -> KMeansResult:
+    """k-means with cfg.k clusters; exact when the points are collinear.
+
+    When the points span at most one dimension (every d = 2 simplex cloud
+    (x, 1-x) does), the optimal clusters are contiguous along the line and
+    the least-inertia partition is found exactly from one sort and prefix
+    sums; only cfg.k applies and ``history`` is ().  Ties go to the smallest
+    split, clusters split only between distinct points, and fewer distinct
+    points than cfg.k raise TooFewPointsError.
+
+    Otherwise it runs Lloyd's algorithm with k-means++ seeding, best of
+    cfg.restarts runs of at most cfg.max_iters iterations, stopping once no
+    center moves more than cfg.tol (l1); ``history`` holds the best run's
+    inertia per iteration.  Deterministic given cfg.seed: restart r uses
+    the Philox stream keyed by (cfg.seed, r).
+
+    Either way the centers are the means of the chosen clusters, summed in
+    sample order, so both paths give the same bytes for the same partition.
+    Centers are returned sorted lexicographically with the matching cluster
+    mass fractions.
     """
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     n = points.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points for k={cfg.k}")
-    best = None
-    for r in range(cfg.restarts):
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed & (2**64 - 1), r]))
-        centers0 = _kmeans_pp_seed(points, cfg.k, gen)
-        centers, counts, inertia, history = _lloyd(
-            points, centers0, cfg.max_iters, cfg.tol
-        )
-        order = np.lexsort(
-            tuple(centers[:, c] for c in range(centers.shape[1] - 1, -1, -1))
-        )
-        key = (inertia, centers[order].tobytes())
-        if best is None or key < best[0]:
-            best = (key, centers[order], counts[order], inertia, tuple(history))
-    _, centers, counts, inertia, history = best
+    line = _line_order(points)
+    if line is not None:
+        labels = _exact_line_labels(points, *line, cfg.k)
+        sums, counts = _center_update(points, labels, cfg.k)
+        centers = sums / counts[:, None]
+        inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
+        order = np.lexsort(centers.T[::-1])
+        centers, counts, history = centers[order], counts[order], ()
+    else:
+        best = None
+        for r in range(cfg.restarts):
+            gen = np.random.Generator(
+                np.random.Philox(key=[cfg.seed & (2**64 - 1), r])
+            )
+            centers0 = _kmeans_pp_seed(points, cfg.k, gen)
+            centers, counts, inertia, history = _lloyd(
+                points, centers0, cfg.max_iters, cfg.tol
+            )
+            order = np.lexsort(centers.T[::-1])
+            key = (inertia, centers[order].tobytes())
+            if best is None or key < best[0]:
+                best = (key, centers[order], counts[order], inertia, tuple(history))
+        _, centers, counts, inertia, history = best
     weights = counts / counts.sum()
     centers.setflags(write=False)
     weights.setflags(write=False)

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MaxTrialsExceededError, WorstCaseDimensionError
+from .errors import (
+    MaxTrialsExceededError,
+    SampleOverflowError,
+    WorstCaseDimensionError,
+)
 from .measures import ModelSpec, SampleBatch, _fmt
 
 
@@ -70,12 +74,13 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     has P(J = j) proportional to (1-q)^j with q = P(z_1 >= a) = (1+a)^-alpha;
     coordinates before J are truncated to [0, a), coordinate J is
     conditioned on z_J >= a and the ones after J are unconditioned.  A
-    proposal is accepted if its norm reaches t and every coordinate is
-    finite.  The acceptance rate is at least m^-(alpha+1) for every t
-    (single big jump: Asmussen & Kroese, Adv. Appl. Prob. 2006), so the
-    default budget is 1000 * ceil(m^(alpha+1)) proposals per vector.
-    Raises MaxTrialsExceededError once count * max_trials proposals leave
-    vectors missing.
+    proposal is accepted if its norm reaches t.  The acceptance rate is at
+    least m^-(alpha+1) for every t (single big jump: Asmussen & Kroese,
+    Adv. Appl. Prob. 2006), so the default budget is
+    1000 * ceil(m^(alpha+1)) proposals per vector.  Raises
+    MaxTrialsExceededError once count * max_trials proposals leave vectors
+    missing, and SampleOverflowError as soon as a proposal has a coordinate
+    beyond the float64 range: dropping it would truncate the law.
     """
     gen = _as_generator(rng)
     if max_trials is None:
@@ -97,9 +102,15 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
         first = np.minimum(first, m - 1)[:, None]
         z = pareto_quantile(u[:, 1:] * np.where(cols < first, 1.0 - q, 1.0), alpha)
-        with np.errstate(over="ignore"):  # overflowed proposals are rejected
+        with np.errstate(over="ignore"):  # overflow raises below
             z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
-        acc = z[(z.sum(axis=1) >= t) & np.isfinite(z).all(axis=1)]
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            raise SampleOverflowError(
+                f"{need - int(finite.sum())} of {need} proposals overflowed "
+                f"float64 (t={t}, m={m}, alpha={alpha})"
+            )
+        acc = z[z.sum(axis=1) >= t]
         out[filled : filled + acc.shape[0]] = acc
         filled += acc.shape[0]
         proposals += need

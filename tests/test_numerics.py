@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from tailfactor.errors import (
 )
 from tailfactor.numerics import (
     KMeansConfig,
+    _assign_points,
+    _kmeans_pp_seed,
+    _lloyd,
     fit_loglog_slope,
     invert_square_matrix,
     kmeans,
@@ -70,6 +75,108 @@ def test_kmeans_permutation_invariant_output():
     # the achieved objective and the sorted centers at a loose tolerance)
     assert res_p.inertia == pytest.approx(res.inertia, rel=1e-6)
     assert np.allclose(res_p.centers, res.centers, atol=1e-6)
+
+
+def _brute_force_kmeans(pts, k):
+    """Least inertia over every labelling with k non-empty clusters, and the
+    weights of that labelling ordered like kmeans's centers."""
+    labels = np.array(list(itertools.product(range(k), repeat=len(pts))))
+    sq = (pts**2).sum(axis=1)
+    inertia = np.zeros(len(labels))
+    counts = np.zeros((len(labels), k))
+    for c in range(k):
+        mask = (labels == c).astype(np.float64)
+        counts[:, c] = mask.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            inertia += mask @ sq - ((mask @ pts) ** 2).sum(axis=1) / counts[:, c]
+    inertia[(counts == 0).any(axis=1)] = np.inf
+    best = int(np.argmin(inertia))
+    centers = np.array([pts[labels[best] == c].mean(axis=0) for c in range(k)])
+    order = np.lexsort(centers.T[::-1])
+    return inertia[best], counts[best, order] / len(pts)
+
+
+def _collinear_cloud(gen, n, d):
+    """n points on a random line in R^d (the simplex segment when d = 2)."""
+    x = gen.uniform(0, 1, size=n)
+    if d == 2:
+        return np.column_stack([x, 1.0 - x])
+    return gen.uniform(-1, 1, size=d) + x[:, None] * gen.uniform(-1, 1, size=d)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 12), (3, 10)])
+def test_kmeans_exact_path_matches_brute_force(k, n_max):
+    gen = np.random.default_rng(2011)
+    for n in range(k, n_max + 1):
+        for d in (2, 3):
+            pts = _collinear_cloud(gen, n, d)
+            res = kmeans(pts, KMeansConfig(k=k))
+            inertia, weights = _brute_force_kmeans(pts, k)
+            assert res.history == ()
+            assert res.inertia == pytest.approx(inertia, abs=1e-12)
+            assert np.array_equal(res.weights, weights)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeans_exact_path_never_worse_than_lloyd(seed):
+    # Simplex clouds shaped like the estimators' input: l1-normalized
+    # heavy-tailed vectors.  Where a Lloyd run reaches the exact partition,
+    # its centers and inertia must be the same bytes.
+    gen = np.random.default_rng(seed)
+    z = gen.pareto(2.0, size=(2000, 2))
+    pts = z / z.sum(axis=1, keepdims=True)
+    for k in (2, 3, 4):
+        res = kmeans(pts, KMeansConfig(k=k))
+        assert res.history == ()
+        exact_labels, _ = _assign_points(pts, res.centers)
+        for r in range(10):
+            lloyd_gen = np.random.Generator(np.random.Philox(key=[seed, r]))
+            centers0 = _kmeans_pp_seed(pts, k, lloyd_gen)
+            centers, _, inertia, _ = _lloyd(pts, centers0, 100, 1e-9)
+            assert res.inertia <= inertia
+            order = np.lexsort(centers.T[::-1])
+            if np.array_equal(_assign_points(pts, centers[order])[0], exact_labels):
+                assert np.array_equal(centers[order], res.centers)
+                assert inertia == res.inertia
+
+
+def test_kmeans_non_collinear_2d_cloud_runs_lloyd():
+    x = RNG.uniform(0, 1, size=300)
+    line = np.column_stack([x, 1.0 - x])
+    # Rounding off the segment keeps the exact path; a perpendicular offset
+    # far above rounding (1e-9 on unit coordinates) does not.
+    z = RNG.pareto(2.0, size=(300, 2))
+    assert kmeans(z / z.sum(axis=1, keepdims=True), KMeansConfig(k=2)).history == ()
+    noisy = line + RNG.normal(0, 1e-9, size=line.shape)
+    for pts in (RNG.uniform(0, 1, size=(300, 2)), noisy):
+        assert len(kmeans(pts, KMeansConfig(k=2)).history) >= 1
+
+
+def test_kmeans_exact_path_degenerate_input():
+    a, b, c = [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]
+    # duplicates: k distinct points -> one cluster each, zero inertia
+    res = kmeans(np.array([c, a, a, c, a, b]), KMeansConfig(k=3))
+    assert res.inertia == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(res.centers, np.array([a, b, c]), rtol=0, atol=1e-15)
+    assert np.array_equal(res.weights, np.array([3, 1, 2]) / 6)
+    # duplicates never split: both copies of b join one side
+    res = kmeans(np.array([a, b, b, c]), KMeansConfig(k=2))
+    assert sorted(res.weights) == [0.25, 0.75]
+    # a tie between two splits goes to the smaller split index
+    res = kmeans(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), KMeansConfig(k=2))
+    assert np.array_equal(res.weights, np.array([1, 2]) / 3)
+    # fewer distinct points than clusters
+    for pts, k in (([a, a, a], 2), ([a, b, a, b], 3)):
+        with pytest.raises(TooFewPointsError):
+            kmeans(np.array(pts), KMeansConfig(k=k))
+    # k = n with distinct points, and every cluster of a larger cloud
+    # non-empty with finite centers
+    x = RNG.uniform(0, 1, size=12)
+    line = np.column_stack([x, 1.0 - x])
+    for k in (2, 5, 12):
+        res = kmeans(line, KMeansConfig(k=k))
+        assert np.all(res.weights > 0) and np.all(np.isfinite(res.centers))
+    assert kmeans(line, KMeansConfig(k=12)).inertia == pytest.approx(0.0, abs=1e-15)
 
 
 def test_invert_identity_and_known_matrix():

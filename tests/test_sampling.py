@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from tailfactor.errors import MaxTrialsExceededError, WorstCaseDimensionError
+from tailfactor.errors import (
+    MaxTrialsExceededError,
+    SampleOverflowError,
+    WorstCaseDimensionError,
+)
 from tailfactor.measures import ModelSpec
 from tailfactor.sampling import (
     RngStream,
@@ -74,12 +78,18 @@ def test_conditional_sampler_against_quadrature():
 
 def test_conditional_sampler_max_trials_budget():
     # One proposal per vector cannot fill 1,000 vectors at an acceptance
-    # rate near 1/4 (t = 1e12).  At the edge of the float range (t = inf,
-    # 1e308) proposals with an overflowed coordinate are rejected, so these
-    # fail with the typed error too and never return infinite coordinates.
-    for t in (1e12, math.inf, 1e308):
-        with pytest.raises(MaxTrialsExceededError):
+    # rate near 1/4 (t = 1e12).
+    with pytest.raises(MaxTrialsExceededError):
+        sample_conditional_pareto(1000, 2, 2.0, 1e12, RngStream(1, 0), max_trials=1)
+    # At the edge of the float range (t = inf, 1e308) part of the law lies
+    # beyond float64 (about 31 % above 1.8e308 at t = 1e308), so a proposal
+    # overflows: the sampler raises rather than return a truncated law,
+    # whatever the budget.
+    for t in (math.inf, 1e308):
+        with pytest.raises(SampleOverflowError):
             sample_conditional_pareto(1000, 2, 2.0, t, RngStream(1, 0), max_trials=1)
+    with pytest.raises(SampleOverflowError):
+        sample_conditional_pareto(10, 2, 2.0, 1e308, RngStream(1, 0))
 
 
 def test_rejection_cost_scales_with_acceptance_probability():

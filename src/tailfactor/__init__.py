@@ -41,7 +41,6 @@ from .sampling import (
     RngStream,
     generate_dataset,
     sample_conditional_pareto,
-    sample_latent,
     sample_pareto,
     sample_tilted_pareto,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "measure_to_json",
     "run_convergence_experiment",
     "sample_conditional_pareto",
-    "sample_latent",
     "sample_pareto",
     "sample_tilted_pareto",
     "solve_theta",

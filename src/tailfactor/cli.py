@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 runtime/domain error, 2 config or usage error.
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,10 @@ from .estimators import (
     estimate_two_step,
 )
 from .harness import (
+    ESTIMATOR_TAGS,
     ExperimentConfig,
     emit_outputs,
+    ground_truth_for,
     run_convergence_experiment,
 )
 from .measures import (
@@ -31,16 +35,34 @@ from .measures import (
     _fmt,
 )
 from .numerics import KMeansConfig
-from .sampling import generate_dataset, read_batch, write_batch, worst_case_tilts
+from .sampling import generate_dataset, read_batch, write_batch
 from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
+MODEL_KEYS = {"A", "alpha", "s", "latent", "zeta", "n", "seed", "stream_id"}
+ESTIMATOR_KEYS = {"conv", "two_step", "ground_truth"}
+# The model's numbers.  alpha, s and n are range-checked here, before ModelSpec
+# sees them: the estimator sections fall back to alpha and s, and n and s size
+# the worst-case matrix.
+MODEL_NUMBERS = {
+    "alpha": dict(lo=0),
+    "s": dict(lo=0, hi=0.5),
+    "zeta": dict(),
+    "n": dict(integer=True, lo=0),
+    "seed": dict(integer=True),
+    "stream_id": dict(integer=True),
+}
+# estimator section -> (config class, the field that sets its k-means k)
+ESTIMATORS = {"conv": (ConvConfig, "collapse_k"), "two_step": (TwoStepConfig, "m")}
 
 
-def _check_keys(doc: dict, allowed, path: str):
+def _check_keys(doc, allowed, path: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    return doc
 
 
 def _require(doc: dict, key: str, path: str):
@@ -49,14 +71,22 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(doc, key, path, lo=None, hi=None, integer=False, default=None):
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required field")
-    v = doc[key]
+def _is_finite_number(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
+def _number(doc, key, path, integer=False, default=MISSING, lo=None, hi=None):
+    """``doc[key]`` as a finite number in (lo, hi); ``default`` when absent."""
+    if key not in doc and default is not MISSING:
+        return default
+    v = _require(doc, key, path)
+    if not _is_finite_number(v):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
     if lo is not None and v <= lo:
@@ -66,171 +96,137 @@ def _number(doc, key, path, lo=None, hi=None, integer=False, default=None):
     return int(v) if integer else float(v)
 
 
+def _array(v, path: str, ndim: int = 2) -> np.ndarray:
+    """Nested lists of finite non-negative numbers with ``ndim`` axes."""
+    cells = np.array(v, dtype=object)
+    numbers = all(_is_finite_number(c) for c in cells.flat)
+    if cells.ndim != ndim or cells.size == 0 or not numbers:
+        raise ConfigError(f"{path}: expected a {ndim}-d array of finite numbers")
+    out = cells.astype(np.float64)
+    if np.any(out < 0):
+        raise ConfigError(f"{path}: entries must be non-negative")
+    return out
+
+
+def _fields(doc, path: str, cls, extra=(), fixed=(), **given) -> dict:
+    """Keyword arguments for ``cls`` read from the JSON object ``doc``.
+
+    ``doc`` may set the int and float fields of ``cls`` not in ``fixed``,
+    each read by ``_number``, and the keys in ``extra``, which the caller
+    reads.  ``given`` holds the caller's fields and the fallbacks ``doc``
+    overrides; other absent fields keep the class default.
+    """
+    numbers = [f for f in fields(cls) if f.type in (int, float) and f.name not in fixed]
+    _check_keys(doc, {*(f.name for f in numbers), *extra}, path)
+    out = dict(given)
+    for f in numbers:
+        default = out.get(f.name, f.default)
+        out[f.name] = _number(doc, f.name, path, f.type is int, default)
+    return out
+
+
+def _build(path: str, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs).  The config constructors validate their fields;
+    a domain error they raise becomes a ConfigError at the config path."""
+    try:
+        return ctor(*args, **kwargs)
+    except (ValueError, TailFactorError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, TOP_KEYS, "config")
-    return doc
+    except (OSError, ValueError) as exc:  # ValueError: not JSON
+        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+    return _check_keys(doc, TOP_KEYS, "config")
 
 
-def _kmeans_from(doc: dict, path: str, k: int) -> KMeansConfig:
-    _check_keys(doc, {"k", "max_iters", "tol", "restarts", "seed"}, path)
-    return KMeansConfig(
-        k=int(doc.get("k", k)),
-        max_iters=_number(doc, "max_iters", path, lo=0, integer=True, default=100),
-        tol=_number(doc, "tol", path, lo=0, default=1e-9),
-        restarts=_number(doc, "restarts", path, lo=0, integer=True, default=10),
-        seed=_number(doc, "seed", path, integer=True, default=0),
-    )
+def read_model(cfg: dict, required=("alpha", "s")) -> dict:
+    """The ``model`` section as ModelSpec keywords plus n, seed and stream_id.
 
-
-def _model_alpha_s(cfg: dict):
-    model = cfg.get("model", {})
-    return model.get("alpha"), model.get("s")
-
-
-def model_spec_from(cfg: dict, n: int) -> ModelSpec:
-    model = _require(cfg, "model", "config")
-    _check_keys(
-        model,
-        {"A", "alpha", "s", "latent", "zeta", "n", "seed", "stream_id"},
-        "model",
-    )
-    alpha = _number(model, "alpha", "model", lo=0)
-    s = _number(model, "s", "model", lo=0, hi=0.5)
-    zeta = _number(model, "zeta", "model", lo=0, default=1.0)
+    ``A`` is None for "worst-case-diag", whose matrix depends on n.  Numbers
+    absent and not ``required`` are left out.
+    """
+    model = _check_keys(_require(cfg, "model", "config"), MODEL_KEYS, "model")
+    out = {
+        key: _number(model, key, "model", **bounds)
+        for key, bounds in MODEL_NUMBERS.items()
+        if key in model or key in required
+    }
     latent = model.get("latent", "tilted-worst-case")
-    custom = None
     if isinstance(latent, dict):
         _check_keys(latent, {"custom"}, "model.latent")
-        custom = np.asarray(_require(latent, "custom", "model.latent"), dtype=float)
+        custom = _require(latent, "custom", "model.latent")
+        out["custom_scales"] = _array(custom, "model.latent.custom", ndim=1)
         latent = "custom"
-    A_field = model.get("A", "worst-case-diag")
-    if A_field == "worst-case-diag":
-        c1, c2 = worst_case_tilts(n, s)
-        A = np.diag([c1, c2])
-    else:
-        A = np.asarray(A_field, dtype=np.float64)
-        if A.ndim != 2:
-            raise ConfigError("model.A: expected a 2-d matrix")
-    try:
-        return ModelSpec(
-            A=A, alpha=alpha, s=s, latent_kind=latent, zeta=zeta, custom_scales=custom
-        )
-    except (ValueError, TailFactorError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    out["latent_kind"] = latent
+    A = model.get("A", "worst-case-diag")
+    out["A"] = None if A == "worst-case-diag" else _array(A, "model.A")
+    return out
 
 
-def conv_config_from(cfg: dict) -> ConvConfig:
+def _estimator_section(cfg: dict) -> dict:
     est = _require(cfg, "estimator", "config")
-    _check_keys(est, {"conv", "two_step", "ground_truth"}, "estimator")
-    conv = _require(est, "conv", "estimator")
-    _check_keys(conv, {"kappa_bar", "alpha", "s", "collapse_k", "kmeans"}, "estimator.conv")
-    alpha_m, s_m = _model_alpha_s(cfg)
-    alpha = conv.get("alpha", alpha_m)
-    s = conv.get("s", s_m)
-    if alpha is None or s is None:
-        raise ConfigError("estimator.conv: alpha and s required (or set them in model)")
-    k = _number(conv, "collapse_k", "estimator.conv", lo=0, integer=True, default=2)
-    return ConvConfig(
-        kappa_bar=_number(conv, "kappa_bar", "estimator.conv", lo=0),
-        alpha=float(alpha),
-        s=float(s),
-        collapse_k=k,
-        kmeans=_kmeans_from(conv.get("kmeans", {}), "estimator.conv.kmeans", k),
-    )
+    return _check_keys(est, ESTIMATOR_KEYS, "estimator")
 
 
-def two_step_config_from(cfg: dict) -> TwoStepConfig:
-    est = _require(cfg, "estimator", "config")
-    _check_keys(est, {"conv", "two_step", "ground_truth"}, "estimator")
-    ts = _require(est, "two_step", "estimator")
-    _check_keys(
-        ts,
-        {"kappa_tilde", "kappa", "alpha", "s", "m", "r_hat", "det_tol", "kmeans"},
-        "estimator.two_step",
-    )
-    alpha_m, s_m = _model_alpha_s(cfg)
-    alpha = ts.get("alpha", alpha_m)
-    s = ts.get("s", s_m)
-    if alpha is None or s is None:
-        raise ConfigError(
-            "estimator.two_step: alpha and s required (or set them in model)"
-        )
-    m = _number(ts, "m", "estimator.two_step", lo=1, integer=True, default=2)
-    return TwoStepConfig(
-        kappa_tilde=_number(ts, "kappa_tilde", "estimator.two_step", lo=0),
-        kappa=_number(ts, "kappa", "estimator.two_step", lo=0),
-        alpha=float(alpha),
-        s=float(s),
-        m=m,
-        r_hat=_number(ts, "r_hat", "estimator.two_step", lo=0, default=1.0),
-        det_tol=_number(ts, "det_tol", "estimator.two_step", lo=0, default=1e-10),
-        kmeans=_kmeans_from(ts.get("kmeans", {}), "estimator.two_step.kmeans", m),
-    )
+def estimator_config(est: dict, model: dict, key: str):
+    """ConvConfig or TwoStepConfig of ``estimator.<key>``, alpha and s
+    falling back to the model's; its k-means k is collapse_k or m."""
+    cls, k_field = ESTIMATORS[key]
+    path = f"estimator.{key}"
+    doc = _require(est, key, "estimator")
+    fallback = {k: model[k] for k in ("alpha", "s") if k in model}
+    cfg = _build(path, cls, **_fields(doc, path, cls, ("kmeans",), **fallback))
+    path += ".kmeans"
+    k = getattr(cfg, k_field)
+    kw = _fields(doc.get("kmeans", {}), path, KMeansConfig, fixed=("k",), k=k)
+    return replace(cfg, kmeans=_build(path, KMeansConfig, **kw))
+
+
+def ground_truth_from(est: dict, model: dict):
+    """Spectral measure of ``estimator.ground_truth``, or None if absent."""
+    if "ground_truth" not in est:
+        return None
+    path = "estimator.ground_truth"
+    gt = _check_keys(est["ground_truth"], {"A", "alpha"}, path)
+    alpha = _number(gt, "alpha", path, default=model.get("alpha", MISSING))
+    A = _array(_require(gt, "A", path), f"{path}.A")
+    return _build(path, spectral_measure_of, A, alpha)
 
 
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
+    model = read_model(cfg)
+    if model["latent_kind"] == "custom":
+        raise ConfigError("model.latent: experiment runs take no custom kind")
     exp = _require(cfg, "experiment", "config")
-    _check_keys(
-        exp,
-        {"n_grid", "replicates", "base_seed", "aggregate", "p", "estimators"},
-        "experiment",
-    )
-    model = _require(cfg, "model", "config")
-    alpha = _number(model, "alpha", "model", lo=0)
-    s = _number(model, "s", "model", lo=0, hi=0.5)
-    zeta = _number(model, "zeta", "model", lo=0, default=1.0)
-    latent = model.get("latent", "tilted-worst-case")
-    if not isinstance(latent, str):
-        raise ConfigError("experiment runs support string latent kinds only")
-    n_grid = _require(exp, "n_grid", "experiment")
-    if not isinstance(n_grid, list) or not all(isinstance(v, int) for v in n_grid):
+    grid = _require(exp, "n_grid", "experiment")
+    if not isinstance(grid, list):
         raise ConfigError("experiment.n_grid: expected a list of integers")
-    tags = exp.get("estimators", ["conv", "two-step"])
-    fixed_A = None
-    if model.get("A", "worst-case-diag") != "worst-case-diag":
-        fixed_A = np.asarray(model["A"], dtype=np.float64)
-    base_seed = _number(exp, "base_seed", "experiment", integer=True)
+    grid = dict(enumerate(grid))
+    tags = exp.get("estimators", list(ESTIMATOR_TAGS))
+    if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
+        raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
+    est = _estimator_section(cfg)
+    kw = _fields(
+        exp,
+        "experiment",
+        ExperimentConfig,
+        ("n_grid", "aggregate", "estimators"),
+        ("alpha", "s", "zeta"),
+        n_grid=tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid),
+        aggregate=exp.get("aggregate", ExperimentConfig.aggregate),
+        conv=estimator_config(est, model, "conv") if "conv" in tags else None,
+        two_step=(
+            estimator_config(est, model, "two_step") if "two-step" in tags else None
+        ),
+        fixed_A=model["A"],
+        **{k: model[k] for k in ("alpha", "s", "zeta", "latent_kind") if k in model},
+    )
     if seed_override is not None:
-        base_seed = seed_override
-    try:
-        return ExperimentConfig(
-            alpha=alpha,
-            s=s,
-            n_grid=tuple(n_grid),
-            replicates=_number(exp, "replicates", "experiment", lo=0, integer=True),
-            base_seed=base_seed,
-            conv=conv_config_from(cfg) if "conv" in tags else None,
-            two_step=two_step_config_from(cfg) if "two-step" in tags else None,
-            aggregate=exp.get("aggregate", "median"),
-            p=_number(exp, "p", "experiment", lo=0, default=1.0),
-            latent_kind=latent,
-            zeta=zeta,
-            fixed_A=fixed_A,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _ground_truth_measure(cfg: dict):
-    est = cfg.get("estimator", {})
-    gt = est.get("ground_truth")
-    if gt is None:
-        return None
-    _check_keys(gt, {"A", "alpha"}, "estimator.ground_truth")
-    alpha_m, _ = _model_alpha_s(cfg)
-    alpha = gt.get("alpha", alpha_m)
-    if alpha is None:
-        raise ConfigError("estimator.ground_truth.alpha: missing required field")
-    A = np.asarray(_require(gt, "A", "estimator.ground_truth"), dtype=np.float64)
-    return spectral_measure_of(A, float(alpha))
+        kw["base_seed"] = seed_override
+    return _build("experiment", ExperimentConfig, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +234,32 @@ def _ground_truth_measure(cfg: dict):
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    model = _require(cfg, "model", "config")
-    n = _number(model, "n", "model", lo=0, integer=True)
-    seed = _number(model, "seed", "model", integer=True)
-    if args.seed_override is not None:
-        seed = args.seed_override
-    stream_id = _number(model, "stream_id", "model", integer=True, default=0)
-    spec = model_spec_from(cfg, n)
-    batch = generate_dataset(spec, n, seed, stream_id)
-    write_batch(batch, args.out)
+    model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"))
+    n = model["n"]
+    if model["A"] is None:
+        model["A"], _ = _build("model", ground_truth_for, n, model["alpha"], model["s"])
+    kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}
+    seed = model["seed"] if args.seed_override is None else args.seed_override
+    spec = _build("model", ModelSpec, **kw)
+    write_batch(generate_dataset(spec, n, seed, model.get("stream_id", 0)), args.out)
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
+    model = read_model(cfg, required=()) if "model" in cfg else {}
+    est = _estimator_section(cfg)
+    est_cfg = estimator_config(est, model, args.kind.replace("-", "_"))
+    truth = ground_truth_from(est, model)
     batch = read_batch(args.batch)
     if args.kind == "conv":
-        mu, _ = estimate_conventional(batch, conv_config_from(cfg))
+        mu, _ = estimate_conventional(batch, est_cfg)
+    elif est_cfg.m != batch.xs.shape[1]:
+        d = batch.xs.shape[1]
+        raise ConfigError(f"estimator.two_step.m: {est_cfg.m}, but batch d = {d}")
     else:
-        _, mu, _ = estimate_two_step(batch, two_step_config_from(cfg))
+        _, mu, _ = estimate_two_step(batch, est_cfg)
     Path(args.out).write_text(measure_to_json(mu) + "\n")
-    truth = _ground_truth_measure(cfg)
     if truth is not None:
         print(_fmt(wasserstein_p(mu, truth, 1.0)))
     return 0
@@ -269,11 +269,7 @@ def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     exp_cfg = experiment_config_from(cfg, seed_override=args.seed_override)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"IoError: {exc}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)  # OSError exits 1 as IoError
     result = run_convergence_experiment(exp_cfg, threads=args.threads)
     emit_outputs(result, out_dir)
     for tag, (slope, _, r2, _) in sorted(result.slope_fits.items()):

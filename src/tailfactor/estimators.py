@@ -9,7 +9,7 @@ coordinate to recover the column magnitudes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class ConvConfig:
     kmeans: KMeansConfig = field(default_factory=lambda: KMeansConfig(k=2))
 
     def __post_init__(self):
-        if self.kappa_bar <= 0 or self.collapse_k < 1:
+        positive = (self.kappa_bar, self.alpha, self.collapse_k)
+        if min(positive) <= 0 or not 0 < self.s < 0.5:
             raise ValueError(f"invalid conventional config {self}")
 
 
@@ -51,7 +52,8 @@ class TwoStepConfig:
     det_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.kappa_tilde <= 0 or self.kappa <= 0 or self.m < 2 or self.r_hat <= 0:
+        positive = (self.kappa_tilde, self.kappa, self.alpha, self.r_hat, self.det_tol)
+        if min(positive) <= 0 or self.m < 2 or not 0 < self.s < 0.5:
             raise ValueError(f"invalid two-step config {self}")
 
 
@@ -98,20 +100,8 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
     points, n_tau = _thresholded_points(batch.xs, tau)
     if n_tau < cfg.collapse_k:
         raise TooFewPointsError(f"n_tau={n_tau} below k={cfg.collapse_k}")
-    km = kmeans(points, _with_k(cfg.kmeans, cfg.collapse_k))
+    km = kmeans(points, replace(cfg.kmeans, k=cfg.collapse_k))
     return make_measure(km.centers, km.weights), n_tau
-
-
-def _with_k(kcfg: KMeansConfig, k: int) -> KMeansConfig:
-    if kcfg.k == k:
-        return kcfg
-    return KMeansConfig(
-        k=k,
-        max_iters=kcfg.max_iters,
-        tol=kcfg.tol,
-        restarts=kcfg.restarts,
-        seed=kcfg.seed,
-    )
 
 
 def direction_threshold(n: int, cfg: TwoStepConfig) -> float:
@@ -133,7 +123,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
         raise TooFewPointsError(f"n_tau_tilde=0 below m={cfg.m}") from None
     if n_tt < cfg.m:
         raise TooFewPointsError(f"n_tau_tilde={n_tt} below m={cfg.m}")
-    km = kmeans(points, _with_k(cfg.kmeans, cfg.m))
+    km = kmeans(points, replace(cfg.kmeans, k=cfg.m))
     centers = km.centers / np.abs(km.centers).sum(axis=1, keepdims=True)
     return centers.T.copy(), n_tt
 

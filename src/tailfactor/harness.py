@@ -28,7 +28,7 @@ from .estimators import (
 )
 from .measures import ModelSpec, spectral_measure_of, _fmt
 from .numerics import fit_loglog_slope
-from .sampling import generate_dataset
+from .sampling import generate_dataset, worst_case_tilts
 from .svg import line_chart
 from .transport import wasserstein_p
 
@@ -53,14 +53,22 @@ class ExperimentConfig:
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
-        if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing, length >= 3")
+        if len(grid) < 3 or grid[0] < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.aggregate not in ("median", "mean"):
             raise ConfigError(f"unknown aggregate {self.aggregate!r}")
+        if not self.p >= 1:
+            raise ConfigError(f"need p >= 1, got {self.p}")
         if self.conv is None and self.two_step is None:
             raise ConfigError("at least one estimator must be configured")
+        try:
+            spec, _ = _model_at(self, grid[0])
+        except (ValueError, TailFactorError) as exc:
+            raise ConfigError(f"model at n={grid[0]}: {exc}") from exc
+        if self.two_step is not None and self.two_step.m != spec.d:
+            raise ConfigError(f"two-step m={self.two_step.m} but model d={spec.d}")
 
     @property
     def tags(self):
@@ -93,10 +101,22 @@ class ExperimentResult:
 
 
 def ground_truth_for(n: int, alpha: float, s: float):
-    """Worst-case diagonal loading matrix and its spectral measure."""
-    eps = float(n) ** (-s)
-    A = np.diag([1.0 + eps, 1.0 - eps])
+    """Worst-case loading matrix diag(1 + n^-s, 1 - n^-s) and its spectral measure."""
+    A = np.diag(worst_case_tilts(n, s))
     return A, spectral_measure_of(A, alpha)
+
+
+def _model_at(cfg: ExperimentConfig, n: int):
+    """The ModelSpec replicates at sample size n draw from, and its true measure."""
+    if cfg.fixed_A is not None:
+        A = np.asarray(cfg.fixed_A, dtype=np.float64)
+        truth = spectral_measure_of(A, cfg.alpha)
+    else:
+        A, truth = ground_truth_for(n, cfg.alpha, cfg.s)
+    spec = ModelSpec(
+        A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind, zeta=cfg.zeta
+    )
+    return spec, truth
 
 
 def _default_runner(cfg: ExperimentConfig):
@@ -111,14 +131,7 @@ def _default_runner(cfg: ExperimentConfig):
 
 
 def _replicate_task(cfg: ExperimentConfig, n: int, rep: int, runner):
-    if cfg.fixed_A is not None:
-        A = np.asarray(cfg.fixed_A, dtype=np.float64)
-        truth = spectral_measure_of(A, cfg.alpha)
-    else:
-        A, truth = ground_truth_for(n, cfg.alpha, cfg.s)
-    spec = ModelSpec(
-        A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind, zeta=cfg.zeta
-    )
+    spec, truth = _model_at(cfg, n)
     batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep)
     rows = []
     for tag in cfg.tags:

@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDesignError,
+    DimensionMismatchError,
     NearSingularError,
     TooFewPointsError,
 )
@@ -224,9 +225,11 @@ def kmeans(points, cfg: KMeansConfig) -> KMeansResult:
     Either way the centers are the means of the chosen clusters, summed in
     sample order, so both paths give the same bytes for the same partition.
     Centers are returned sorted lexicographically with the matching cluster
-    mass fractions.
+    mass fractions.  Input other than an (n, d) array raises DimensionMismatchError.
     """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DimensionMismatchError(f"points of shape {points.shape}, need (n, d)")
     n = points.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points for k={cfg.k}")

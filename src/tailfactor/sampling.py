@@ -7,14 +7,16 @@ bit-reproducible across platforms.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MaxTrialsExceededError,
     SampleOverflowError,
+    TailFactorError,
     WorstCaseDimensionError,
 )
 from .measures import ModelSpec, SampleBatch, _fmt
@@ -159,12 +161,6 @@ def sample_latent_batch(spec: ModelSpec, n: int, n_context: int, gen) -> np.ndar
     return z
 
 
-def sample_latent(spec: ModelSpec, n_context: int, rng) -> np.ndarray:
-    """Single latent vector; see sample_latent_batch."""
-    gen = _as_generator(rng)
-    return sample_latent_batch(spec, 1, n_context, gen)[0]
-
-
 def generate_dataset(
     spec: ModelSpec, n: int, seed: int, stream_id: int = 0
 ) -> SampleBatch:
@@ -190,34 +186,36 @@ def write_batch(batch: SampleBatch, csv_path) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     csv_path.write_text("\n".join(lines) + "\n")
 
+    # The sidecar holds the ModelSpec fields, which read_batch rebuilds it from.
     spec = batch.spec
-    sidecar = {
-        "A": [[float(_fmt(v)) for v in row] for row in spec.A],
-        "alpha": spec.alpha,
-        "s": spec.s,
-        "latent_kind": spec.latent_kind,
-        "zeta": spec.zeta,
-        "custom_scales": None
-        if spec.custom_scales is None
-        else [float(v) for v in spec.custom_scales],
-        "seed": batch.seed,
-        "stream_id": batch.stream_id,
-        "n": batch.n,
-    }
+    sidecar = {f.name: getattr(spec, f.name) for f in fields(ModelSpec)}
+    sidecar["A"] = spec.A.tolist()
+    if spec.custom_scales is not None:
+        sidecar["custom_scales"] = spec.custom_scales.tolist()
+    sidecar.update(seed=batch.seed, stream_id=batch.stream_id, n=batch.n)
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def read_batch(csv_path) -> SampleBatch:
+    """Load a batch written by ``write_batch``.
+
+    A CSV value that is not a finite number, or a sidecar that lacks a key,
+    holds an invalid model or disagrees with the CSV on n or d, raises
+    ConfigError naming the file.
+    """
     csv_path = Path(csv_path)
-    xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    doc = json.loads(csv_path.with_suffix(".json").read_text())
-    spec = ModelSpec(
-        A=np.asarray(doc["A"], dtype=np.float64),
-        alpha=doc["alpha"],
-        s=doc["s"],
-        latent_kind=doc["latent_kind"],
-        zeta=doc.get("zeta", 1.0),
-        custom_scales=doc.get("custom_scales"),
-    )
+    try:
+        xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if not np.isfinite(xs).all():
+            raise ValueError("non-finite value")
+        doc = json.loads(csv_path.with_suffix(".json").read_text())
+        spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
+        if (doc["n"], spec.d) != xs.shape:
+            raise ValueError(f"sidecar n = {doc['n']}, d = {spec.d}, CSV {xs.shape}")
+        seed, stream_id = doc["seed"], doc["stream_id"]
+    except KeyError as exc:
+        raise ConfigError(f"batch {csv_path}: sidecar lacks key {exc}") from exc
+    except (TypeError, ValueError, TailFactorError) as exc:
+        raise ConfigError(f"batch {csv_path}: {exc}") from exc
     xs.setflags(write=False)
-    return SampleBatch(spec=spec, seed=doc["seed"], stream_id=doc["stream_id"], xs=xs)
+    return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)

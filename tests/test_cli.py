@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -191,3 +192,146 @@ def test_config_file_not_json_exits_two(tmp_path, capsys):
     rc = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+def test_smoke_outputs_pin_golden_bytes(tmp_path):
+    # A change that moves these bytes updates the digests and says so.
+    golden = {
+        "rows.csv": "e7c804fca2b5350b82e7406970eb0bb25d7d136406950a0029f6cd349675295d",
+        "slopes.csv": "02074e2b85aa5b25e0dba174a5cdc3f1358178c2706b139b2137e06b084a3e3d",
+    }
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = ["--threads", threads, "experiment", "--config", "configs/smoke.json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _experiment(edit):
+    def argv(tmp_path):
+        doc = {
+            "model": {"A": "worst-case-diag", "alpha": 2.0, "s": 0.4},
+            "estimator": {
+                "conv": {"kappa_bar": 1.0},
+                "two_step": {"kappa_tilde": 0.3, "kappa": 1.0},
+            },
+            "experiment": {"n_grid": [256, 512, 1024], "replicates": 1, "base_seed": 1},
+        }
+        edit(doc)
+        cfg = _write(tmp_path / "exp.json", doc)
+        return ["experiment", "--config", cfg, "--out", str(tmp_path / "out")]
+
+    return argv
+
+
+def _simulate(**model):
+    def argv(tmp_path):
+        cfg = _sim_config(tmp_path, n=64, **model)
+        return ["simulate", "--config", cfg, "--out", str(tmp_path / "b.csv")]
+
+    return argv
+
+
+def _estimate(kind="conv", edit=lambda doc: None, spoil_batch=lambda csv: None):
+    def argv(tmp_path):
+        batch = tmp_path / "batch.csv"
+        assert main(["simulate", "--config", _sim_config(tmp_path, n=4096), "--out", str(batch)]) == 0
+        spoil_batch(batch)
+        doc = {
+            "model": {"alpha": 2.0, "s": 0.2},
+            "estimator": {
+                "conv": {"kappa_bar": 1.0},
+                "two_step": {"kappa_tilde": 0.3, "kappa": 1.0},
+                "ground_truth": {"A": [[1.0, 0.0], [0.0, 1.0]]},
+            },
+        }
+        edit(doc)
+        cfg = _write(tmp_path / "est.json", doc)
+        return ["estimate", kind, str(batch), "--config", cfg, "--out", str(tmp_path / "m.json")]
+
+    return argv
+
+
+def _drop_sidecar_alpha(csv):
+    doc = json.loads(csv.with_suffix(".json").read_text())
+    del doc["alpha"]
+    _write(csv.with_suffix(".json"), doc)
+
+
+def _nan_cell(csv):
+    lines = csv.read_text().splitlines()
+    lines[5] = "nan," + lines[5].split(",")[1]
+    csv.write_text("\n".join(lines) + "\n")
+
+
+NAN = float("nan")
+MALFORMED = {
+    # (argv builder, fragment the one-line ConfigError must contain)
+    "fixed-A-negative": (
+        _experiment(lambda d: d["model"].update(A=[[1.0, 0.5], [-0.1, 1.0]], latent="iid-pareto")),
+        "model.A",
+    ),
+    "two-step-on-d-3-model": (
+        _experiment(
+            lambda d: d["model"].update(A=np.eye(3).tolist(), latent="iid-pareto")
+        ),
+        "two-step m=2 but model d=3",
+    ),
+    "latent-custom": (_experiment(lambda d: d["model"].update(latent="custom")), "model.latent"),
+    "alpha-nan": (_experiment(lambda d: d["model"].update(alpha=NAN)), "model.alpha"),
+    "s-nan": (_experiment(lambda d: d["model"].update(s=NAN)), "model.s"),
+    "kmeans-k-string": (
+        _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": "abc"})),
+        "estimator.conv.kmeans",
+    ),
+    "conv-alpha-string": (
+        _estimate(edit=lambda d: d["estimator"]["conv"].update(alpha="two")),
+        "estimator.conv.alpha",
+    ),
+    "ground-truth-alpha-string": (
+        _estimate(edit=lambda d: d["estimator"]["ground_truth"].update(alpha="x")),
+        "estimator.ground_truth.alpha",
+    ),
+    "simulate-ragged-A": (_simulate(A=[[1.0, 0.0], [0.0]]), "model.A"),
+    "two-step-m-3-on-d-2": (
+        _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(m=3)),
+        "estimator.two_step.m",
+    ),
+    "sidecar-without-alpha": (_estimate(spoil_batch=_drop_sidecar_alpha), "lacks key 'alpha'"),
+    "misspelled-estimator-tag": (
+        _experiment(lambda d: d["experiment"].update(estimators=["conv", "twostep"])),
+        "experiment.estimators",
+    ),
+    "kmeans-k-7": (
+        _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": 7})),
+        "estimator.conv.kmeans",
+    ),
+    "ground-truth-A-negative": (
+        _estimate(edit=lambda d: d["estimator"]["ground_truth"].update(A=[[1.0, -0.2], [0.0, 1.0]])),
+        "estimator.ground_truth.A",
+    ),
+    "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
+    "batch-csv-nan": (_estimate(spoil_batch=_nan_cell), "batch.csv"),
+    "kappa-bar-infinity": (
+        _experiment(lambda d: d["estimator"]["conv"].update(kappa_bar=float("inf"))),
+        "estimator.conv.kappa_bar",
+    ),
+    "p-nan": (_experiment(lambda d: d["experiment"].update(p=NAN)), "experiment.p"),
+    "n-grid-bool": (
+        _experiment(lambda d: d["experiment"].update(n_grid=[True, 2, 3])),
+        "experiment.n_grid.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_config_error(case, tmp_path, capsys):
+    make_argv, fragment = MALFORMED[case]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    rc = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("ConfigError: "), lines
+    assert fragment in lines[0]

@@ -49,6 +49,15 @@ def test_config_validation():
         _cfg(aggregate="max")
     with pytest.raises(ConfigError):
         _cfg(conv=None)  # no estimator at all
+    with pytest.raises(ConfigError):
+        _cfg(n_grid=(2, 512, 1024))  # direction threshold needs n >= 3
+    with pytest.raises(ConfigError):
+        _cfg(p=0.5)  # Wasserstein order below 1
+    # the model is checked before the sweep, not inside a worker
+    with pytest.raises(ConfigError, match="n=256"):
+        _cfg(latent_kind="custom")  # no per-coordinate scales
+    with pytest.raises(ConfigError, match="non-negative"):
+        _cfg(fixed_A=np.array([[1.0, 0.5], [-0.1, 1.0]]))
 
 
 def test_planted_power_law_recovers_exact_slope():

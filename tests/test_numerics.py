@@ -5,6 +5,7 @@ import pytest
 
 from tailfactor.errors import (
     DegenerateDesignError,
+    DimensionMismatchError,
     NearSingularError,
     TooFewPointsError,
 )
@@ -47,6 +48,12 @@ def test_kmeans_k_equals_n_gives_zero_inertia():
 def test_kmeans_rejects_too_few_points():
     with pytest.raises(TooFewPointsError):
         kmeans(np.array([[1.0, 0.0]]), KMeansConfig(k=2))
+
+
+def test_kmeans_rejects_one_dimensional_input():
+    # Three scalars are not one point in R^3: the shape is named, not guessed.
+    with pytest.raises(DimensionMismatchError, match=r"\(3,\)"):
+        kmeans(np.array([0.1, 0.5, 0.9]), KMeansConfig(k=2))
 
 
 def test_kmeans_deterministic_given_seed():

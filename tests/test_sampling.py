@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from tailfactor.errors import (
+    ConfigError,
     MaxTrialsExceededError,
     SampleOverflowError,
     WorstCaseDimensionError,
@@ -170,6 +172,45 @@ def test_batch_csv_round_trip(tmp_path):
     assert np.array_equal(back.spec.A, spec.A)
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2"
+
+
+def _edit_sidecar(edit):
+    def spoil(path):
+        side = path.with_suffix(".json")
+        doc = json.loads(side.read_text())
+        edit(doc)
+        side.write_text(json.dumps(doc))
+
+    return spoil
+
+
+def _edit_csv(edit):
+    def spoil(path):
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_edit_csv(lambda lines: lines.__setitem__(3, "inf,1.0")), "non-finite value"),
+        (_edit_csv(lambda lines: lines.pop()), "n = 64, d = 2, CSV (63, 2)"),
+        (_edit_sidecar(lambda doc: doc.pop("zeta")), "sidecar lacks key 'zeta'"),
+        (_edit_sidecar(lambda doc: doc.update(A=np.eye(3).tolist())), "d = 3, CSV (64, 2)"),
+        (_edit_sidecar(lambda doc: doc.update(s=0.7)), "s must be in"),
+    ],
+    ids=["inf-cell", "row-missing", "key-missing", "d-disagrees", "bad-model"],
+)
+def test_read_batch_rejects_malformed_files(tmp_path, spoil, message):
+    path = tmp_path / "batch.csv"
+    write_batch(generate_dataset(ModelSpec(A=np.eye(2), alpha=2.0, s=0.2), 64, seed=3), path)
+    spoil(path)
+    with pytest.raises(ConfigError) as exc:
+        read_batch(path)
+    assert message in str(exc.value) and path.stem in str(exc.value)
 
 
 def test_custom_latent_kind_scales_coordinates():

@@ -44,7 +44,7 @@ from .sampling import (
     sample_pareto,
     sample_tilted_pareto,
 )
-from .transport import TransportPlan, ground_cost, wasserstein_p, wasserstein_pp
+from .transport import ground_cost, wasserstein_p, wasserstein_pp
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "ModelSpec",
     "RngStream",
     "SampleBatch",
-    "TransportPlan",
     "TwoStepConfig",
     "conventional_threshold",
     "diagnostic_counts",

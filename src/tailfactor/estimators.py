@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NoExceedancesError,
     NoSolutionError,
     TooFewPointsError,
@@ -107,7 +108,7 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
 def direction_threshold(n: int, cfg: TwoStepConfig) -> float:
     """Direction-recovery threshold, leaving only O(log n) exceedances."""
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise TooFewPointsError(f"need n >= 3, got {n}")
     return cfg.kappa_tilde * (n / math.log(n)) ** (1.0 / cfg.alpha)
 
 
@@ -165,7 +166,9 @@ def estimate_two_step(batch: SampleBatch, cfg: TwoStepConfig):
     """
     d = batch.xs.shape[1]
     if d != cfg.m:
-        raise ValueError(f"two-step estimator needs d = m, got d={d}, m={cfg.m}")
+        raise DimensionMismatchError(
+            f"two-step estimator needs d = m, got d={d}, m={cfg.m}"
+        )
     a_dir, n_tt = estimate_directions(batch, cfg)
     a_hat, measure = two_step_from_directions(batch, cfg, a_dir)
     return a_hat, measure, n_tt

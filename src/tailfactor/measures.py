@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidAlphaError,
+    WorstCaseDimensionError,
     ZeroColumnError,
 )
 
@@ -195,6 +196,8 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise ValueError(f"zeta must be > 0, got {spec.zeta}")
     if spec.latent_kind not in LATENT_KINDS:
         raise ValueError(f"unknown latent kind {spec.latent_kind!r}")
+    if spec.latent_kind == "tilted-worst-case" and m != 2:
+        raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
     if spec.latent_kind == "custom":
         if spec.custom_scales is None or spec.custom_scales.shape[0] != m:
             raise ValueError("custom latent kind needs m per-coordinate scales")

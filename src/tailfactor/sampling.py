@@ -17,7 +17,6 @@ from .errors import (
     MaxTrialsExceededError,
     SampleOverflowError,
     TailFactorError,
-    WorstCaseDimensionError,
 )
 from .measures import ModelSpec, SampleBatch, _fmt
 
@@ -130,11 +129,10 @@ def tail_threshold(n: int, alpha: float, s: float, zeta: float = 1.0) -> float:
     return zeta * float(n) ** ((1.0 - 2.0 * s) / alpha)
 
 
-def sample_latent_batch(spec: ModelSpec, n: int, n_context: int, gen) -> np.ndarray:
+def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     """n latent vectors in R^m_+ per the spec's latent kind.
 
-    ``n_context`` is the sample size entering tilts and thresholds of the
-    worst-case law (normally equal to n).
+    The worst-case law's tilts and threshold depend on the sample size n.
     """
     m, alpha = spec.m, spec.alpha
     if spec.latent_kind == "iid-pareto":
@@ -142,13 +140,11 @@ def sample_latent_batch(spec: ModelSpec, n: int, n_context: int, gen) -> np.ndar
     if spec.latent_kind == "custom":
         z = pareto_quantile(gen.random((n, m)), alpha)
         return z / spec.custom_scales[None, :]
-    # tilted worst case
-    if m != 2:
-        raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
-    if n_context < 2:
-        raise ValueError(f"worst-case law needs n_context >= 2, got {n_context}")
-    c1, c2 = worst_case_tilts(n_context, spec.s)
-    t = tail_threshold(n_context, alpha, spec.s, spec.zeta)
+    # tilted worst case; ModelSpec guarantees m = 2
+    if n < 2:
+        raise ValueError(f"worst-case law needs n >= 2, got {n}")
+    c1, c2 = worst_case_tilts(n, spec.s)
+    t = tail_threshold(n, alpha, spec.s, spec.zeta)
     u = gen.random((n, 2))
     z = np.column_stack(
         [
@@ -168,7 +164,7 @@ def generate_dataset(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     gen = RngStream(seed, stream_id).generator()
-    z = sample_latent_batch(spec, n, n, gen)
+    z = sample_latent_batch(spec, n, gen)
     xs = z @ spec.A.T
     xs.setflags(write=False)
     return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)

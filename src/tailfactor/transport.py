@@ -1,13 +1,16 @@
 """Exact p-Wasserstein distance between discrete measures, l1 ground cost.
 
 Solves the transportation linear program with a dense transportation
-simplex (northwest-corner start, MODI duals, cycle pivots).  Supports here
-stay in the low hundreds of atoms, so no approximation is needed; the
-returned optimum is certified against the dual solution.
+simplex: northwest-corner start, Dantzig pricing over the full
+reduced-cost matrix, cycle pivots.  The basis is one spanning tree over the
+row and column nodes, kept as a cell mask for pricing and as adjacency
+lists that each pivot updates in place.  One breadth-first walk of that
+tree per pivot yields the MODI duals and each node's parent and depth, and
+the entering cell's cycle is the tree path from its row and its column up
+to their lowest common ancestor.  Supports here stay in the low hundreds of
+atoms, so no approximation is needed; the returned optimum is certified
+against the dual solution.
 """
-
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,16 +19,6 @@ from .measures import DiscreteMeasure
 
 WEIGHT_DROP = 1e-15
 OPT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal coupling between two discrete measures."""
-
-    rows: int
-    cols: int
-    gamma: np.ndarray
-    cost: float
 
 
 def ground_cost(w, w2, p: float = 1.0) -> float:
@@ -47,17 +40,24 @@ def _l1_cost_matrix(xs, ys, p):
 
 
 def _northwest_corner(a, b):
-    """Initial basic feasible solution with exactly m+n-1 basic cells."""
+    """Initial basic feasible solution with exactly m+n-1 basic cells.
+
+    Returns the flow, the basic-cell mask and the basis tree's adjacency
+    lists (nodes 0..m-1 are rows, m.. columns).
+    """
     m, n = len(a), len(b)
     flow = np.zeros((m, n))
-    basis = []
+    basic = np.zeros((m, n), dtype=bool)
+    adj = [[] for _ in range(m + n)]
     ra = a.copy()
     rb = b.copy()
     i = j = 0
     while i < m and j < n:
         q = min(ra[i], rb[j])
         flow[i, j] = q
-        basis.append((i, j))
+        basic[i, j] = True
+        adj[i].append(m + j)
+        adj[m + j].append(i)
         ra[i] -= q
         rb[j] -= q
         if i == m - 1 and j == n - 1:
@@ -67,69 +67,55 @@ def _northwest_corner(a, b):
             i += 1
         else:
             j += 1
-    return flow, basis
+    return flow, basic, adj
 
 
-def _compute_duals(m, n, cost, basis):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    adj = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    u[0] = 0.0
-    seen = np.zeros(m + n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
+def _walk(m, cost, adj):
+    """Breadth-first walk of the basis tree from row 0.
+
+    ``cost`` is a nested list.  Returns the duals (u, v) with u[0] = 0,
+    each set from its parent along the unique tree path, and every node's
+    parent and depth.
+    """
+    size = len(adj)
+    pot = [0.0] * size
+    parent = [-1] * size
+    depth = [-1] * size
+    depth[0] = 0
+    order = [0]
+    for node in order:  # grows as the walk goes: a FIFO queue
+        below = depth[node] + 1
         for nxt in adj[node]:
-            if seen[nxt]:
+            if depth[nxt] >= 0:
                 continue
-            seen[nxt] = True
+            depth[nxt] = below
+            parent[nxt] = node
             if node < m:  # row -> col
-                v[nxt - m] = cost[node, nxt - m] - u[node]
+                pot[nxt] = cost[node][nxt - m] - pot[node]
             else:  # col -> row
-                u[nxt] = cost[nxt, node - m] - v[node - m]
-            queue.append(nxt)
-    if not seen.all():
+                pot[nxt] = cost[nxt][node - m] - pot[node]
+            order.append(nxt)
+    if len(order) < size:
         raise SolverFailureError("basis graph is not a spanning tree")
-    return u, v
+    return np.array(pot[:m]), np.array(pot[m:]), parent, depth
 
 
-def _find_cycle(m, basis, i0, j0):
-    """Unique alternating path row i0 -> col j0 through the basis tree."""
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append(m + j)
-        adj.setdefault(m + j, []).append(i)
-    parent = {i0: None}
-    queue = deque([i0])
-    target = m + j0
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        for nxt in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    if target not in parent:
-        raise SolverFailureError("entering edge closes no cycle")
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # i0 ... m+j0, alternating row/col nodes
-    edges = []
-    for aa, bb in zip(path, path[1:]):
-        if aa < m:
-            edges.append((aa, bb - m))
+def _cycle(m, parent, depth, i0, j0):
+    """Cells on the tree path row i0 -> col j0, in path order from i0."""
+    a, b = i0, m + j0
+    up, down = [a], [b]
+    while a != b:  # climb the deeper end until both meet at the ancestor
+        if depth[a] >= depth[b]:
+            a = parent[a]
+            up.append(a)
         else:
-            edges.append((bb, aa - m))
-    return edges
+            b = parent[b]
+            down.append(b)
+    path = up + down[-2::-1]
+    return [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
 
 
-def solve_transport(a, b, cost, max_iters=None):
+def solve_transport(a, b, cost):
     """Exact min-cost transportation plan for supplies a, demands b.
 
     Returns (gamma, objective).  Raises SolverFailureError if optimality
@@ -140,35 +126,35 @@ def solve_transport(a, b, cost, max_iters=None):
     cost = np.asarray(cost, dtype=np.float64)
     m, n = cost.shape
     b = b * (a.sum() / b.sum())  # enforce exact balance
-    flow, basis = _northwest_corner(a, b)
-    if max_iters is None:
-        max_iters = 100 * (m + n) ** 2 + 1000
-    basis_set = set(basis)
-    for _ in range(max_iters):
-        u, v = _compute_duals(m, n, cost, basis)
+    flow, basic, adj = _northwest_corner(a, b)
+    # Python floats: cheaper scalar reads in the walk, same float64 arithmetic.
+    cost_rows = cost.tolist()
+    for _ in range(100 * (m + n) ** 2 + 1000):
+        u, v, parent, depth = _walk(m, cost_rows, adj)
         reduced = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            reduced[i, j] = 0.0
-        flat = np.argmin(reduced)
-        i0, j0 = divmod(int(flat), n)
+        reduced[basic] = 0.0
+        i0, j0 = divmod(int(np.argmin(reduced)), n)
         if reduced[i0, j0] >= -1e-12:
             break
-        cycle_path = _find_cycle(m, basis, i0, j0)
-        # Entering edge gets +theta; path edges alternate starting with -.
-        minus_edges = cycle_path[0::2]
-        theta = min(flow[e] for e in minus_edges)
-        leaving = next(e for e in minus_edges if flow[e] <= theta)
+        cycle = _cycle(m, parent, depth, i0, j0)
+        # Entering cell gets +theta; path cells alternate starting with -.
+        minus = cycle[0::2]
+        theta = min(flow[e] for e in minus)
+        li, lj = next(e for e in minus if flow[e] <= theta)
         flow[i0, j0] += theta
-        for k, e in enumerate(cycle_path):
+        for k, e in enumerate(cycle):
             flow[e] += theta if k % 2 == 1 else -theta
-        basis_set.discard(leaving)
-        basis_set.add((i0, j0))
-        basis = sorted(basis_set)
+        basic[li, lj] = False
+        basic[i0, j0] = True
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
     else:
         raise SolverFailureError("pivot limit reached without optimality")
 
-    # Certify: dual feasibility and complementary slackness.
-    u, v = _compute_duals(m, n, cost, basis)
+    # Certify with the final basis's duals: dual feasibility and
+    # complementary slackness.
     reduced = cost - u[:, None] - v[None, :]
     if reduced.min() < -OPT_TOL:
         raise SolverFailureError(f"dual infeasibility {reduced.min():.3e}")
@@ -184,7 +170,10 @@ def solve_transport(a, b, cost, max_iters=None):
 
 
 def wasserstein_pp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0):
-    """Exact W_p^p between two discrete measures plus an optimal plan."""
+    """Exact W_p^p between two discrete measures, and an optimal coupling.
+
+    Returns (objective, gamma), gamma of shape (mu.n_atoms, nu.n_atoms).
+    """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dims {mu.dim} vs {nu.dim}")
     if p < 1:
@@ -199,8 +188,7 @@ def wasserstein_pp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0):
     flow, obj = solve_transport(wa[keep_a], wb[keep_b], cost)
     gamma = np.zeros((mu.n_atoms, nu.n_atoms))
     gamma[np.ix_(keep_a, keep_b)] = flow
-    plan = TransportPlan(rows=mu.n_atoms, cols=nu.n_atoms, gamma=gamma, cost=obj)
-    return obj, plan
+    return obj, gamma
 
 
 def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:

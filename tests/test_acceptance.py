@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.optimize import linprog
 
 from tailfactor import (
     ConvConfig,
@@ -50,6 +49,7 @@ from tailfactor.sampling import (
     sample_conditional_pareto,
     sample_pareto,
 )
+from transport_oracles import linprog_cost
 
 BASE_SEED = 20240601
 GRID = tuple(2**k for k in range(11, 18))
@@ -200,32 +200,6 @@ def test_criterion_3_kappa_bar_sensitivity():
     )
 
 
-def _linprog_cost(mu, nu, p=1.0):
-    a = np.asarray(mu.weights)
-    b = np.asarray(nu.weights)
-    b = b * (a.sum() / b.sum())
-    cost = (
-        np.abs(np.asarray(mu.atoms)[:, None, :] - np.asarray(nu.atoms)[None, :, :])
-        .sum(axis=2)
-        ** p
-    )
-    m, n = cost.shape
-    A_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        A_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
-    res = linprog(
-        cost.ravel(),
-        A_eq=A_eq[:-1],
-        b_eq=np.concatenate([a, b])[:-1],
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.success
-    return float(res.fun)
-
-
 def _random_measure(rng, max_atoms, d=2):
     k = int(rng.integers(1, max_atoms + 1))
     pts = rng.uniform(0, 1, size=(k, d))
@@ -242,7 +216,7 @@ def test_criterion_4_ot_exactness():
         mu = _random_measure(rng, 3)
         nu = _random_measure(rng, 3)
         obj, _ = wasserstein_pp(mu, nu, 1.0)
-        worst = max(worst, abs(obj - _linprog_cost(mu, nu)))
+        worst = max(worst, abs(obj - linprog_cost(mu, nu, 1.0)))
     axiom_slack = 0.0
     for _ in range(500):
         mu = _random_measure(rng, 6)

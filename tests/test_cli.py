@@ -279,6 +279,10 @@ MALFORMED = {
         "two-step m=2 but model d=3",
     ),
     "latent-custom": (_experiment(lambda d: d["model"].update(latent="custom")), "model.latent"),
+    "worst-case-law-on-3x3-A": (
+        _experiment(lambda d: d["model"].update(A=np.eye(3).tolist())),
+        "worst-case latent law needs m=2",
+    ),
     "alpha-nan": (_experiment(lambda d: d["model"].update(alpha=NAN)), "model.alpha"),
     "s-nan": (_experiment(lambda d: d["model"].update(s=NAN)), "model.s"),
     "kmeans-k-string": (

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tailfactor.errors import (
+    DimensionMismatchError,
     NoExceedancesError,
     NoSolutionError,
     TooFewPointsError,
@@ -67,7 +68,7 @@ def test_direction_threshold_formula():
     assert direction_threshold(n, cfg) == pytest.approx(
         0.5 * (n / np.log(n)) ** 0.5
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewPointsError):
         direction_threshold(2, cfg)
 
 
@@ -179,8 +180,13 @@ def test_two_step_requires_square_model():
     spec = ModelSpec(A=np.ones((2, 3)), alpha=2.0, s=0.2)
     batch = generate_dataset(spec, 100, seed=0)
     cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         estimate_two_step(batch, cfg)
+    # n = 2 admits no direction threshold: a typed error, not a ValueError
+    square = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=2)
+    with pytest.raises(TooFewPointsError):
+        estimate_two_step(generate_dataset(square, 2, seed=0), cfg)
 
 
 def test_config_validation():

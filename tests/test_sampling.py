@@ -128,10 +128,8 @@ def test_worst_case_tilts_and_threshold_formulas():
 
 
 def test_worst_case_latent_needs_two_factors():
-    spec = ModelSpec(A=np.eye(3), alpha=2.0, s=0.2, latent_kind="tilted-worst-case")
-    gen = RngStream(0, 0).generator()
     with pytest.raises(WorstCaseDimensionError):
-        sample_latent_batch(spec, 10, 10, gen)
+        ModelSpec(A=np.eye(3), alpha=2.0, s=0.2, latent_kind="tilted-worst-case")
 
 
 def test_worst_case_batch_is_pareto_above_threshold():
@@ -140,7 +138,7 @@ def test_worst_case_batch_is_pareto_above_threshold():
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     n = 200_000
     gen = RngStream(99, 0).generator()
-    z = sample_latent_batch(spec, n, n, gen)
+    z = sample_latent_batch(spec, n, gen)
     assert z.shape == (n, 2)
     assert np.all(z >= 0)
     t = tail_threshold(n, 2.0, 0.4)
@@ -218,7 +216,7 @@ def test_custom_latent_kind_scales_coordinates():
         A=np.eye(2), alpha=1.0, s=0.2, latent_kind="custom", custom_scales=[1.0, 4.0]
     )
     gen = RngStream(17, 0).generator()
-    z = sample_latent_batch(spec, 100_000, 100_000, gen)
+    z = sample_latent_batch(spec, 100_000, gen)
     # medians scale inversely with the per-coordinate factor
     med = np.median(z, axis=0)
     assert med[0] / med[1] == pytest.approx(4.0, rel=0.1)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from tailfactor.errors import DimensionMismatchError
 from tailfactor.measures import make_measure
@@ -10,6 +9,7 @@ from tailfactor.transport import (
     wasserstein_p,
     wasserstein_pp,
 )
+from transport_oracles import line_cost, linprog_cost
 
 RNG = np.random.default_rng(777)
 
@@ -19,35 +19,6 @@ def _random_measure(k, d):
     pts = pts / pts.sum(axis=1, keepdims=True)
     w = RNG.uniform(0.1, 1.0, size=k)
     return make_measure(pts, w / w.sum())
-
-
-def _linprog_cost(mu, nu, p):
-    """Independent LP oracle for the transport objective."""
-    a = np.asarray(mu.weights)
-    b = np.asarray(nu.weights)
-    b = b * (a.sum() / b.sum())
-    xa = np.asarray(mu.atoms)
-    xb = np.asarray(nu.atoms)
-    m, n = len(a), len(b)
-    cost = np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2) ** p
-    A_eq = []
-    for i in range(m):
-        row = np.zeros(m * n)
-        row[i * n : (i + 1) * n] = 1.0
-        A_eq.append(row)
-    for j in range(n):
-        row = np.zeros(m * n)
-        row[j::n] = 1.0
-        A_eq.append(row)
-    res = linprog(
-        cost.ravel(),
-        A_eq=np.array(A_eq)[:-1],  # drop one redundant constraint
-        b_eq=np.concatenate([a, b])[:-1],
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.success
-    return float(res.fun)
 
 
 def test_ground_cost_examples():
@@ -109,14 +80,29 @@ def test_against_linprog_oracle(p):
     for _ in range(25):
         mu = _random_measure(int(RNG.integers(2, 9)), int(RNG.integers(2, 4)))
         nu = _random_measure(int(RNG.integers(2, 9)), mu.dim)
-        obj, plan = wasserstein_pp(mu, nu, p)
-        assert obj == pytest.approx(_linprog_cost(mu, nu, p), abs=1e-8)
+        obj, gamma = wasserstein_pp(mu, nu, p)
+        assert obj == pytest.approx(linprog_cost(mu, nu, p), abs=1e-8)
         # plan feasibility
-        gamma = plan.gamma
         assert gamma.shape == (mu.n_atoms, nu.n_atoms)
         assert gamma.min() >= -1e-12
         assert np.allclose(gamma.sum(axis=1), mu.weights, atol=1e-9)
         assert np.allclose(gamma.sum(axis=0), nu.weights, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_against_line_oracle(p):
+    # Atoms sorted as make_measure sorts them make the northwest-corner
+    # start optimal on a line; atoms in draw order make the solver pivot.
+    rng = np.random.default_rng(int(p))
+    for _ in range(20):
+        sizes = rng.integers(2, 40, size=2)
+        xa, xb = (rng.uniform(0, 1, size=k) for k in sizes)
+        wa, wb = (rng.uniform(0.05, 1.0, size=k) for k in sizes)
+        wa, wb = wa / wa.sum(), wb / wb.sum()
+        pa, pb = np.column_stack([xa, 1 - xa]), np.column_stack([xb, 1 - xb])
+        cost = np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) ** p
+        _, obj = solve_transport(wa, wb, cost)
+        assert obj == pytest.approx(line_cost(xa, wa, xb, wb, p), abs=1e-12)
 
 
 def test_total_variation_upper_bound():

@@ -31,7 +31,6 @@ from .measures import (
     validate_measure,
 )
 from .numerics import (
-    KMeansConfig,
     KMeansResult,
     fit_loglog_slope,
     invert_square_matrix,
@@ -42,7 +41,6 @@ from .sampling import (
     generate_dataset,
     sample_conditional_pareto,
     sample_pareto,
-    sample_tilted_pareto,
 )
 from .transport import ground_cost, wasserstein_p, wasserstein_pp
 
@@ -53,7 +51,6 @@ __all__ = [
     "DiscreteMeasure",
     "ExperimentConfig",
     "ExperimentResult",
-    "KMeansConfig",
     "KMeansResult",
     "ModelSpec",
     "RngStream",
@@ -79,7 +76,6 @@ __all__ = [
     "run_convergence_experiment",
     "sample_conditional_pareto",
     "sample_pareto",
-    "sample_tilted_pareto",
     "solve_theta",
     "spectral_measure_of",
     "two_step_from_directions",

@@ -7,7 +7,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,7 @@ from .measures import (
     validate_measure,
     _fmt,
 )
-from .numerics import KMeansConfig
-from .sampling import generate_dataset, read_batch, write_batch
+from .sampling import generate_dataset, read_batch, worst_case_tilts, write_batch
 from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
@@ -52,8 +51,7 @@ MODEL_NUMBERS = {
     "seed": dict(integer=True),
     "stream_id": dict(integer=True),
 }
-# estimator section -> (config class, the field that sets its k-means k)
-ESTIMATORS = {"conv": (ConvConfig, "collapse_k"), "two_step": (TwoStepConfig, "m")}
+ESTIMATORS = {"conv": ConvConfig, "two_step": TwoStepConfig}
 
 
 def _check_keys(doc, allowed, path: str):
@@ -173,16 +171,12 @@ def _estimator_section(cfg: dict) -> dict:
 
 def estimator_config(est: dict, model: dict, key: str):
     """ConvConfig or TwoStepConfig of ``estimator.<key>``, alpha and s
-    falling back to the model's; its k-means k is collapse_k or m."""
-    cls, k_field = ESTIMATORS[key]
+    falling back to the model's."""
+    cls = ESTIMATORS[key]
     path = f"estimator.{key}"
     doc = _require(est, key, "estimator")
     fallback = {k: model[k] for k in ("alpha", "s") if k in model}
-    cfg = _build(path, cls, **_fields(doc, path, cls, ("kmeans",), **fallback))
-    path += ".kmeans"
-    k = getattr(cfg, k_field)
-    kw = _fields(doc.get("kmeans", {}), path, KMeansConfig, fixed=("k",), k=k)
-    return replace(cfg, kmeans=_build(path, KMeansConfig, **kw))
+    return _build(path, cls, **_fields(doc, path, cls, **fallback))
 
 
 def ground_truth_from(est: dict, model: dict):
@@ -236,6 +230,8 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"))
     n = model["n"]
+    if model["A"] is None or model["latent_kind"] == "tilted-worst-case":
+        _build("model.n", worst_case_tilts, n, model["s"])  # raises for n < 2
     if model["A"] is None:
         model["A"], _ = _build("model", ground_truth_for, n, model["alpha"], model["s"])
     kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}
@@ -285,7 +281,11 @@ def cmd_wasserstein(args) -> int:
         raise ConfigError(f"cannot load measure: {exc}") from exc
     if not validate_measure(mu) or not validate_measure(nu):
         raise ConfigError("input measure violates simplex-measure invariants")
-    print(_fmt(wasserstein_p(mu, nu, args.p)))
+    try:
+        w = wasserstein_p(mu, nu, args.p)
+    except ValueError as exc:  # p outside [1, inf)
+        raise ConfigError(f"--p: {exc}") from exc
+    print(_fmt(w))
     return 0
 
 

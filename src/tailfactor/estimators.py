@@ -9,7 +9,7 @@ coordinate to recover the column magnitudes.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .measures import DiscreteMeasure, SampleBatch, make_measure, spectral_measure_of
-from .numerics import KMeansConfig, invert_square_matrix, kmeans
+from .numerics import invert_square_matrix, kmeans
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class ConvConfig:
     alpha: float
     s: float
     collapse_k: int = 2
-    kmeans: KMeansConfig = field(default_factory=lambda: KMeansConfig(k=2))
 
     def __post_init__(self):
         positive = (self.kappa_bar, self.alpha, self.collapse_k)
@@ -49,11 +48,9 @@ class TwoStepConfig:
     s: float
     m: int = 2
     r_hat: float = 1.0
-    kmeans: KMeansConfig = field(default_factory=lambda: KMeansConfig(k=2))
-    det_tol: float = 1e-10
 
     def __post_init__(self):
-        positive = (self.kappa_tilde, self.kappa, self.alpha, self.r_hat, self.det_tol)
+        positive = (self.kappa_tilde, self.kappa, self.alpha, self.r_hat)
         if min(positive) <= 0 or self.m < 2 or not 0 < self.s < 0.5:
             raise ValueError(f"invalid two-step config {self}")
 
@@ -101,7 +98,7 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
     points, n_tau = _thresholded_points(batch.xs, tau)
     if n_tau < cfg.collapse_k:
         raise TooFewPointsError(f"n_tau={n_tau} below k={cfg.collapse_k}")
-    km = kmeans(points, replace(cfg.kmeans, k=cfg.collapse_k))
+    km = kmeans(points, cfg.collapse_k)
     return make_measure(km.centers, km.weights), n_tau
 
 
@@ -124,7 +121,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
         raise TooFewPointsError(f"n_tau_tilde=0 below m={cfg.m}") from None
     if n_tt < cfg.m:
         raise TooFewPointsError(f"n_tau_tilde={n_tt} below m={cfg.m}")
-    km = kmeans(points, replace(cfg.kmeans, k=cfg.m))
+    km = kmeans(points, cfg.m)
     centers = km.centers / np.abs(km.centers).sum(axis=1, keepdims=True)
     return centers.T.copy(), n_tt
 
@@ -146,7 +143,7 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     tail-frequency equation per coordinate.  Returns (A_hat, measure).
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
-    a_inv = invert_square_matrix(a_dir, cfg.det_tol)
+    a_inv = invert_square_matrix(a_dir)
     transformed = batch.xs @ a_inv.T
     n = batch.n
     tau = cfg.kappa * float(n) ** ((1.0 - 2.0 * cfg.s) / cfg.alpha)

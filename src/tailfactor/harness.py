@@ -59,8 +59,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.aggregate not in ("median", "mean"):
             raise ConfigError(f"unknown aggregate {self.aggregate!r}")
-        if not self.p >= 1:
-            raise ConfigError(f"need p >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:
             raise ConfigError("at least one estimator must be configured")
         try:

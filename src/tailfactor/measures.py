@@ -51,10 +51,10 @@ def _lex_order(atoms: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(atoms[:, c] for c in range(atoms.shape[1] - 1, -1, -1)))
 
 
-def make_measure(atoms, weights, merge_tol: float = MERGE_TOL) -> DiscreteMeasure:
+def make_measure(atoms, weights) -> DiscreteMeasure:
     """Build a canonical DiscreteMeasure: merge near-duplicate atoms, sort.
 
-    Atoms within ``merge_tol`` in l1-distance are collapsed with their
+    Atoms within MERGE_TOL in l1-distance are collapsed with their
     weights summed.  The merged atom is the weight-averaged location
     renormalized to the simplex.
     """
@@ -72,7 +72,7 @@ def make_measure(atoms, weights, merge_tol: float = MERGE_TOL) -> DiscreteMeasur
     merged_atoms = []
     merged_weights = []
     for a, w in zip(atoms, weights):
-        if merged_atoms and np.abs(a - merged_atoms[-1]).sum() <= merge_tol:
+        if merged_atoms and np.abs(a - merged_atoms[-1]).sum() <= MERGE_TOL:
             w_old = merged_weights[-1]
             tot = w_old + w
             if tot > 0:

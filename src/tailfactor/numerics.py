@@ -13,17 +13,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class KMeansConfig:
-    k: int
-    max_iters: int = 100
-    tol: float = 1e-9
-    restarts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1 or self.max_iters < 1 or self.tol <= 0 or self.restarts < 1:
-            raise ValueError(f"invalid k-means config {self}")
+# Lloyd's algorithm off the line: starts, iteration cap, l1 center-move stop.
+LLOYD_RESTARTS = 10
+LLOYD_MAX_ITERS = 100
+LLOYD_TOL = 1e-9
+# Smallest pivot and determinant magnitude invert_square_matrix accepts.
+DET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,12 +66,12 @@ def _kmeans_pp_seed(points, k, gen):
     return centers
 
 
-def _lloyd(points, centers, max_iters, tol):
+def _lloyd(points, centers):
     k = centers.shape[0]
     history = []
     labels = None
     inertia = np.inf
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         labels, inertia = _assign_points(points, centers)
         history.append(inertia)
         sums, counts = _center_update(points, labels, k)
@@ -97,7 +92,7 @@ def _lloyd(points, centers, max_iters, tol):
             new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         move = np.abs(new_centers - centers).sum(axis=1).max()
         centers = new_centers
-        if move <= tol:
+        if move <= LLOYD_TOL:
             break
     labels, inertia = _assign_points(points, centers)
     _, counts = _center_update(points, labels, k)
@@ -206,51 +201,54 @@ def _exact_line_labels(points, order, j, k):
     return labels
 
 
-def kmeans(points, cfg: KMeansConfig) -> KMeansResult:
-    """k-means with cfg.k clusters; exact when the points are collinear.
+def kmeans(points, k: int) -> KMeansResult:
+    """k-means with k clusters; exact when the points are collinear.
 
     When the points span at most one dimension (every d = 2 simplex cloud
     (x, 1-x) does), the optimal clusters are contiguous along the line and
     the least-inertia partition is found exactly from one sort and prefix
-    sums; only cfg.k applies and ``history`` is ().  Ties go to the smallest
-    split, clusters split only between distinct points, and fewer distinct
-    points than cfg.k raise TooFewPointsError.
+    sums; ``history`` is ().  Ties go to the smallest split, and clusters
+    split only between distinct points.
 
     Otherwise it runs Lloyd's algorithm with k-means++ seeding, best of
-    cfg.restarts runs of at most cfg.max_iters iterations, stopping once no
-    center moves more than cfg.tol (l1); ``history`` holds the best run's
-    inertia per iteration.  Deterministic given cfg.seed: restart r uses
-    the Philox stream keyed by (cfg.seed, r).
+    LLOYD_RESTARTS runs of at most LLOYD_MAX_ITERS iterations, stopping once
+    no center moves more than LLOYD_TOL (l1); ``history`` holds the best
+    run's inertia per iteration.  Deterministic: restart r uses the Philox
+    stream keyed by (0, r).
 
     Either way the centers are the means of the chosen clusters, summed in
     sample order, so both paths give the same bytes for the same partition.
     Centers are returned sorted lexicographically with the matching cluster
-    mass fractions.  Input other than an (n, d) array raises DimensionMismatchError.
+    mass fractions, none of them empty.  Fewer distinct points than k raise
+    TooFewPointsError, k < 1 raises ValueError, and input other than an
+    (n, d) array raises DimensionMismatchError.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DimensionMismatchError(f"points of shape {points.shape}, need (n, d)")
     n = points.shape[0]
-    if n < cfg.k:
-        raise TooFewPointsError(f"{n} points for k={cfg.k}")
+    if n < k:
+        raise TooFewPointsError(f"{n} points for k={k}")
     line = _line_order(points)
     if line is not None:
-        labels = _exact_line_labels(points, *line, cfg.k)
-        sums, counts = _center_update(points, labels, cfg.k)
+        labels = _exact_line_labels(points, *line, k)
+        sums, counts = _center_update(points, labels, k)
         centers = sums / counts[:, None]
         inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
         order = np.lexsort(centers.T[::-1])
         centers, counts, history = centers[order], counts[order], ()
     else:
+        # with fewer distinct points than k, Lloyd leaves clusters empty
+        distinct = np.unique(points, axis=0).shape[0]
+        if distinct < k:
+            raise TooFewPointsError(f"{distinct} distinct points for k={k}")
         best = None
-        for r in range(cfg.restarts):
-            gen = np.random.Generator(
-                np.random.Philox(key=[cfg.seed & (2**64 - 1), r])
-            )
-            centers0 = _kmeans_pp_seed(points, cfg.k, gen)
-            centers, counts, inertia, history = _lloyd(
-                points, centers0, cfg.max_iters, cfg.tol
-            )
+        for r in range(LLOYD_RESTARTS):
+            gen = np.random.Generator(np.random.Philox(key=[0, r]))
+            centers0 = _kmeans_pp_seed(points, k, gen)
+            centers, counts, inertia, history = _lloyd(points, centers0)
             order = np.lexsort(centers.T[::-1])
             key = (inertia, centers[order].tobytes())
             if best is None or key < best[0]:
@@ -264,11 +262,11 @@ def kmeans(points, cfg: KMeansConfig) -> KMeansResult:
     )
 
 
-def invert_square_matrix(M, det_tol: float = 1e-10) -> np.ndarray:
+def invert_square_matrix(M) -> np.ndarray:
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
     Raises NearSingularError when a pivot or the determinant falls below
-    det_tol in magnitude.
+    DET_TOL in magnitude, and ValueError for a matrix that is not square.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -279,8 +277,8 @@ def invert_square_matrix(M, det_tol: float = 1e-10) -> np.ndarray:
     for col in range(m):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
         pivot = aug[pivot_row, col]
-        if abs(pivot) < det_tol:
-            raise NearSingularError(f"pivot {pivot:.3e} below {det_tol:.1e}")
+        if abs(pivot) < DET_TOL:
+            raise NearSingularError(f"pivot {pivot:.3e} below {DET_TOL:.1e}")
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
             det = -det
@@ -289,8 +287,8 @@ def invert_square_matrix(M, det_tol: float = 1e-10) -> np.ndarray:
         for row in range(m):
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
-    if abs(det) < det_tol:
-        raise NearSingularError(f"|det| = {abs(det):.3e} below {det_tol:.1e}")
+    if abs(det) < DET_TOL:
+        raise NearSingularError(f"|det| = {abs(det):.3e} below {DET_TOL:.1e}")
     return aug[:, m:]
 
 

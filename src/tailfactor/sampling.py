@@ -17,6 +17,7 @@ from .errors import (
     MaxTrialsExceededError,
     SampleOverflowError,
     TailFactorError,
+    TooFewPointsError,
 )
 from .measures import ModelSpec, SampleBatch, _fmt
 
@@ -47,23 +48,11 @@ def pareto_quantile(u, alpha: float):
     return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / alpha) - 1.0
 
 
-def tilted_pareto_quantile(u, alpha: float, c: float):
-    """Inverse CDF of the scaled density alpha*c*(1+c*z)^-(alpha+1)."""
-    return pareto_quantile(u, alpha) / c
-
-
 def sample_pareto(alpha: float, rng, size=None):
     """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1)."""
     gen = _as_generator(rng)
     u = gen.random(size)
     return pareto_quantile(u, alpha)
-
-
-def sample_tilted_pareto(alpha: float, c: float, rng, size=None):
-    """Draw from the tilted Pareto with density alpha*c*(1+c*z)^-(alpha+1)."""
-    gen = _as_generator(rng)
-    u = gen.random(size)
-    return tilted_pareto_quantile(u, alpha, c)
 
 
 def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
@@ -119,7 +108,12 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
 
 
 def worst_case_tilts(n: int, s: float):
-    """Per-coordinate tilts (1 + n^-s, 1 - n^-s) of the two-factor worst case."""
+    """Per-coordinate tilts (1 + n^-s, 1 - n^-s) of the two-factor worst case.
+
+    Raises TooFewPointsError for n < 2, where the second tilt vanishes.
+    """
+    if n < 2:
+        raise TooFewPointsError(f"the worst-case model needs n >= 2, got {n}")
     eps = float(n) ** (-s)
     return 1.0 + eps, 1.0 - eps
 
@@ -132,28 +126,23 @@ def tail_threshold(n: int, alpha: float, s: float, zeta: float = 1.0) -> float:
 def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     """n latent vectors in R^m_+ per the spec's latent kind.
 
-    The worst-case law's tilts and threshold depend on the sample size n.
+    Coordinate j is Pareto(alpha) divided by its scale: 1 for "iid-pareto",
+    the spec's custom scales for "custom", and the worst-case tilts for the
+    worst case, whose rows with l1-norm at or above the tail threshold are
+    then redrawn from the untilted law above it.  The worst-case tilts and
+    threshold depend on the sample size n.
     """
-    m, alpha = spec.m, spec.alpha
-    if spec.latent_kind == "iid-pareto":
-        return pareto_quantile(gen.random((n, m)), alpha)
+    worst = spec.latent_kind == "tilted-worst-case"  # ModelSpec ensures m = 2
+    scales = 1.0
     if spec.latent_kind == "custom":
-        z = pareto_quantile(gen.random((n, m)), alpha)
-        return z / spec.custom_scales[None, :]
-    # tilted worst case; ModelSpec guarantees m = 2
-    if n < 2:
-        raise ValueError(f"worst-case law needs n >= 2, got {n}")
-    c1, c2 = worst_case_tilts(n, spec.s)
-    t = tail_threshold(n, alpha, spec.s, spec.zeta)
-    u = gen.random((n, 2))
-    z = np.column_stack(
-        [
-            tilted_pareto_quantile(u[:, 0], alpha, c1),
-            tilted_pareto_quantile(u[:, 1], alpha, c2),
-        ]
-    )
-    mask = z.sum(axis=1) >= t
-    z[mask] = sample_conditional_pareto(int(mask.sum()), 2, alpha, t, gen)
+        scales = spec.custom_scales
+    elif worst:
+        scales = np.array(worst_case_tilts(n, spec.s))
+    z = pareto_quantile(gen.random((n, spec.m)), spec.alpha) / scales
+    if worst:
+        t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
+        mask = z.sum(axis=1) >= t
+        z[mask] = sample_conditional_pareto(int(mask.sum()), 2, spec.alpha, t, gen)
     return z
 
 

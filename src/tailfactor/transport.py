@@ -12,6 +12,8 @@ atoms, so no approximation is needed; the returned optimum is certified
 against the dual solution.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, SolverFailureError
@@ -27,8 +29,8 @@ def ground_cost(w, w2, p: float = 1.0) -> float:
     w2 = np.asarray(w2, dtype=np.float64)
     if w.shape != w2.shape:
         raise DimensionMismatchError(f"shapes {w.shape} vs {w2.shape}")
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf, got {p}")
     return float(np.abs(w - w2).sum() ** p)
 
 
@@ -173,11 +175,12 @@ def wasserstein_pp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0):
     """Exact W_p^p between two discrete measures, and an optimal coupling.
 
     Returns (objective, gamma), gamma of shape (mu.n_atoms, nu.n_atoms).
+    Raises ValueError unless 1 <= p < inf.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dims {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf, got {p}")
     wa = np.asarray(mu.weights, dtype=np.float64)
     wb = np.asarray(nu.weights, dtype=np.float64)
     keep_a = np.nonzero(wa >= WEIGHT_DROP)[0]

@@ -227,7 +227,7 @@ def _experiment(edit):
 
 def _simulate(**model):
     def argv(tmp_path):
-        cfg = _sim_config(tmp_path, n=64, **model)
+        cfg = _sim_config(tmp_path, **{"n": 64, **model})
         return ["simulate", "--config", cfg, "--out", str(tmp_path / "b.csv")]
 
     return argv
@@ -249,6 +249,18 @@ def _estimate(kind="conv", edit=lambda doc: None, spoil_batch=lambda csv: None):
         edit(doc)
         cfg = _write(tmp_path / "est.json", doc)
         return ["estimate", kind, str(batch), "--config", cfg, "--out", str(tmp_path / "m.json")]
+
+    return argv
+
+
+def _wasserstein(p):
+    def argv(tmp_path):
+        paths = []
+        for name, weights in (("mu", [0.8, 0.2]), ("nu", [0.5, 0.5])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(measure_to_json(make_measure(np.eye(2), weights)))
+            paths.append(str(path))
+        return ["wasserstein", *paths, "--p", p]
 
     return argv
 
@@ -287,7 +299,7 @@ MALFORMED = {
     "s-nan": (_experiment(lambda d: d["model"].update(s=NAN)), "model.s"),
     "kmeans-k-string": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": "abc"})),
-        "estimator.conv.kmeans",
+        "estimator.conv: unknown key(s) ['kmeans']",
     ),
     "conv-alpha-string": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(alpha="two")),
@@ -309,8 +321,20 @@ MALFORMED = {
     ),
     "kmeans-k-7": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": 7})),
-        "estimator.conv.kmeans",
+        "estimator.conv: unknown key(s) ['kmeans']",
     ),
+    "two-step-det-tol": (
+        _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(det_tol=1e-8)),
+        "estimator.two_step: unknown key(s) ['det_tol']",
+    ),
+    "simulate-n-1-fixed-A": (_simulate(n=1, latent="tilted-worst-case"), "model.n"),
+    "simulate-n-1-worst-case-diag": (
+        _simulate(n=1, A="worst-case-diag", latent="tilted-worst-case"),
+        "model.n",
+    ),
+    "wasserstein-p-half": (_wasserstein("0.5"), "--p"),
+    "wasserstein-p-nan": (_wasserstein("nan"), "--p"),
+    "wasserstein-p-inf": (_wasserstein("inf"), "--p"),
     "ground-truth-A-negative": (
         _estimate(edit=lambda d: d["estimator"]["ground_truth"].update(A=[[1.0, -0.2], [0.0, 1.0]])),
         "estimator.ground_truth.A",

@@ -194,10 +194,8 @@ def test_config_validation():
         ConvConfig(kappa_bar=0.0, alpha=2.0, s=0.2)
     with pytest.raises(ValueError):
         TwoStepConfig(kappa_tilde=0.3, kappa=-1.0, alpha=2.0, s=0.2)
-    # alpha, s and det_tol are checked where the configs are built
+    # alpha and s are checked where the configs are built
     with pytest.raises(ValueError):
         ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.5)
     with pytest.raises(ValueError):
         TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=0.0, s=0.2)
-    with pytest.raises(ValueError):
-        TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, det_tol=0.0)

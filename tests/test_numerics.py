@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tailfactor.errors import (
     DegenerateDesignError,
@@ -10,7 +13,7 @@ from tailfactor.errors import (
     TooFewPointsError,
 )
 from tailfactor.numerics import (
-    KMeansConfig,
+    LLOYD_RESTARTS,
     _assign_points,
     _kmeans_pp_seed,
     _lloyd,
@@ -29,7 +32,7 @@ def test_kmeans_two_well_separated_blobs():
             RNG.normal([0.1, 0.9], 0.01, size=(40, 2)),
         ]
     )
-    res = kmeans(pts, KMeansConfig(k=2, seed=1))
+    res = kmeans(pts, 2)
     # centers come back lexicographically sorted
     assert res.centers[0, 0] < res.centers[1, 0]
     assert np.allclose(res.centers[0], [0.1, 0.9], atol=0.02)
@@ -40,34 +43,39 @@ def test_kmeans_two_well_separated_blobs():
 
 def test_kmeans_k_equals_n_gives_zero_inertia():
     pts = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-    res = kmeans(pts, KMeansConfig(k=3, seed=0))
+    res = kmeans(pts, 3)
     assert res.inertia == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(res.centers, pts[np.lexsort((pts[:, 1], pts[:, 0]))])
 
 
 def test_kmeans_rejects_too_few_points():
     with pytest.raises(TooFewPointsError):
-        kmeans(np.array([[1.0, 0.0]]), KMeansConfig(k=2))
+        kmeans(np.array([[1.0, 0.0]]), 2)
+    with pytest.raises(ValueError, match="k >= 1"):
+        kmeans(np.array([[1.0, 0.0]]), 0)
+    # off a line too: three distinct points, one repeated, cannot fill k = 4
+    with pytest.raises(TooFewPointsError, match="3 distinct points"):
+        kmeans(np.array([[1e-6, 0.0], [0.0, 1e-6], [0.0, 0.0], [0.0, 0.0]]), 4)
 
 
 def test_kmeans_rejects_one_dimensional_input():
     # Three scalars are not one point in R^3: the shape is named, not guessed.
     with pytest.raises(DimensionMismatchError, match=r"\(3,\)"):
-        kmeans(np.array([0.1, 0.5, 0.9]), KMeansConfig(k=2))
+        kmeans(np.array([0.1, 0.5, 0.9]), 2)
 
 
-def test_kmeans_deterministic_given_seed():
+def test_kmeans_deterministic():
     pts = RNG.uniform(0, 1, size=(80, 3))
-    a = kmeans(pts, KMeansConfig(k=4, seed=9))
-    b = kmeans(pts, KMeansConfig(k=4, seed=9))
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.inertia == b.inertia
+    a = kmeans(pts, 4)
+    b = kmeans(pts, 4)
+    assert a.centers.tobytes() == b.centers.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.inertia == b.inertia and a.history == b.history
 
 
 def test_kmeans_inertia_nonincreasing_within_run():
     pts = RNG.uniform(0, 1, size=(200, 2))
-    res = kmeans(pts, KMeansConfig(k=3, seed=2, restarts=1))
+    res = kmeans(pts, 3)
     hist = np.asarray(res.history)
     assert hist.size >= 1
     assert np.all(np.diff(hist) <= 1e-9)
@@ -75,9 +83,9 @@ def test_kmeans_inertia_nonincreasing_within_run():
 
 def test_kmeans_permutation_invariant_output():
     pts = RNG.uniform(0, 1, size=(50, 2))
-    res = kmeans(pts, KMeansConfig(k=3, seed=4))
+    res = kmeans(pts, 3)
     perm = RNG.permutation(50)
-    res_p = kmeans(pts[perm], KMeansConfig(k=3, seed=4))
+    res_p = kmeans(pts[perm], 3)
     # same optimum found (point order only affects seeding draws, so compare
     # the achieved objective and the sorted centers at a loose tolerance)
     assert res_p.inertia == pytest.approx(res.inertia, rel=1e-6)
@@ -117,7 +125,7 @@ def test_kmeans_exact_path_matches_brute_force(k, n_max):
     for n in range(k, n_max + 1):
         for d in (2, 3):
             pts = _collinear_cloud(gen, n, d)
-            res = kmeans(pts, KMeansConfig(k=k))
+            res = kmeans(pts, k)
             inertia, weights = _brute_force_kmeans(pts, k)
             assert res.history == ()
             assert res.inertia == pytest.approx(inertia, abs=1e-12)
@@ -133,13 +141,13 @@ def test_kmeans_exact_path_never_worse_than_lloyd(seed):
     z = gen.pareto(2.0, size=(2000, 2))
     pts = z / z.sum(axis=1, keepdims=True)
     for k in (2, 3, 4):
-        res = kmeans(pts, KMeansConfig(k=k))
+        res = kmeans(pts, k)
         assert res.history == ()
         exact_labels, _ = _assign_points(pts, res.centers)
         for r in range(10):
             lloyd_gen = np.random.Generator(np.random.Philox(key=[seed, r]))
             centers0 = _kmeans_pp_seed(pts, k, lloyd_gen)
-            centers, _, inertia, _ = _lloyd(pts, centers0, 100, 1e-9)
+            centers, _, inertia, _ = _lloyd(pts, centers0)
             assert res.inertia <= inertia
             order = np.lexsort(centers.T[::-1])
             if np.array_equal(_assign_points(pts, centers[order])[0], exact_labels):
@@ -153,37 +161,93 @@ def test_kmeans_non_collinear_2d_cloud_runs_lloyd():
     # Rounding off the segment keeps the exact path; a perpendicular offset
     # far above rounding (1e-9 on unit coordinates) does not.
     z = RNG.pareto(2.0, size=(300, 2))
-    assert kmeans(z / z.sum(axis=1, keepdims=True), KMeansConfig(k=2)).history == ()
+    assert kmeans(z / z.sum(axis=1, keepdims=True), 2).history == ()
     noisy = line + RNG.normal(0, 1e-9, size=line.shape)
     for pts in (RNG.uniform(0, 1, size=(300, 2)), noisy):
-        assert len(kmeans(pts, KMeansConfig(k=2)).history) >= 1
+        assert len(kmeans(pts, 2).history) >= 1
 
 
 def test_kmeans_exact_path_degenerate_input():
     a, b, c = [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]
     # duplicates: k distinct points -> one cluster each, zero inertia
-    res = kmeans(np.array([c, a, a, c, a, b]), KMeansConfig(k=3))
+    res = kmeans(np.array([c, a, a, c, a, b]), 3)
     assert res.inertia == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(res.centers, np.array([a, b, c]), rtol=0, atol=1e-15)
     assert np.array_equal(res.weights, np.array([3, 1, 2]) / 6)
     # duplicates never split: both copies of b join one side
-    res = kmeans(np.array([a, b, b, c]), KMeansConfig(k=2))
+    res = kmeans(np.array([a, b, b, c]), 2)
     assert sorted(res.weights) == [0.25, 0.75]
     # a tie between two splits goes to the smaller split index
-    res = kmeans(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), KMeansConfig(k=2))
+    res = kmeans(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), 2)
     assert np.array_equal(res.weights, np.array([1, 2]) / 3)
     # fewer distinct points than clusters
     for pts, k in (([a, a, a], 2), ([a, b, a, b], 3)):
         with pytest.raises(TooFewPointsError):
-            kmeans(np.array(pts), KMeansConfig(k=k))
+            kmeans(np.array(pts), k)
     # k = n with distinct points, and every cluster of a larger cloud
     # non-empty with finite centers
     x = RNG.uniform(0, 1, size=12)
     line = np.column_stack([x, 1.0 - x])
     for k in (2, 5, 12):
-        res = kmeans(line, KMeansConfig(k=k))
+        res = kmeans(line, k)
         assert np.all(res.weights > 0) and np.all(np.isfinite(res.centers))
-    assert kmeans(line, KMeansConfig(k=12)).inertia == pytest.approx(0.0, abs=1e-15)
+    assert kmeans(line, 12).inertia == pytest.approx(0.0, abs=1e-15)
+
+
+FINITE = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+OFFSET = st.sampled_from([0.0, 1.0, -37.5, 1e3, 1e6, -1e6])
+
+
+@st.composite
+def clouds(draw, collinear=False):
+    """Finite (n, d) clouds: rows drawn with repeats from a small pool, some
+    columns constant, scaled, then shifted by offsets up to 1e6.  Collinear
+    clouds put the pool on a line a + t b."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 4))
+    pool = draw(st.integers(1, n))
+    if collinear:
+        t = draw(hnp.arrays(np.float64, pool, elements=FINITE))
+        b = draw(hnp.arrays(np.float64, d, elements=FINITE))
+        base = t[:, None] * b
+    else:
+        base = draw(hnp.arrays(np.float64, (pool, d), elements=FINITE))
+    rows = draw(hnp.arrays(np.int64, n, elements=st.integers(0, pool - 1)))
+    pts = base[rows] * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    if not collinear:
+        pts[:, draw(hnp.arrays(np.bool_, d))] = 0.0
+    return pts + np.array([draw(OFFSET) for _ in range(d)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(clouds(), st.integers(1, 5))
+def test_kmeans_property_full_weights_or_typed_error(pts, k):
+    try:
+        res = kmeans(pts, k)
+    except TooFewPointsError:
+        return
+    assert res.centers.shape == (k, pts.shape[1])
+    assert np.all(np.isfinite(res.centers)) and np.isfinite(res.inertia)
+    assert np.all(res.weights > 0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(clouds(collinear=True), st.integers(1, 5))
+def test_kmeans_property_collinear_no_worse_than_lloyd(pts, k):
+    try:
+        res = kmeans(pts, k)
+    except TooFewPointsError:
+        return
+    # The exact path ranks partitions by prefix-sum costs, which resolve
+    # inertia to about n eps times the total sum of squares; below that two
+    # partitions tie (say, sub-groups 1e-112 apart in a cloud 1e-6 wide).
+    tss = ((pts - pts.mean(axis=0)) ** 2).sum()
+    tol = 8 * len(pts) * np.finfo(np.float64).eps * tss
+    for r in range(LLOYD_RESTARTS):
+        gen = np.random.Generator(np.random.Philox(key=[0, r]))
+        _, _, inertia, _ = _lloyd(pts, _kmeans_pp_seed(pts, k, gen))
+        assert res.inertia <= inertia + tol
 
 
 def test_invert_identity_and_known_matrix():

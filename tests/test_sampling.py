@@ -9,6 +9,7 @@ from tailfactor.errors import (
     ConfigError,
     MaxTrialsExceededError,
     SampleOverflowError,
+    TooFewPointsError,
     WorstCaseDimensionError,
 )
 from tailfactor.measures import ModelSpec
@@ -20,9 +21,7 @@ from tailfactor.sampling import (
     sample_conditional_pareto,
     sample_latent_batch,
     sample_pareto,
-    sample_tilted_pareto,
     tail_threshold,
-    tilted_pareto_quantile,
     worst_case_tilts,
     write_batch,
 )
@@ -32,8 +31,6 @@ def test_pareto_quantile_examples():
     # u = 0.75, alpha = 2: (1-u)^(-1/2) - 1 = 1
     assert pareto_quantile(0.75, 2.0) == pytest.approx(1.0, abs=1e-15)
     assert pareto_quantile(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    # tilted by c divides the untilted value
-    assert tilted_pareto_quantile(0.75, 2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -48,7 +45,10 @@ def test_pareto_sampler_matches_cdf(alpha):
 def test_tilted_sampler_matches_cdf():
     alpha, c = 2.0, 1.3
     gen = RngStream(11, 0).generator()
-    x = sample_tilted_pareto(alpha, c, gen, size=200_000)
+    spec = ModelSpec(
+        A=np.eye(2), alpha=alpha, s=0.2, latent_kind="custom", custom_scales=[c, c]
+    )
+    x = sample_latent_batch(spec, 100_000, gen).ravel()
     stat, _ = stats.kstest(x, lambda t: 1.0 - (1.0 + c * t) ** (-alpha))
     assert stat < 0.01
 
@@ -122,6 +122,10 @@ def test_worst_case_tilts_and_threshold_formulas():
     c1, c2 = worst_case_tilts(10_000, 0.5)  # n^-0.5 = 0.01
     assert c1 == pytest.approx(1.01)
     assert c2 == pytest.approx(0.99)
+    # at n = 1 the second tilt would vanish
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+    with pytest.raises(TooFewPointsError, match="n >= 2"):
+        sample_latent_batch(spec, 1, RngStream(1, 0).generator())
     # zeta * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)

@@ -30,6 +30,16 @@ def test_ground_cost_examples():
         ground_cost([1, 0], [0, 1], 0.5)
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_order_outside_one_to_inf_rejected(p):
+    mu = _random_measure(10, 3)
+    nu = _random_measure(12, 3)
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        wasserstein_pp(mu, nu, p)
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        ground_cost([1, 0], [0, 1], p)
+
+
 def test_w1_two_atom_example():
     # Move 0.3 of mass across the full diagonal of the 2-simplex:
     # W1 = 0.3 * |(1,0)-(0,1)|_1 = 0.6

@@ -110,7 +110,7 @@ def population_bias(n, cfg: ConvConfig):
         above = x[norms > tau] / norms[norms > tau, None]
         kept.append(above)
         total += above.shape[0]
-    km = kmeans(np.concatenate(kept)[:POP_POINTS], cfg.kmeans)
+    km = kmeans(np.concatenate(kept)[:POP_POINTS], cfg.collapse_k)
     return tau, wasserstein_p(make_measure(km.centers, km.weights), truth, 1.0)
 
 

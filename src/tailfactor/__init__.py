@@ -42,7 +42,7 @@ from .sampling import (
     sample_conditional_pareto,
     sample_pareto,
 )
-from .transport import ground_cost, wasserstein_p, wasserstein_pp
+from .transport import wasserstein_p, wasserstein_pp
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "estimate_two_step",
     "fit_loglog_slope",
     "generate_dataset",
-    "ground_cost",
     "ground_truth_for",
     "invert_square_matrix",
     "kmeans",

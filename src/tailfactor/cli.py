@@ -190,6 +190,12 @@ def ground_truth_from(est: dict, model: dict):
     return _build(path, spectral_measure_of, A, alpha)
 
 
+def _check_tilts(model: dict, n: int):
+    """Both worst-case tilts at size n are positive, if the model uses them."""
+    if model["A"] is None or model["latent_kind"] == "tilted-worst-case":
+        _build("model.n" if n < 2 else "model.s", worst_case_tilts, n, model["s"])
+
+
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     model = read_model(cfg)
     if model["latent_kind"] == "custom":
@@ -199,6 +205,9 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     if not isinstance(grid, list):
         raise ConfigError("experiment.n_grid: expected a list of integers")
     grid = dict(enumerate(grid))
+    n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
+    if n_grid and n_grid[0] >= 2:  # n^-s is largest at the first size
+        _check_tilts(model, n_grid[0])
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
@@ -209,7 +218,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         ExperimentConfig,
         ("n_grid", "aggregate", "estimators"),
         ("alpha", "s", "zeta"),
-        n_grid=tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid),
+        n_grid=n_grid,
         aggregate=exp.get("aggregate", ExperimentConfig.aggregate),
         conv=estimator_config(est, model, "conv") if "conv" in tags else None,
         two_step=(
@@ -230,8 +239,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"))
     n = model["n"]
-    if model["A"] is None or model["latent_kind"] == "tilted-worst-case":
-        _build("model.n", worst_case_tilts, n, model["s"])  # raises for n < 2
+    _check_tilts(model, n)
     if model["A"] is None:
         model["A"], _ = _build("model", ground_truth_for, n, model["alpha"], model["s"])
     kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}
@@ -262,6 +270,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads: need an integer >= 1, got {args.threads}")
     cfg = load_config(args.config)
     exp_cfg = experiment_config_from(cfg, seed_override=args.seed_override)
     out_dir = Path(args.out)
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimation and convergence-rate experiments.",
     )
     parser.add_argument("--seed-override", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="sweep threads, >= 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a sample batch CSV")

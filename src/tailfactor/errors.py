@@ -38,7 +38,7 @@ class TooFewPointsError(TailFactorError):
 
 
 class NearSingularError(TailFactorError):
-    """Matrix inversion hit a pivot or determinant below tolerance."""
+    """Matrix inversion hit a determinant below tolerance."""
 
 
 class NoSolutionError(TailFactorError):

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, SampleBatch, make_measure, spectral_measure_of
 from .numerics import invert_square_matrix, kmeans
+from .sampling import tail_threshold
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,9 @@ def empirical_angular_measure(batch, tau: float):
 def conventional_threshold(n: int, cfg: ConvConfig) -> float:
     """Rate-optimal radial threshold, switching on the deviation regime."""
     critical = 1.0 / (2.0 + max(1.0, cfg.alpha))
-    if cfg.s >= critical:
-        exponent = 1.0 / min(2.0 + cfg.alpha, 3.0 * cfg.alpha)
-    else:
-        exponent = (1.0 - 2.0 * cfg.s) / cfg.alpha
-    return cfg.kappa_bar * float(n) ** exponent
+    if cfg.s < critical:
+        return tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa_bar)
+    return cfg.kappa_bar * float(n) ** (1.0 / min(2.0 + cfg.alpha, 3.0 * cfg.alpha))
 
 
 def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
@@ -146,7 +145,7 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     a_inv = invert_square_matrix(a_dir)
     transformed = batch.xs @ a_inv.T
     n = batch.n
-    tau = cfg.kappa * float(n) ** ((1.0 - 2.0 * cfg.s) / cfg.alpha)
+    tau = tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa)
     thetas = np.empty(cfg.m)
     for i in range(cfg.m):
         count = int((transformed[:, i] > tau).sum())

@@ -148,18 +148,14 @@ def _replicate_task(cfg: ExperimentConfig, n: int, rep: int, runner):
 def run_convergence_experiment(
     cfg: ExperimentConfig, threads: int = 1, runner=None
 ) -> ExperimentResult:
-    """Full grid sweep; deterministic given cfg.base_seed for any thread count."""
+    """Full grid sweep on ``threads`` >= 1 worker threads; deterministic given
+    cfg.base_seed for any thread count."""
     if runner is None:
         runner = _default_runner(cfg)
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda t: _replicate_task(cfg, t[0], t[1], runner), tasks)
-            )
-    else:
-        chunks = [_replicate_task(cfg, n, rep, runner) for n, rep in tasks]
-    rows = tuple(row for chunk in chunks for row in chunk)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = pool.map(lambda t: _replicate_task(cfg, *t, runner), tasks)
+        rows = tuple(row for chunk in chunks for row in chunk)
 
     slope_fits = {}
     failure_rate = {}

@@ -51,12 +51,56 @@ def _lex_order(atoms: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(atoms[:, c] for c in range(atoms.shape[1] - 1, -1, -1)))
 
 
-def make_measure(atoms, weights) -> DiscreteMeasure:
-    """Build a canonical DiscreteMeasure: merge near-duplicate atoms, sort.
+def _close_pairs(atoms: np.ndarray):
+    """Index pairs (i, j), i < j, of lexicographically sorted atoms within
+    MERGE_TOL in l1-distance.  Only atoms whose first coordinates lie within
+    MERGE_TOL of each other are compared."""
+    first = atoms[:, 0]
+    ends = np.searchsorted(first, first + MERGE_TOL, side="right")
+    lens = ends - np.arange(first.size) - 1
+    i = np.repeat(np.arange(first.size), lens)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    close = np.abs(atoms[i] - atoms[j]).sum(axis=1) <= MERGE_TOL
+    return i[close], j[close]
 
-    Atoms within MERGE_TOL in l1-distance are collapsed with their
-    weights summed.  The merged atom is the weight-averaged location
-    renormalized to the simplex.
+
+def _merge_close(atoms: np.ndarray, weights: np.ndarray):
+    """Sort the atoms lexicographically and merge every group linked by
+    pairs within MERGE_TOL into its weight-averaged atom (the first atom of
+    a group of zero weight), until no pair is within MERGE_TOL."""
+    while True:
+        order = _lex_order(atoms)
+        atoms, weights = atoms[order], weights[order]
+        i, j = _close_pairs(atoms)
+        if i.size == 0:
+            return atoms, weights
+        # Spread the least index along the pairs: each chain of close
+        # pairs ends up labelled by its first atom.
+        group = np.arange(len(atoms))
+        while np.any(group[i] != group[j]):
+            low = np.minimum(group[i], group[j])
+            np.minimum.at(group, i, low)
+            np.minimum.at(group, j, low)
+        first, group = np.unique(group, return_inverse=True)
+        total = np.bincount(group, weights=weights)
+        sums = np.column_stack(
+            [np.bincount(group, weights=weights * col) for col in atoms.T]
+        )
+        merged = atoms[first].copy()
+        mass = total > 0
+        merged[mass] = sums[mass] / total[mass, None]
+        atoms, weights = merged, total
+
+
+def make_measure(atoms, weights) -> DiscreteMeasure:
+    """Build a canonical DiscreteMeasure: normalize, merge near-duplicates, sort.
+
+    Atoms are scaled onto the simplex by their coordinate sum; an atom whose
+    sum is not positive raises ZeroColumnError (columns of a loading matrix
+    become atoms).  Atoms linked by a chain of pairs within MERGE_TOL in
+    l1-distance collapse into one, their weight-averaged location, with
+    their weights summed, so no two atoms of the result are within
+    MERGE_TOL.  Atoms are sorted lexicographically.
     """
     atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -64,32 +108,17 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
         raise DimensionMismatchError(
             f"{atoms.shape[0]} atoms vs {weights.shape[0]} weights"
         )
-    order = _lex_order(atoms)
-    atoms = atoms[order]
-    weights = weights[order]
-
-    # After the lexicographic sort, near-duplicates are adjacent.
-    merged_atoms = []
-    merged_weights = []
-    for a, w in zip(atoms, weights):
-        if merged_atoms and np.abs(a - merged_atoms[-1]).sum() <= MERGE_TOL:
-            w_old = merged_weights[-1]
-            tot = w_old + w
-            if tot > 0:
-                merged_atoms[-1] = (merged_atoms[-1] * w_old + a * w) / tot
-            merged_weights[-1] = tot
-        else:
-            merged_atoms.append(a.copy())
-            merged_weights.append(w)
-    atoms = np.array(merged_atoms)
-    weights = np.array(merged_weights)
-
-    norms = atoms.sum(axis=1)
-    safe = norms > 0
-    atoms[safe] = atoms[safe] / norms[safe, None]
-    order = _lex_order(atoms)
-    atoms = atoms[order]
-    weights = weights[order]
+    with np.errstate(over="ignore"):
+        norms = atoms.sum(axis=1)
+    big = np.isinf(norms)
+    if big.any():  # a sum beyond the float range: scale by the largest first
+        atoms = atoms.copy()
+        atoms[big] /= atoms[big].max(axis=1, keepdims=True)
+        norms = atoms.sum(axis=1)
+    if not np.all(norms > 0):
+        bad = int(np.argmin(norms > 0))
+        raise ZeroColumnError(f"atom {bad} has coordinate sum {norms[bad]}, need > 0")
+    atoms, weights = _merge_close(atoms / norms[:, None], weights)
     atoms.setflags(write=False)
     weights.setflags(write=False)
     return DiscreteMeasure(atoms=atoms, weights=weights)

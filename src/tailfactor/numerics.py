@@ -17,7 +17,7 @@ from .errors import (
 LLOYD_RESTARTS = 10
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-9
-# Smallest pivot and determinant magnitude invert_square_matrix accepts.
+# Smallest determinant magnitude invert_square_matrix accepts.
 DET_TOL = 1e-10
 
 
@@ -185,7 +185,7 @@ def _exact_line_labels(points, order, j, k):
     cuts = np.concatenate(([0], cuts, [key.size]))
     u = cuts.size - 1
     if u < k:
-        raise TooFewPointsError(f"{u} distinct points for k={k}")
+        raise TooFewPointsError(f"{u} distinct positions along the line for k={k}")
     # Prefix sums of the values and of their squares at the group
     # boundaries; centering keeps the cancellation in the cost small.
     key = key - key.mean()
@@ -220,8 +220,10 @@ def kmeans(points, k: int) -> KMeansResult:
     sample order, so both paths give the same bytes for the same partition.
     Centers are returned sorted lexicographically with the matching cluster
     mass fractions, none of them empty.  Fewer distinct points than k raise
-    TooFewPointsError, k < 1 raises ValueError, and input other than an
-    (n, d) array raises DimensionMismatchError.
+    TooFewPointsError; on a line the count is of distinct positions along
+    it, so rows apart only by rounding off the line count once.  k < 1
+    raises ValueError, and input other than an (n, d) array raises
+    DimensionMismatchError.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -263,33 +265,18 @@ def kmeans(points, k: int) -> KMeansResult:
 
 
 def invert_square_matrix(M) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
+    """Inverse by numpy's LU; the determinant alone decides singularity.
 
-    Raises NearSingularError when a pivot or the determinant falls below
-    DET_TOL in magnitude, and ValueError for a matrix that is not square.
+    Raises NearSingularError unless |det| >= DET_TOL (a NaN determinant
+    included), and ValueError for a matrix that is not square.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    m = M.shape[0]
-    aug = np.hstack([M.copy(), np.eye(m)])
-    det = 1.0
-    for col in range(m):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) < DET_TOL:
-            raise NearSingularError(f"pivot {pivot:.3e} below {DET_TOL:.1e}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-            det = -det
-        det *= pivot
-        aug[col] = aug[col] / pivot
-        for row in range(m):
-            if row != col:
-                aug[row] -= aug[row, col] * aug[col]
-    if abs(det) < DET_TOL:
+    det = np.linalg.det(M)
+    if not abs(det) >= DET_TOL:
         raise NearSingularError(f"|det| = {abs(det):.3e} below {DET_TOL:.1e}")
-    return aug[:, m:]
+    return np.linalg.inv(M)
 
 
 def fit_loglog_slope(ns, errs):

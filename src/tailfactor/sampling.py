@@ -18,6 +18,7 @@ from .errors import (
     SampleOverflowError,
     TailFactorError,
     TooFewPointsError,
+    ZeroColumnError,
 )
 from .measures import ModelSpec, SampleBatch, _fmt
 
@@ -55,6 +56,10 @@ def sample_pareto(alpha: float, rng, size=None):
     return pareto_quantile(u, alpha)
 
 
+# Largest round of the conditional sampler, unless more vectors are missing.
+ROUND_ROWS = 2**16
+
+
 def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t.
 
@@ -67,14 +72,22 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     proposal is accepted if its norm reaches t.  The acceptance rate is at
     least m^-(alpha+1) for every t (single big jump: Asmussen & Kroese,
     Adv. Appl. Prob. 2006), so the default budget is
-    1000 * ceil(m^(alpha+1)) proposals per vector.  Raises
-    MaxTrialsExceededError once count * max_trials proposals leave vectors
-    missing, and SampleOverflowError as soon as a proposal has a coordinate
+    1000 * ceil(m^(alpha+1)) proposals per vector.
+
+    Proposals are drawn in rounds: one per missing vector at first, then
+    that many over the acceptance rate seen so far (at most ROUND_ROWS), so
+    a rare event costs a few rounds rather than one per proposal.  A round
+    counts only its proposals up to the last vector it takes, which makes
+    the result the first ``count`` accepted proposals of the stream,
+    however the rounds fall.  Raises MaxTrialsExceededError once
+    count * max_trials proposals leave vectors missing, and
+    SampleOverflowError as soon as a counted proposal has a coordinate
     beyond the float64 range: dropping it would truncate the law.
     """
     gen = _as_generator(rng)
     if max_trials is None:
         max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
+    budget = count * max_trials
     a = max(float(t), 0.0) / m
     q = (1.0 + a) ** (-alpha)
     cols = np.arange(m)
@@ -82,39 +95,47 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     out = np.empty((count, m))
     filled = proposals = 0
     while filled < count:
-        if proposals >= count * max_trials:
+        if proposals >= budget:
             raise MaxTrialsExceededError(
                 f"accepted {filled} of {count} vectors after {proposals} "
                 f"proposals (t={t}, m={m})"
             )
-        need = count - filled
-        u = gen.random((need, m + 1))
+        need = size = count - filled
+        if proposals:
+            rate = max(filled / proposals, m ** -(alpha + 1.0))
+            size = max(need, min(math.ceil(need / rate), ROUND_ROWS))
+        u = gen.random((min(size, budget - proposals), m + 1))
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
         first = np.minimum(first, m - 1)[:, None]
         z = pareto_quantile(u[:, 1:] * np.where(cols < first, 1.0 - q, 1.0), alpha)
         with np.errstate(over="ignore"):  # overflow raises below
             z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
-        finite = np.isfinite(z).all(axis=1)
+            hits = np.flatnonzero(z.sum(axis=1) >= t)[:need]
+        used = int(hits[-1]) + 1 if hits.size == need else len(z)
+        finite = np.isfinite(z[:used]).all(axis=1)
         if not finite.all():
             raise SampleOverflowError(
-                f"{need - int(finite.sum())} of {need} proposals overflowed "
+                f"{used - int(finite.sum())} of {used} proposals overflowed "
                 f"float64 (t={t}, m={m}, alpha={alpha})"
             )
-        acc = z[z.sum(axis=1) >= t]
-        out[filled : filled + acc.shape[0]] = acc
-        filled += acc.shape[0]
-        proposals += need
+        out[filled : filled + hits.size] = z[hits]
+        filled += hits.size
+        proposals += used
     return out
 
 
 def worst_case_tilts(n: int, s: float):
     """Per-coordinate tilts (1 + n^-s, 1 - n^-s) of the two-factor worst case.
 
-    Raises TooFewPointsError for n < 2, where the second tilt vanishes.
+    Raises TooFewPointsError for n < 2, where the second tilt vanishes, and
+    ZeroColumnError when s is so small that n^-s rounds to 1: the second
+    tilt, a column of the worst-case matrix, is then 0.
     """
     if n < 2:
         raise TooFewPointsError(f"the worst-case model needs n >= 2, got {n}")
     eps = float(n) ** (-s)
+    if not eps < 1.0:
+        raise ZeroColumnError(f"s={s} is too small at n={n}: the tilt 1 - n^-s is 0")
     return 1.0 + eps, 1.0 - eps
 
 
@@ -138,7 +159,7 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
         scales = spec.custom_scales
     elif worst:
         scales = np.array(worst_case_tilts(n, spec.s))
-    z = pareto_quantile(gen.random((n, spec.m)), spec.alpha) / scales
+    z = sample_pareto(spec.alpha, gen, (n, spec.m)) / scales
     if worst:
         t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
         mask = z.sum(axis=1) >= t

@@ -23,17 +23,6 @@ WEIGHT_DROP = 1e-15
 OPT_TOL = 1e-8
 
 
-def ground_cost(w, w2, p: float = 1.0) -> float:
-    """l1 ground distance raised to the power p."""
-    w = np.asarray(w, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    if w.shape != w2.shape:
-        raise DimensionMismatchError(f"shapes {w.shape} vs {w2.shape}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need 1 <= p < inf, got {p}")
-    return float(np.abs(w - w2).sum() ** p)
-
-
 def _l1_cost_matrix(xs, ys, p):
     diff = np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
     if p != 1.0:

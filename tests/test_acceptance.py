@@ -22,6 +22,7 @@ is held to the same one-sided bound.  The stage decomposition is defined
 once, in tools/diagnose_rate_cells.py, and loaded from there.
 """
 
+import hashlib
 import importlib.util
 import time
 from functools import lru_cache
@@ -35,6 +36,7 @@ from tailfactor import (
     ConvConfig,
     ExperimentConfig,
     TwoStepConfig,
+    emit_outputs,
     fit_loglog_slope,
     make_measure,
     run_convergence_experiment,
@@ -198,6 +200,78 @@ def test_criterion_3_kappa_bar_sensitivity():
         ok,
         f"kappa_bar=1: {slope_big:.3f}, kappa_bar=0.1: {slope_small:.3f}",
     )
+
+
+# sha256 of rows.csv and slopes.csv, written by emit_outputs, for each sweep
+# that criteria 1-3 run.  A change that moves these bytes updates the digests
+# and says why.
+SWEEP_DIGESTS = {
+    ("conv", 0.5, 0.2, 1.0): (
+        "42d3a320809ad085fef2b3b6c2875c947870cc9f6ca37588a5145f39623af280",
+        "0e99902bb84b77706af59f0cf7a844bffafefa88b53f461dd67a8b669af765d6",
+    ),
+    ("conv", 0.5, 0.4, 1.0): (
+        "9da37bdd853db8f0434c1cbc34df52f1a6a988e08196828147d68b3814c3eab6",
+        "d9e9ecda524f13938a2d26afd571ecc55b36cf11c4d4581c8cfa08b67a3c883a",
+    ),
+    ("conv", 1.0, 0.2, 1.0): (
+        "2e996b9e8a5b9461948c427a77c50c83d10bae7c1e2454c401ddb11bda8485e0",
+        "ad8d1d2c56302eabacbfe387f1f16bc518cadb3a27fcd49370daf6e2d9691314",
+    ),
+    ("conv", 1.0, 0.4, 1.0): (
+        "3695393dc2a76fa44165e2bc659306d63f4c184476b52fd410e39b192b185dcf",
+        "4412729982a88fb2b8bce3da7055f876ec0c0942a8a5b47507c49c184397cd96",
+    ),
+    ("conv", 2.0, 0.2, 0.5): (
+        "94596ec7f51447625b91b205aad588da5209e2e31058fded781e26c16af48e5b",
+        "214d151adbf9536a71587b82bd0b85aa88f395752b46275f158f705d219c8139",
+    ),
+    ("conv", 2.0, 0.4, 1.0): (
+        "08835bb41c6a0c8239e8a92468af657ee159bdb68503a245a69ebddf14fe4164",
+        "67d6efb092c1ccd2f453cd8ef60d416e2feda5f8bc957b90ce9922fb6b418845",
+    ),
+    ("conv", 2.0, 0.2, 0.1): (
+        "31d3395b2b86658ca44698d1548c5c8bb532f1992f746c9ac6c4409eaa2ecffd",
+        "21e872a3124f3da21915c20cc5605e501126611208effdb9a1abdf5b7bd2e0fd",
+    ),
+    ("conv", 2.0, 0.2, 1.0): (
+        "181143727625a5dbc4786dec4f97bb782ee60c1b378747611fd244f3b2501c96",
+        "afc5c2fcfe891884e8fbcd864bc5d2081d96845638a2ab3adf6cd0f3d74470fd",
+    ),
+    ("two-step", 0.5, False): (
+        "a839531e0488db507e856a80d212bd342ae8bc65ee9c75824de3d54f4ad032ae",
+        "a5eb0c82a79fec425b583b48e792d1a00353732ff3921cb734e8507e1c50d1af",
+    ),
+    ("two-step", 1.0, False): (
+        "9e08359ce72ea73d26b2350fd9085a04bc5072ef50a759813492723ff6013733",
+        "7af63b115e397fde1bfb99a263a3664cd5128fa2ebe0ad9306056ec1fda3d20b",
+    ),
+    ("two-step", 2.0, True): (
+        "ecc736e24b39378a7d6d5eca9596302a6df81cde0417dc373ec226caf1b4047f",
+        "a43bf0b91aef9a934e88020e16cbad70a758690486ad088fc007e2cd6be96057",
+    ),
+}
+
+
+def test_acceptance_sweeps_pin_golden_bytes(tmp_path):
+    """The sweeps are the cached ones of criteria 1-3, so this writes files
+    but runs no sweep of its own when those criteria ran first."""
+    moved = []
+    for key, golden in SWEEP_DIGESTS.items():
+        if key[0] == "conv":
+            _, res = _run_conv_cell(*key[1:])
+        else:
+            res, _, _ = _run_two_step_cell(key[1], with_conv=key[2])
+        out = tmp_path / "_".join(map(str, key))
+        out.mkdir()
+        emit_outputs(res, out)
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("rows.csv", "slopes.csv")
+        )
+        if digests != golden:
+            moved.append((key, digests))
+    assert not moved, moved
 
 
 def _random_measure(rng, max_atoms, d=2):

@@ -277,6 +277,13 @@ def _nan_cell(csv):
     csv.write_text("\n".join(lines) + "\n")
 
 
+def _threads(count):
+    def argv(tmp_path):
+        return ["--threads", count, *_experiment(lambda d: None)(tmp_path)]
+
+    return argv
+
+
 NAN = float("nan")
 MALFORMED = {
     # (argv builder, fragment the one-line ConfigError must contain)
@@ -346,6 +353,11 @@ MALFORMED = {
         "estimator.conv.kappa_bar",
     ),
     "p-nan": (_experiment(lambda d: d["experiment"].update(p=NAN)), "experiment.p"),
+    "threads-0": (_threads("0"), "--threads"),
+    "threads-minus-1": (_threads("-1"), "--threads"),
+    "experiment-s-tiny": (_experiment(lambda d: d["model"].update(s=1e-20)), "model.s"),
+    "simulate-s-tiny": (_simulate(s=1e-20, A="worst-case-diag"), "model.s"),
+    "simulate-s-tiny-fixed-A": (_simulate(s=1e-20, latent="tilted-worst-case"), "model.s"),
     "n-grid-bool": (
         _experiment(lambda d: d["experiment"].update(n_grid=[True, 2, 3])),
         "experiment.n_grid.0",

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tailfactor.errors import InvalidAlphaError, ZeroColumnError
 from tailfactor.measures import (
@@ -97,6 +100,54 @@ def test_make_measure_merges_near_duplicates():
     mu = make_measure([[1.0, 0.0], [1.0 - 1e-12, 1e-12]], [0.4, 0.6])
     assert mu.n_atoms == 1
     assert np.isclose(mu.weights[0], 1.0)
+
+
+def test_make_measure_merges_pairs_that_are_not_lexicographic_neighbours():
+    # atoms 0 and 2 lie 4e-12 apart, with atom 1 between them in
+    # lexicographic order
+    atoms = [
+        [0.3, 0.3, 0.4],
+        [0.3 + 1e-12, 0.1, 0.6 - 1e-12],
+        [0.3 + 2e-12, 0.3, 0.4 - 2e-12],
+    ]
+    mu = make_measure(atoms, [1 / 3] * 3)
+    assert mu.n_atoms == 2 and validate_measure(mu)
+    assert np.allclose(mu.weights, [1 / 3, 2 / 3])
+
+
+def test_make_measure_rejects_zero_atom():
+    with pytest.raises(ZeroColumnError):
+        make_measure([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5])
+
+
+@st.composite
+def atom_clouds(draw):
+    """Finite non-negative (k, d) atoms, d = 2..4: a few base rows, each
+    repeated with offsets spread by up to 2e-9, then scaled as a whole from
+    the subnormal range up to where row sums overflow."""
+    d = draw(st.integers(2, 4))
+    shape = (draw(st.integers(1, 5)), d)
+    base = draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1)))
+    picks = st.integers(0, len(base) - 1)
+    rows = draw(hnp.arrays(np.int64, draw(st.integers(1, 12)), elements=picks))
+    noise = draw(hnp.arrays(np.float64, (len(rows), d), elements=st.floats(-1, 1)))
+    spread = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 3e-10, 1e-9, 2e-9]))
+    scale = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e300, 1e308]))
+    return np.abs(base[rows] + spread * noise) * scale
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(atom_clouds(), st.data())
+def test_make_measure_property_valid_measure_or_typed_error(atoms, data):
+    w = data.draw(hnp.arrays(np.float64, len(atoms), elements=st.floats(0.01, 1)))
+    w = w / w.sum()
+    try:
+        mu = make_measure(atoms, w)
+    except ZeroColumnError:
+        assert np.any(atoms.sum(axis=1) == 0)
+        return
+    assert validate_measure(mu)
+    assert abs(mu.weights.sum() - w.sum()) <= 1e-12
 
 
 def test_json_round_trip_is_exact():

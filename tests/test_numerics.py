@@ -184,6 +184,11 @@ def test_kmeans_exact_path_degenerate_input():
     for pts, k in (([a, a, a], 2), ([a, b, a, b], 3)):
         with pytest.raises(TooFewPointsError):
             kmeans(np.array(pts), k)
+    # three distinct rows, two of them apart by rounding off the line only:
+    # the count names what it counts
+    cloud = np.array([[1e6, 1e6], [1e6 + 2, 1e6 + 1], [1e6 + 2, 1e6 + 1 + 1e-7]])
+    with pytest.raises(TooFewPointsError, match="2 distinct positions along the line"):
+        kmeans(cloud, 3)
     # k = n with distinct points, and every cluster of a larger cloud
     # non-empty with finite centers
     x = RNG.uniform(0, 1, size=12)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from tailfactor.errors import (
@@ -11,6 +13,7 @@ from tailfactor.errors import (
     SampleOverflowError,
     TooFewPointsError,
     WorstCaseDimensionError,
+    ZeroColumnError,
 )
 from tailfactor.measures import ModelSpec
 from tailfactor.sampling import (
@@ -118,6 +121,47 @@ def test_rejection_cost_scales_with_acceptance_probability():
         assert cg.rows / 500 <= m ** (alpha + 1)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([2, 3]),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 1e308),
+    st.integers(0, 2**32),
+)
+def test_conditional_sampler_property_tail_vectors_or_typed_error(count, m, alpha, t, seed):
+    try:
+        out = sample_conditional_pareto(count, m, alpha, t, RngStream(seed, 0))
+    except (MaxTrialsExceededError, SampleOverflowError):
+        return
+    assert out.shape == (count, m)
+    assert np.all(np.isfinite(out)) and np.all(out >= 0)
+    with np.errstate(over="ignore"):
+        assert np.all(out.sum(axis=1) >= t)
+
+
+def test_conditional_sampler_rare_event_costs_few_rounds():
+    # alpha = 10, m = 3 accepts about one proposal in 6e4; rounds sized by
+    # the acceptance rate seen so far draw them in a handful of calls.
+    calls = []
+
+    class CountingGen(np.random.Generator):
+        def random(self, size=None):
+            calls.append(size)
+            return super().random(size)
+
+    gen = CountingGen(RngStream(3, 0).generator().bit_generator)
+    out = sample_conditional_pareto(2, 3, 10.0, 1e3, gen)
+    assert np.all(out.sum(axis=1) >= 1e3)
+    assert len(calls) <= 20
+    # The vectors are the first accepted proposals of the stream, whatever
+    # the rounds: fewer vectors from the same stream are a prefix.
+    for m, alpha, t in ((2, 2.0, 50.0), (3, 10.0, 1e3), (3, 0.5, 1e6)):
+        more = sample_conditional_pareto(7, m, alpha, t, RngStream(4, 0))
+        fewer = sample_conditional_pareto(3, m, alpha, t, RngStream(4, 0))
+        assert np.array_equal(more[:3], fewer)
+
+
 def test_worst_case_tilts_and_threshold_formulas():
     c1, c2 = worst_case_tilts(10_000, 0.5)  # n^-0.5 = 0.01
     assert c1 == pytest.approx(1.01)
@@ -126,6 +170,10 @@ def test_worst_case_tilts_and_threshold_formulas():
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     with pytest.raises(TooFewPointsError, match="n >= 2"):
         sample_latent_batch(spec, 1, RngStream(1, 0).generator())
+    # at s = 1e-20 n^-s rounds to 1, and the second tilt is 0
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=1e-20, latent_kind="tilted-worst-case")
+    with pytest.raises(ZeroColumnError, match="s=1e-20 is too small at n=256"):
+        sample_latent_batch(spec, 256, RngStream(1, 0).generator())
     # zeta * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)

@@ -4,7 +4,6 @@ import pytest
 from tailfactor.errors import DimensionMismatchError
 from tailfactor.measures import make_measure
 from tailfactor.transport import (
-    ground_cost,
     solve_transport,
     wasserstein_p,
     wasserstein_pp,
@@ -21,23 +20,12 @@ def _random_measure(k, d):
     return make_measure(pts, w / w.sum())
 
 
-def test_ground_cost_examples():
-    assert ground_cost([1, 0], [0, 1], 1.0) == pytest.approx(2.0)
-    assert ground_cost([1, 0], [0, 1], 2.0) == pytest.approx(4.0)
-    with pytest.raises(DimensionMismatchError):
-        ground_cost([1, 0], [1, 0, 0])
-    with pytest.raises(ValueError):
-        ground_cost([1, 0], [0, 1], 0.5)
-
-
 @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
 def test_order_outside_one_to_inf_rejected(p):
     mu = _random_measure(10, 3)
     nu = _random_measure(12, 3)
     with pytest.raises(ValueError, match="1 <= p < inf"):
         wasserstein_pp(mu, nu, p)
-    with pytest.raises(ValueError, match="1 <= p < inf"):
-        ground_cost([1, 0], [0, 1], p)
 
 
 def test_w1_two_atom_example():

@@ -17,7 +17,6 @@ from .harness import (
     ExperimentResult,
     diagnostic_counts,
     emit_outputs,
-    ground_truth_for,
     run_convergence_experiment,
 )
 from .measures import (
@@ -66,7 +65,6 @@ __all__ = [
     "estimate_two_step",
     "fit_loglog_slope",
     "generate_dataset",
-    "ground_truth_for",
     "invert_square_matrix",
     "kmeans",
     "make_measure",

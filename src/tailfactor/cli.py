@@ -23,10 +23,10 @@ from .harness import (
     ESTIMATOR_TAGS,
     ExperimentConfig,
     emit_outputs,
-    ground_truth_for,
     run_convergence_experiment,
 )
 from .measures import (
+    LATENT_KINDS,
     ModelSpec,
     measure_from_json,
     measure_to_json,
@@ -39,10 +39,9 @@ from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
 MODEL_KEYS = {"A", "alpha", "s", "latent", "zeta", "n", "seed", "stream_id"}
-ESTIMATOR_KEYS = {"conv", "two_step", "ground_truth"}
 # The model's numbers.  alpha, s and n are range-checked here, before ModelSpec
-# sees them: the estimator sections fall back to alpha and s, and n and s size
-# the worst-case matrix.
+# sees them: the estimator configs take alpha and s, and n and s size the
+# worst-case matrix.
 MODEL_NUMBERS = {
     "alpha": dict(lo=0),
     "s": dict(lo=0, hi=0.5),
@@ -63,8 +62,8 @@ def _check_keys(doc, allowed, path: str):
     return doc
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
+def _require(doc, key: str, path: str):
+    if not isinstance(doc, dict) or key not in doc:
         raise ConfigError(f"{path}.{key}: missing required field")
     return doc[key]
 
@@ -94,12 +93,12 @@ def _number(doc, key, path, integer=False, default=MISSING, lo=None, hi=None):
     return int(v) if integer else float(v)
 
 
-def _array(v, path: str, ndim: int = 2) -> np.ndarray:
-    """Nested lists of finite non-negative numbers with ``ndim`` axes."""
+def _array(v, path: str) -> np.ndarray:
+    """Nested lists of finite non-negative numbers, a 2-d array."""
     cells = np.array(v, dtype=object)
     numbers = all(_is_finite_number(c) for c in cells.flat)
-    if cells.ndim != ndim or cells.size == 0 or not numbers:
-        raise ConfigError(f"{path}: expected a {ndim}-d array of finite numbers")
+    if cells.ndim != 2 or cells.size == 0 or not numbers:
+        raise ConfigError(f"{path}: expected a 2-d array of finite numbers")
     out = cells.astype(np.float64)
     if np.any(out < 0):
         raise ConfigError(f"{path}: entries must be non-negative")
@@ -111,15 +110,14 @@ def _fields(doc, path: str, cls, extra=(), fixed=(), **given) -> dict:
 
     ``doc`` may set the int and float fields of ``cls`` not in ``fixed``,
     each read by ``_number``, and the keys in ``extra``, which the caller
-    reads.  ``given`` holds the caller's fields and the fallbacks ``doc``
-    overrides; other absent fields keep the class default.
+    reads.  ``given`` holds the caller's fields; other absent fields keep
+    the class default.
     """
     numbers = [f for f in fields(cls) if f.type in (int, float) and f.name not in fixed]
     _check_keys(doc, {*(f.name for f in numbers), *extra}, path)
     out = dict(given)
     for f in numbers:
-        default = out.get(f.name, f.default)
-        out[f.name] = _number(doc, f.name, path, f.type is int, default)
+        out[f.name] = _number(doc, f.name, path, f.type is int, f.default)
     return out
 
 
@@ -153,41 +151,21 @@ def read_model(cfg: dict, required=("alpha", "s")) -> dict:
         if key in model or key in required
     }
     latent = model.get("latent", "tilted-worst-case")
-    if isinstance(latent, dict):
-        _check_keys(latent, {"custom"}, "model.latent")
-        custom = _require(latent, "custom", "model.latent")
-        out["custom_scales"] = _array(custom, "model.latent.custom", ndim=1)
-        latent = "custom"
+    if latent not in LATENT_KINDS:
+        raise ConfigError(f"model.latent: {latent!r} is not one of {list(LATENT_KINDS)}")
     out["latent_kind"] = latent
     A = model.get("A", "worst-case-diag")
     out["A"] = None if A == "worst-case-diag" else _array(A, "model.A")
     return out
 
 
-def _estimator_section(cfg: dict) -> dict:
-    est = _require(cfg, "estimator", "config")
-    return _check_keys(est, ESTIMATOR_KEYS, "estimator")
-
-
-def estimator_config(est: dict, model: dict, key: str):
-    """ConvConfig or TwoStepConfig of ``estimator.<key>``, alpha and s
-    falling back to the model's."""
-    cls = ESTIMATORS[key]
-    path = f"estimator.{key}"
-    doc = _require(est, key, "estimator")
-    fallback = {k: model[k] for k in ("alpha", "s") if k in model}
-    return _build(path, cls, **_fields(doc, path, cls, **fallback))
-
-
-def ground_truth_from(est: dict, model: dict):
-    """Spectral measure of ``estimator.ground_truth``, or None if absent."""
-    if "ground_truth" not in est:
-        return None
-    path = "estimator.ground_truth"
-    gt = _check_keys(est["ground_truth"], {"A", "alpha"}, path)
-    alpha = _number(gt, "alpha", path, default=model.get("alpha", MISSING))
-    A = _array(_require(gt, "A", path), f"{path}.A")
-    return _build(path, spectral_measure_of, A, alpha)
+def estimator_config(cfg: dict, key: str, alpha: float, s: float):
+    """ConvConfig or TwoStepConfig of ``estimator.<key>`` at the model's
+    alpha and s; the section sets only the tuning constants."""
+    est = _check_keys(_require(cfg, "estimator", "config"), ESTIMATORS, "estimator")
+    cls, path = ESTIMATORS[key], f"estimator.{key}"
+    kw = _fields(_require(est, key, "estimator"), path, cls, fixed=("alpha", "s"))
+    return _build(path, cls, alpha=alpha, s=s, **kw)
 
 
 def _check_tilts(model: dict, n: int):
@@ -198,8 +176,6 @@ def _check_tilts(model: dict, n: int):
 
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     model = read_model(cfg)
-    if model["latent_kind"] == "custom":
-        raise ConfigError("model.latent: experiment runs take no custom kind")
     exp = _require(cfg, "experiment", "config")
     grid = _require(exp, "n_grid", "experiment")
     if not isinstance(grid, list):
@@ -211,7 +187,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
-    est = _estimator_section(cfg)
+    alpha, s = model["alpha"], model["s"]
     kw = _fields(
         exp,
         "experiment",
@@ -220,9 +196,9 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         ("alpha", "s", "zeta"),
         n_grid=n_grid,
         aggregate=exp.get("aggregate", ExperimentConfig.aggregate),
-        conv=estimator_config(est, model, "conv") if "conv" in tags else None,
+        conv=estimator_config(cfg, "conv", alpha, s) if "conv" in tags else None,
         two_step=(
-            estimator_config(est, model, "two_step") if "two-step" in tags else None
+            estimator_config(cfg, "two_step", alpha, s) if "two-step" in tags else None
         ),
         fixed_A=model["A"],
         **{k: model[k] for k in ("alpha", "s", "zeta", "latent_kind") if k in model},
@@ -241,7 +217,7 @@ def cmd_simulate(args) -> int:
     n = model["n"]
     _check_tilts(model, n)
     if model["A"] is None:
-        model["A"], _ = _build("model", ground_truth_for, n, model["alpha"], model["s"])
+        model["A"] = np.diag(worst_case_tilts(n, model["s"]))
     kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}
     seed = model["seed"] if args.seed_override is None else args.seed_override
     spec = _build("model", ModelSpec, **kw)
@@ -251,21 +227,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
-    model = read_model(cfg, required=()) if "model" in cfg else {}
-    est = _estimator_section(cfg)
-    est_cfg = estimator_config(est, model, args.kind.replace("-", "_"))
-    truth = ground_truth_from(est, model)
+    if "model" in cfg:
+        raise ConfigError("model: estimate reads the model from the batch sidecar")
     batch = read_batch(args.batch)
+    spec = batch.spec
+    est_cfg = estimator_config(cfg, args.kind.replace("-", "_"), spec.alpha, spec.s)
     if args.kind == "conv":
         mu, _ = estimate_conventional(batch, est_cfg)
-    elif est_cfg.m != batch.xs.shape[1]:
-        d = batch.xs.shape[1]
-        raise ConfigError(f"estimator.two_step.m: {est_cfg.m}, but batch d = {d}")
+    elif spec.A.shape != (est_cfg.m, est_cfg.m):
+        got = f"{est_cfg.m}, but the batch's A is {spec.d}x{spec.m}"
+        raise ConfigError(f"estimator.two_step.m: {got}: it needs a square A")
     else:
         _, mu, _ = estimate_two_step(batch, est_cfg)
     Path(args.out).write_text(measure_to_json(mu) + "\n")
-    if truth is not None:
-        print(_fmt(wasserstein_p(mu, truth, 1.0)))
+    print(_fmt(wasserstein_p(mu, spectral_measure_of(spec.A, spec.alpha), 1.0)))
     return 0
 
 
@@ -287,7 +262,7 @@ def cmd_wasserstein(args) -> int:
     try:
         mu = measure_from_json(Path(args.mu).read_text())
         nu = measure_from_json(Path(args.nu).read_text())
-    except (OSError, ValueError, TailFactorError) as exc:
+    except (ArithmeticError, OSError, TypeError, ValueError, TailFactorError) as exc:
         raise ConfigError(f"cannot load measure: {exc}") from exc
     if not validate_measure(mu) or not validate_measure(nu):
         raise ConfigError("input measure violates simplex-measure invariants")

@@ -13,6 +13,10 @@ class InvalidAlphaError(TailFactorError):
     """Tail index alpha must be strictly positive."""
 
 
+class InvalidAtomError(TailFactorError):
+    """A measure atom has a negative or non-finite coordinate."""
+
+
 class DimensionMismatchError(TailFactorError):
     """Vectors or measures with incompatible dimensions."""
 
@@ -46,7 +50,7 @@ class NoSolutionError(TailFactorError):
 
 
 class DegenerateDesignError(TailFactorError):
-    """Regression design matrix is degenerate (all abscissae equal)."""
+    """Regression data are degenerate: all abscissae equal, or a log not finite."""
 
 
 class SolverFailureError(TailFactorError):

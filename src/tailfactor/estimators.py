@@ -19,9 +19,15 @@ from .errors import (
     NoSolutionError,
     TooFewPointsError,
 )
-from .measures import DiscreteMeasure, SampleBatch, make_measure, spectral_measure_of
+from .measures import SampleBatch, make_measure, spectral_measure_of
 from .numerics import invert_square_matrix, kmeans
-from .sampling import tail_threshold
+from .sampling import scaled_power, tail_threshold
+
+# Tail scale r of the latent law P(Z > x) = r (1 + x)^-alpha.
+R_HAT = 1.0
+# Below this, solve_theta takes ratio^(-1/alpha) - 1 from expm1: it cancels.
+CANCEL_GAP = 1e-3
+TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -48,10 +54,9 @@ class TwoStepConfig:
     alpha: float
     s: float
     m: int = 2
-    r_hat: float = 1.0
 
     def __post_init__(self):
-        positive = (self.kappa_tilde, self.kappa, self.alpha, self.r_hat)
+        positive = (self.kappa_tilde, self.kappa, self.alpha)
         if min(positive) <= 0 or self.m < 2 or not 0 < self.s < 0.5:
             raise ValueError(f"invalid two-step config {self}")
 
@@ -85,7 +90,7 @@ def conventional_threshold(n: int, cfg: ConvConfig) -> float:
     critical = 1.0 / (2.0 + max(1.0, cfg.alpha))
     if cfg.s < critical:
         return tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa_bar)
-    return cfg.kappa_bar * float(n) ** (1.0 / min(2.0 + cfg.alpha, 3.0 * cfg.alpha))
+    return scaled_power(cfg.kappa_bar, float(n), 1 / min(2 + cfg.alpha, 3 * cfg.alpha))
 
 
 def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
@@ -105,7 +110,7 @@ def direction_threshold(n: int, cfg: TwoStepConfig) -> float:
     """Direction-recovery threshold, leaving only O(log n) exceedances."""
     if n < 3:
         raise TooFewPointsError(f"need n >= 3, got {n}")
-    return cfg.kappa_tilde * (n / math.log(n)) ** (1.0 / cfg.alpha)
+    return scaled_power(cfg.kappa_tilde, n / math.log(n), 1.0 / cfg.alpha)
 
 
 def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
@@ -126,13 +131,25 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
 
 
 def solve_theta(count: int, n: int, r_hat: float, tau: float, alpha: float) -> float:
-    """Closed-form solution of count/n = r_hat * (1 + tau/theta)^(-alpha)."""
+    """Closed-form solution of count/n = r_hat * (1 + tau/theta)^(-alpha):
+    theta = tau / (ratio^(-1/alpha) - 1), ratio = count/(n r_hat).  Raises
+    NoSolutionError for ratio >= 1 and where the divisor or theta leaves
+    the normal float64 range, losing theta's precision."""
     if count <= 0:
         raise NoExceedancesError("zero exceedances in estimating equation")
     ratio = count / (n * r_hat)
     if ratio >= 1.0:
         raise NoSolutionError(f"tail frequency {ratio:.3g} >= 1 admits no solution")
-    return tau / (ratio ** (-1.0 / alpha) - 1.0)
+    try:
+        gap = ratio ** (-1.0 / alpha) - 1.0
+        if gap < CANCEL_GAP:
+            gap = math.expm1(-math.log(ratio) / alpha)
+        theta = tau / gap
+    except (OverflowError, ZeroDivisionError):
+        gap = theta = math.nan
+    if not (gap >= TINY and TINY <= theta < math.inf):
+        raise NoSolutionError(f"no normal float theta at {ratio=:.3g}, {alpha=:.3g}")
+    return theta
 
 
 def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
@@ -149,7 +166,7 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     thetas = np.empty(cfg.m)
     for i in range(cfg.m):
         count = int((transformed[:, i] > tau).sum())
-        thetas[i] = solve_theta(count, n, cfg.r_hat, tau, cfg.alpha)
+        thetas[i] = solve_theta(count, n, R_HAT, tau, cfg.alpha)
     a_hat = a_dir * thetas[None, :]
     return a_hat, spectral_measure_of(a_hat, cfg.alpha)
 
@@ -158,13 +175,13 @@ def estimate_two_step(batch: SampleBatch, cfg: TwoStepConfig):
     """Two-step estimate of the spectral measure.
 
     Returns (A_hat, measure, n_tau_tilde).  Any stage failure raises a typed
-    error; callers treat that as a failed replicate.
+    error; callers treat that as a failed replicate.  The batch's model must
+    have a square m-by-m A (DimensionMismatchError).
     """
-    d = batch.xs.shape[1]
-    if d != cfg.m:
-        raise DimensionMismatchError(
-            f"two-step estimator needs d = m, got d={d}, m={cfg.m}"
-        )
+    spec = batch.spec
+    if spec.A.shape != (cfg.m, cfg.m):
+        shape = f"got d={spec.d}, m={spec.m}"
+        raise DimensionMismatchError(f"two-step needs a square A with m={cfg.m}, {shape}")
     a_dir, n_tt = estimate_directions(batch, cfg)
     a_hat, measure = two_step_from_directions(batch, cfg, a_dir)
     return a_hat, measure, n_tt

@@ -8,7 +8,7 @@ are bit-identical for any worker count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -63,12 +63,18 @@ class ExperimentConfig:
             raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:
             raise ConfigError("at least one estimator must be configured")
+        for est in (self.conv, self.two_step):
+            if est is not None and (est.alpha, est.s) != (self.alpha, self.s):
+                got = f"{type(est).__name__} has alpha={est.alpha}, s={est.s}"
+                raise ConfigError(f"{got}, but the model alpha={self.alpha}, s={self.s}")
         try:
             spec, _ = _model_at(self, grid[0])
         except (ValueError, TailFactorError) as exc:
             raise ConfigError(f"model at n={grid[0]}: {exc}") from exc
-        if self.two_step is not None and self.two_step.m != spec.d:
-            raise ConfigError(f"two-step m={self.two_step.m} but model d={spec.d}")
+        ts = self.two_step
+        if ts is not None and spec.A.shape != (ts.m, ts.m):
+            shape = f"model d={spec.d} and m={spec.m}"
+            raise ConfigError(f"two-step m={ts.m} but {shape}: it needs a square A")
 
     @property
     def tags(self):
@@ -100,23 +106,13 @@ class ExperimentResult:
     aggregated: dict  # tag -> (ns, errors)
 
 
-def ground_truth_for(n: int, alpha: float, s: float):
-    """Worst-case loading matrix diag(1 + n^-s, 1 - n^-s) and its spectral measure."""
-    A = np.diag(worst_case_tilts(n, s))
-    return A, spectral_measure_of(A, alpha)
-
-
 def _model_at(cfg: ExperimentConfig, n: int):
     """The ModelSpec replicates at sample size n draw from, and its true measure."""
-    if cfg.fixed_A is not None:
-        A = np.asarray(cfg.fixed_A, dtype=np.float64)
-        truth = spectral_measure_of(A, cfg.alpha)
-    else:
-        A, truth = ground_truth_for(n, cfg.alpha, cfg.s)
+    A = np.diag(worst_case_tilts(n, cfg.s)) if cfg.fixed_A is None else cfg.fixed_A
     spec = ModelSpec(
         A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind, zeta=cfg.zeta
     )
-    return spec, truth
+    return spec, spectral_measure_of(spec.A, spec.alpha)
 
 
 def _default_runner(cfg: ExperimentConfig):

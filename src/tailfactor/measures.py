@@ -7,13 +7,13 @@ norms.  ``spectral_measure_of`` builds that measure in canonical form.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     InvalidAlphaError,
+    InvalidAtomError,
     WorstCaseDimensionError,
     ZeroColumnError,
 )
@@ -95,12 +95,13 @@ def _merge_close(atoms: np.ndarray, weights: np.ndarray):
 def make_measure(atoms, weights) -> DiscreteMeasure:
     """Build a canonical DiscreteMeasure: normalize, merge near-duplicates, sort.
 
-    Atoms are scaled onto the simplex by their coordinate sum; an atom whose
-    sum is not positive raises ZeroColumnError (columns of a loading matrix
-    become atoms).  Atoms linked by a chain of pairs within MERGE_TOL in
-    l1-distance collapse into one, their weight-averaged location, with
-    their weights summed, so no two atoms of the result are within
-    MERGE_TOL.  Atoms are sorted lexicographically.
+    A negative or non-finite coordinate raises InvalidAtomError.  Atoms are
+    scaled onto the simplex by their coordinate sum; a sum of 0 raises
+    ZeroColumnError (columns of a loading matrix become atoms).  Atoms
+    linked by a chain of pairs within MERGE_TOL in l1-distance collapse into
+    one, their weight-averaged location, with their weights summed, so no
+    two atoms of the result are within MERGE_TOL.  Atoms are sorted
+    lexicographically.
     """
     atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -108,6 +109,10 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
         raise DimensionMismatchError(
             f"{atoms.shape[0]} atoms vs {weights.shape[0]} weights"
         )
+    valid = (np.isfinite(atoms) & (atoms >= 0)).all(axis=1)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise InvalidAtomError(f"atom {bad} is {atoms[bad].tolist()}, need finite >= 0")
     with np.errstate(over="ignore"):
         norms = atoms.sum(axis=1)
     big = np.isinf(norms)
@@ -153,8 +158,9 @@ def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     """Closed-form limiting spectral measure of the factor model X = A Z.
 
     Atoms are the l1-normalized columns of ``A``; the weight of column i is
-    its l1-norm to the power ``alpha``, normalized over columns.  Columns
-    pointing in the same direction collapse to a single atom.
+    its l1-norm to the power ``alpha`` (scaled by the largest if the powers
+    leave the float range), normalized over columns.  Columns pointing in
+    the same direction collapse to a single atom.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     if alpha <= 0:
@@ -163,12 +169,15 @@ def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     if np.any(norms == 0):
         raise ZeroColumnError("loading matrix has a zero column")
     atoms = (A / norms).T
-    weights = norms**alpha
+    with np.errstate(over="ignore"):
+        weights = norms**alpha
+    if not 0 < weights.sum() < np.inf:
+        weights = (norms / norms.max()) ** alpha
     weights = weights / weights.sum()
     return make_measure(atoms, weights)
 
 
-LATENT_KINDS = ("iid-pareto", "tilted-worst-case", "custom")
+LATENT_KINDS = ("iid-pareto", "tilted-worst-case")
 
 
 @dataclass(frozen=True)
@@ -176,9 +185,9 @@ class ModelSpec:
     """One member of the heavy-tailed linear factor model class.
 
     ``A`` is a non-negative d-by-m loading matrix, ``alpha`` the tail index,
-    ``s`` the deviation parameter in (0, 1/2), ``latent_kind`` selects the
-    latent-factor law and ``custom_scales`` carries per-coordinate tilts for
-    the "custom" kind.  ``zeta`` scales the tail threshold.
+    ``s`` the deviation parameter in (0, 1/2) and ``latent_kind`` selects the
+    latent-factor law, one of LATENT_KINDS.  ``zeta`` scales the tail
+    threshold.
     """
 
     A: np.ndarray
@@ -186,16 +195,11 @@ class ModelSpec:
     s: float
     latent_kind: str = "iid-pareto"
     zeta: float = 1.0
-    custom_scales: Optional[np.ndarray] = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
-        if self.custom_scales is not None:
-            c = np.asarray(self.custom_scales, dtype=np.float64).ravel()
-            c.setflags(write=False)
-            object.__setattr__(self, "custom_scales", c)
         validate_model_spec(self)
 
     @property
@@ -213,8 +217,8 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise DimensionMismatchError(f"need d >= 2, got d={d}")
     if m < d:
         raise DimensionMismatchError(f"need m >= d, got d={d}, m={m}")
-    if np.any(spec.A < 0):
-        raise ValueError("loading matrix must be entry-wise non-negative")
+    if not np.all(np.isfinite(spec.A) & (spec.A >= 0)):
+        raise ValueError("loading matrix must be finite and entry-wise non-negative")
     if np.any(spec.A.sum(axis=0) == 0):
         raise ZeroColumnError("loading matrix has a zero column")
     if spec.alpha <= 0:
@@ -227,11 +231,6 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise ValueError(f"unknown latent kind {spec.latent_kind!r}")
     if spec.latent_kind == "tilted-worst-case" and m != 2:
         raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
-    if spec.latent_kind == "custom":
-        if spec.custom_scales is None or spec.custom_scales.shape[0] != m:
-            raise ValueError("custom latent kind needs m per-coordinate scales")
-        if np.any(spec.custom_scales <= 0):
-            raise ValueError("custom scales must be positive")
 
 
 @dataclass(frozen=True)

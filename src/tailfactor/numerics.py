@@ -280,15 +280,16 @@ def invert_square_matrix(M) -> np.ndarray:
 
 
 def fit_loglog_slope(ns, errs):
-    """OLS of ln(err) on ln(n); returns (slope, intercept, r_squared)."""
+    """OLS of ln(err) on ln(n); returns (slope, intercept, r_squared).
+    DegenerateDesignError for a log that is not finite or all n equal."""
     ns = np.asarray(ns, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
     if ns.shape != errs.shape or ns.size < 2:
         raise ValueError("need equal-length lists with >= 2 entries")
-    if np.any(ns <= 0) or np.any(errs <= 0):
-        raise ValueError("log-log fit needs positive inputs")
-    x = np.log(ns)
-    y = np.log(errs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y = np.log(ns), np.log(errs)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateDesignError(f"a log of n={ns} or errors={errs} is not finite")
     sxx = np.sum((x - x.mean()) ** 2)
     if sxx == 0:
         raise DegenerateDesignError("all sample sizes identical")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    InvalidAlphaError,
     MaxTrialsExceededError,
     SampleOverflowError,
     TailFactorError,
@@ -31,9 +32,10 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed & (2**64 - 1), self.stream_id & (2**64 - 1)])
-        )
+        # A uint64 key: numpy reads a list holding a value >= 2^63 through
+        # float64, which maps distinct seeds (-1 and 0, say) to one stream.
+        key = [self.seed & (2**64 - 1), self.stream_id & (2**64 - 1)]
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -71,8 +73,8 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     conditioned on z_J >= a and the ones after J are unconditioned.  A
     proposal is accepted if its norm reaches t.  The acceptance rate is at
     least m^-(alpha+1) for every t (single big jump: Asmussen & Kroese,
-    Adv. Appl. Prob. 2006), so the default budget is
-    1000 * ceil(m^(alpha+1)) proposals per vector.
+    Adv. Appl. Prob. 2006), so the default budget is 1000 * ceil(m^(alpha+1))
+    proposals per vector, or 0 where m^(alpha+1) overflows float64.
 
     Proposals are drawn in rounds: one per missing vector at first, then
     that many over the acceptance rate seen so far (at most ROUND_ROWS), so
@@ -86,7 +88,10 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     """
     gen = _as_generator(rng)
     if max_trials is None:
-        max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
+        try:
+            max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
+        except OverflowError:  # no floor to size a budget by: none is drawn
+            max_trials = 0
     budget = count * max_trials
     a = max(float(t), 0.0) / m
     q = (1.0 + a) ** (-alpha)
@@ -98,12 +103,12 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
         if proposals >= budget:
             raise MaxTrialsExceededError(
                 f"accepted {filled} of {count} vectors after {proposals} "
-                f"proposals (t={t}, m={m})"
+                f"proposals (t={t}, m={m}, alpha={alpha})"
             )
         need = size = count - filled
         if proposals:
             rate = max(filled / proposals, m ** -(alpha + 1.0))
-            size = max(need, min(math.ceil(need / rate), ROUND_ROWS))
+            size = max(need, math.ceil(min(need / rate, ROUND_ROWS)))
         u = gen.random((min(size, budget - proposals), m + 1))
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
         first = np.minimum(first, m - 1)[:, None]
@@ -139,28 +144,32 @@ def worst_case_tilts(n: int, s: float):
     return 1.0 + eps, 1.0 - eps
 
 
+def scaled_power(scale: float, base: float, exponent: float) -> float:
+    """scale * base^exponent, every threshold's form; InvalidAlphaError where
+    it overflows float64, as exponents ~ 1/alpha do for alpha near 0."""
+    try:
+        return scale * base**exponent
+    except OverflowError:
+        msg = f"the threshold {base:.6g}^{exponent:.6g} overflows float64"
+        raise InvalidAlphaError(msg) from None
+
+
 def tail_threshold(n: int, alpha: float, s: float, zeta: float = 1.0) -> float:
     """Radial level zeta * n^((1-2s)/alpha) above which the law is pure Pareto."""
-    return zeta * float(n) ** ((1.0 - 2.0 * s) / alpha)
+    return scaled_power(zeta, float(n), (1.0 - 2.0 * s) / alpha)
 
 
 def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     """n latent vectors in R^m_+ per the spec's latent kind.
 
-    Coordinate j is Pareto(alpha) divided by its scale: 1 for "iid-pareto",
-    the spec's custom scales for "custom", and the worst-case tilts for the
-    worst case, whose rows with l1-norm at or above the tail threshold are
-    then redrawn from the untilted law above it.  The worst-case tilts and
+    Coordinates are i.i.d. Pareto(alpha) for "iid-pareto".  The worst case
+    divides coordinate j by its tilt and redraws the rows with l1-norm at or
+    above the tail threshold from the untilted law above it; its tilts and
     threshold depend on the sample size n.
     """
-    worst = spec.latent_kind == "tilted-worst-case"  # ModelSpec ensures m = 2
-    scales = 1.0
-    if spec.latent_kind == "custom":
-        scales = spec.custom_scales
-    elif worst:
-        scales = np.array(worst_case_tilts(n, spec.s))
-    z = sample_pareto(spec.alpha, gen, (n, spec.m)) / scales
-    if worst:
+    z = sample_pareto(spec.alpha, gen, (n, spec.m))
+    if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
+        z /= np.array(worst_case_tilts(n, spec.s))
         t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
         mask = z.sum(axis=1) >= t
         z[mask] = sample_conditional_pareto(int(mask.sum()), 2, spec.alpha, t, gen)
@@ -170,12 +179,15 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
 def generate_dataset(
     spec: ModelSpec, n: int, seed: int, stream_id: int = 0
 ) -> SampleBatch:
-    """n observations X = A Z, bit-reproducible given (seed, stream_id)."""
+    """n observations X = A Z, bit-reproducible given (seed, stream_id);
+    SampleOverflowError if one leaves the float64 range (alpha near 0)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     gen = RngStream(seed, stream_id).generator()
-    z = sample_latent_batch(spec, n, gen)
-    xs = z @ spec.A.T
+    with np.errstate(over="ignore", invalid="ignore"):  # raises below
+        xs = sample_latent_batch(spec, n, gen) @ spec.A.T
+    if not np.isfinite(xs).all():
+        raise SampleOverflowError(f"X = A Z overflowed float64 at alpha={spec.alpha}")
     xs.setflags(write=False)
     return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
 
@@ -196,8 +208,6 @@ def write_batch(batch: SampleBatch, csv_path) -> None:
     spec = batch.spec
     sidecar = {f.name: getattr(spec, f.name) for f in fields(ModelSpec)}
     sidecar["A"] = spec.A.tolist()
-    if spec.custom_scales is not None:
-        sidecar["custom_scales"] = spec.custom_scales.tolist()
     sidecar.update(seed=batch.seed, stream_id=batch.stream_id, n=batch.n)
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 

@@ -1,12 +1,26 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailfactor.cli import main
-from tailfactor.measures import make_measure, measure_to_json
+from tailfactor.measures import (
+    make_measure,
+    measure_from_json,
+    measure_to_json,
+    spectral_measure_of,
+)
+from tailfactor.transport import wasserstein_p
 
 
 def _write(path, doc):
@@ -86,10 +100,7 @@ def test_estimate_conv_round_trip(tmp_path):
     assert main(["simulate", "--config", sim, "--out", str(batch)]) == 0
     est = _write(
         tmp_path / "est.json",
-        {
-            "model": {"alpha": 2.0, "s": 0.2},
-            "estimator": {"conv": {"kappa_bar": 1.0}},
-        },
+        {"estimator": {"conv": {"kappa_bar": 1.0}}},
     )
     out = tmp_path / "measure.json"
     assert main(["estimate", "conv", str(batch), "--config", est, "--out", str(out)]) == 0
@@ -104,18 +115,15 @@ def test_estimate_ground_truth_prints_distance(tmp_path, capsys):
     main(["simulate", "--config", sim, "--out", str(batch)])
     est = _write(
         tmp_path / "est.json",
-        {
-            "model": {"alpha": 2.0, "s": 0.2},
-            "estimator": {
-                "conv": {"kappa_bar": 1.0},
-                "ground_truth": {"A": [[1.0, 0.0], [0.0, 1.0]]},
-            },
-        },
+        {"estimator": {"conv": {"kappa_bar": 1.0}}},
     )
     out = tmp_path / "measure.json"
     assert main(["estimate", "conv", str(batch), "--config", est, "--out", str(out)]) == 0
+    # W_1 to the spectral measure of the sidecar's A = I at alpha = 2
     printed = capsys.readouterr().out.strip()
-    assert 0.0 <= float(printed) < 0.5
+    truth = spectral_measure_of(np.eye(2), 2.0)
+    expected = wasserstein_p(measure_from_json(out.read_text()), truth, 1.0)
+    assert float(printed) == expected and 0.0 <= expected < 0.5
 
 
 def test_estimate_two_step_zero_exceedances_exits_one(tmp_path, capsys):
@@ -124,12 +132,7 @@ def test_estimate_two_step_zero_exceedances_exits_one(tmp_path, capsys):
     main(["simulate", "--config", sim, "--out", str(batch)])
     est = _write(
         tmp_path / "est.json",
-        {
-            "model": {"alpha": 2.0, "s": 0.2},
-            "estimator": {
-                "two_step": {"kappa_tilde": 1e9, "kappa": 1.0},
-            },
-        },
+        {"estimator": {"two_step": {"kappa_tilde": 1e9, "kappa": 1.0}}},
     )
     rc = main(
         ["estimate", "two-step", str(batch), "--config", est, "--out", str(tmp_path / "m.json")]
@@ -233,17 +236,16 @@ def _simulate(**model):
     return argv
 
 
-def _estimate(kind="conv", edit=lambda doc: None, spoil_batch=lambda csv: None):
+def _estimate(kind="conv", edit=lambda doc: None, spoil_batch=lambda csv: None, **model):
     def argv(tmp_path):
         batch = tmp_path / "batch.csv"
-        assert main(["simulate", "--config", _sim_config(tmp_path, n=4096), "--out", str(batch)]) == 0
+        sim = _sim_config(tmp_path, n=4096, **model)
+        assert main(["simulate", "--config", sim, "--out", str(batch)]) == 0
         spoil_batch(batch)
         doc = {
-            "model": {"alpha": 2.0, "s": 0.2},
             "estimator": {
                 "conv": {"kappa_bar": 1.0},
                 "two_step": {"kappa_tilde": 0.3, "kappa": 1.0},
-                "ground_truth": {"A": [[1.0, 0.0], [0.0, 1.0]]},
             },
         }
         edit(doc)
@@ -285,6 +287,7 @@ def _threads(count):
 
 
 NAN = float("nan")
+A_2X3 = [[1.0, 0.2, 0.3], [0.1, 1.0, 0.2]]
 MALFORMED = {
     # (argv builder, fragment the one-line ConfigError must contain)
     "fixed-A-negative": (
@@ -310,11 +313,11 @@ MALFORMED = {
     ),
     "conv-alpha-string": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(alpha="two")),
-        "estimator.conv.alpha",
+        "estimator.conv: unknown key(s) ['alpha']",
     ),
     "ground-truth-alpha-string": (
-        _estimate(edit=lambda d: d["estimator"]["ground_truth"].update(alpha="x")),
-        "estimator.ground_truth.alpha",
+        _estimate(edit=lambda d: d["estimator"].update(ground_truth={"alpha": "x"})),
+        "estimator: unknown key(s) ['ground_truth']",
     ),
     "simulate-ragged-A": (_simulate(A=[[1.0, 0.0], [0.0]]), "model.A"),
     "two-step-m-3-on-d-2": (
@@ -343,9 +346,30 @@ MALFORMED = {
     "wasserstein-p-nan": (_wasserstein("nan"), "--p"),
     "wasserstein-p-inf": (_wasserstein("inf"), "--p"),
     "ground-truth-A-negative": (
-        _estimate(edit=lambda d: d["estimator"]["ground_truth"].update(A=[[1.0, -0.2], [0.0, 1.0]])),
-        "estimator.ground_truth.A",
+        _estimate(edit=lambda d: d["estimator"].update(ground_truth={"A": [[1.0, -0.2], [0.0, 1.0]]})),
+        "estimator: unknown key(s) ['ground_truth']",
     ),
+    "estimate-model-section": (
+        _estimate(edit=lambda d: d.update(model={"alpha": 0.5, "s": 0.2})),
+        "model: estimate reads the model from the batch sidecar",
+    ),
+    "two-step-s-in-section": (
+        _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(s=0.1)),
+        "estimator.two_step: unknown key(s) ['s']",
+    ),
+    "two-step-r-hat": (
+        _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(r_hat=1.0)),
+        "estimator.two_step: unknown key(s) ['r_hat']",
+    ),
+    "two-step-on-2x3-A": (
+        _experiment(lambda d: d["model"].update(A=A_2X3, latent="iid-pareto")),
+        "two-step m=2 but model d=2 and m=3: it needs a square A",
+    ),
+    "estimate-two-step-on-2x3-batch": (
+        _estimate("two-step", A=A_2X3),
+        "estimator.two_step.m: 2, but the batch's A is 2x3",
+    ),
+    "simulate-latent-custom": (_simulate(latent={"custom": [1.0, 4.0]}), "model.latent"),
     "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
     "batch-csv-nan": (_estimate(spoil_batch=_nan_cell), "batch.csv"),
     "kappa-bar-infinity": (
@@ -375,3 +399,129 @@ def test_malformed_input_is_one_line_config_error(case, tmp_path, capsys):
     assert rc == 2, lines
     assert len(lines) == 1 and lines[0].startswith("ConfigError: "), lines
     assert fragment in lines[0]
+
+
+# Small valid inputs for the property below, named "<subcommand>[-<case>]".
+# An estimate case names the estimator; a wasserstein input is the first
+# measure file.
+_ESTIMATORS = {
+    "conv": {"kappa_bar": 1.0},
+    "two_step": {"kappa_tilde": 0.3, "kappa": 1.0},
+}
+BASES = {
+    "simulate": {
+        "model": {
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "alpha": 2.0,
+            "s": 0.2,
+            "latent": "iid-pareto",
+            "n": 64,
+            "seed": 7,
+        }
+    },
+    "simulate-worst-case": {
+        "model": {"A": "worst-case-diag", "alpha": 2.0, "s": 0.2, "n": 64, "seed": 7}
+    },
+    "estimate-conv": {"estimator": _ESTIMATORS},
+    "estimate-two-step": {"estimator": _ESTIMATORS},
+    "experiment": {
+        "model": {
+            "A": "worst-case-diag",
+            "alpha": 2.0,
+            "s": 0.4,
+            "latent": "tilted-worst-case",
+        },
+        "estimator": _ESTIMATORS,
+        "experiment": {"n_grid": [64, 128, 256], "replicates": 1, "base_seed": 1},
+    },
+    "wasserstein": {"atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.8, 0.2]},
+}
+DELETE = object()
+VALUES = [
+    DELETE, 0, -1, 1, 3, 0.5, 1e-300, 5e-324, 1e300, 2**63, 10**400, NAN,
+    float("inf"), True, None, "x", [], {}, "worst-case-diag", "iid-pareto",
+    "tilted-worst-case", {"custom": [1.0, 4.0]}, [[1.0, 0.0], [0.0, 1.0]],
+    [[5e-324, 0.0], [0.0, 1.0]], [[1e308, 0.0], [0.0, 1.0]], A_2X3, ["conv"],
+]
+# Sizes only cost time and memory: n, the grid and the replicate count take
+# small values.
+SIZE_KEYS = {"n", "n_grid", "replicates"}
+SIZES = [DELETE, -1, 0, 1, 2, 3, 2.5, True, "x", [3], [3, 4, 5], [256, 128, 512]]
+
+
+def _slots(doc, prefix=()):
+    """Paths to every key of ``doc``'s objects, and to an unknown or
+    removed key in each."""
+    out = [prefix + (k,) for k in (*doc, "bogus", "alpha", "model")]
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out += _slots(value, prefix + (key,))
+    return sorted(set(out))
+
+
+@st.composite
+def cli_edits(draw):
+    """(input name, path of the edited key, its new value or DELETE)."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    path = draw(st.sampled_from(_slots(BASES[name])))
+    if path[-1] in SIZE_KEYS:
+        return name, path, draw(st.sampled_from(SIZES))
+    return name, path, draw(st.one_of(st.sampled_from(VALUES), st.floats()))
+
+
+@pytest.fixture(scope="module")
+def property_batch(tmp_path_factory):
+    out = tmp_path_factory.mktemp("batch") / "batch.csv"
+    assert main(["simulate", "--config", _sim_config(out.parent, n=512), "--out", str(out)]) == 0
+    return out
+
+
+def _edited(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(cli_edits())
+@example(("experiment", ("model", "alpha"), 1e-300))
+@example(("experiment", ("model", "alpha"), 1e300))
+@example(("experiment", ("model", "A"), [[5e-324, 0.0], [0.0, 1.0]]))
+@example(("experiment", ("model", "A"), A_2X3))
+@example(("estimate-conv", ("model",), {"alpha": 0.5, "s": 0.2}))
+@example(("simulate", ("model", "latent"), {"custom": [1.0, 4.0]}))
+@example(("simulate", ("model", "seed"), -1))
+@example(("wasserstein", ("atoms",), {}))
+@example(("wasserstein", ("atoms",), 10**400))
+@example(("experiment", ("experiment",), 0))
+def test_cli_property_exit_code_and_one_line(property_batch, edit):
+    """Any single-key edit of a small valid input exits 0, 1 or 2 with at
+    most one line on stderr and no warning or traceback."""
+    name, path, value = edit
+    command, _, case = name.partition("-")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = _write(tmp / "doc.json", _edited(BASES[name], path, value))
+        if command == "wasserstein":
+            nu = _write(tmp / "nu.json", {"atoms": [[1.0, 0.0]], "weights": [1.0]})
+            argv = ["wasserstein", doc, nu]
+        elif command == "estimate":
+            argv = ["estimate", case, str(property_batch), "--config", doc]
+        else:
+            argv = [command, "--config", doc]
+        if command != "wasserstein":
+            argv += ["--out", str(tmp / "out")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+    lines = stderr.getvalue().splitlines()
+    assert rc in (0, 1, 2), lines
+    assert len(lines) <= 1 and not caught, (lines, [str(w.message) for w in caught])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailfactor.errors import (
     DimensionMismatchError,
@@ -110,6 +114,28 @@ def test_solve_theta_error_cases():
         solve_theta(100, 100, 1.0, 5.0, 2.0)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(0, 2**53),
+    st.integers(1, 2**53),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-300, 1e300),
+    st.floats(1e-300, 1e300),
+)
+@example(2**53 - 1, 2**53, 1.0, 1.0, 10.0)  # ratio^(-1/alpha) rounds to 1
+@example(2**53 - 1, 2**53, 1.0, 1e-10, 1e300)  # ln(ratio)/alpha is subnormal
+@example(1, 2**53, 1.0, 1e300, 1e-300)  # ratio^(-1/alpha) overflows
+def test_solve_theta_property_solution_or_typed_error(count, n, r_hat, tau, alpha):
+    try:
+        theta = solve_theta(count, n, r_hat, tau, alpha)
+    except (NoExceedancesError, NoSolutionError):
+        return
+    assert 0 < theta < math.inf
+    # count/n = r_hat (1 + tau/theta)^-alpha, compared in logs
+    lhs = math.log(count / (n * r_hat))
+    assert -alpha * math.log1p(tau / theta) == pytest.approx(lhs, rel=1e-9)
+
+
 def _batch(n, alpha=2.0, s=0.2, A=None, seed=101):
     if A is None:
         A = np.eye(2)
@@ -179,9 +205,10 @@ def test_two_step_column_permutation_invariance():
 def test_two_step_requires_square_model():
     spec = ModelSpec(A=np.ones((2, 3)), alpha=2.0, s=0.2)
     batch = generate_dataset(spec, 100, seed=0)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=3)
-    with pytest.raises(DimensionMismatchError):
-        estimate_two_step(batch, cfg)
+    for m in (2, 3):  # m = 2 matches d but not the three columns of A
+        cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=m)
+        with pytest.raises(DimensionMismatchError):
+            estimate_two_step(batch, cfg)
     # n = 2 admits no direction threshold: a typed error, not a ValueError
     square = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2)
     cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=2)

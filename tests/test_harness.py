@@ -7,8 +7,8 @@ from tailfactor.estimators import ConvConfig, TwoStepConfig
 from tailfactor.harness import (
     ExperimentConfig,
     diagnostic_counts,
+    _model_at,
     emit_outputs,
-    ground_truth_for,
     run_convergence_experiment,
 )
 
@@ -27,9 +27,10 @@ def _cfg(**kw):
 
 
 def test_ground_truth_weights():
-    A, mu = ground_truth_for(10_000, alpha=2.0, s=0.4)
+    # the worst-case model at n = 10^4 and the truth the sweep measures against
+    spec, mu = _model_at(_cfg(), 10_000)
     eps = 10_000.0**-0.4
-    assert np.allclose(np.diag(A), [1.0 + eps, 1.0 - eps])
+    assert np.allclose(spec.A, np.diag([1.0 + eps, 1.0 - eps]))
     w_big = (1.0 + eps) ** 2 / ((1.0 + eps) ** 2 + (1.0 - eps) ** 2)
     assert w_big == pytest.approx(0.525113, abs=1e-5)
     # atoms sorted lexicographically: (0,1) carries the small-tilt weight
@@ -55,9 +56,20 @@ def test_config_validation():
         _cfg(p=0.5)  # Wasserstein order below 1
     # the model is checked before the sweep, not inside a worker
     with pytest.raises(ConfigError, match="n=256"):
-        _cfg(latent_kind="custom")  # no per-coordinate scales
+        _cfg(latent_kind="custom")  # not a latent kind
     with pytest.raises(ConfigError, match="non-negative"):
         _cfg(fixed_A=np.array([[1.0, 0.5], [-0.1, 1.0]]))
+    # an estimator runs at the model's alpha and s
+    with pytest.raises(ConfigError, match="ConvConfig has alpha=0.5"):
+        _cfg(conv=ConvConfig(kappa_bar=1.0, alpha=0.5, s=0.4))
+    with pytest.raises(ConfigError, match="TwoStepConfig has alpha=2.0, s=0.1"):
+        _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.1))
+    # two-step needs a square A: m = 2 matches d = 2, not the three factors
+    A = np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.2]])
+    two_step = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4)
+    with pytest.raises(ConfigError, match="d=2 and m=3"):
+        _cfg(fixed_A=A, latent_kind="iid-pareto", two_step=two_step)
+    _cfg(fixed_A=A, latent_kind="iid-pareto")  # the POT estimator takes any A
 
 
 def test_planted_power_law_recovers_exact_slope():

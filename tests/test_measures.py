@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tailfactor.errors import InvalidAlphaError, ZeroColumnError
+from tailfactor.errors import InvalidAlphaError, InvalidAtomError, ZeroColumnError
 from tailfactor.measures import (
     DiscreteMeasure,
     ModelSpec,
@@ -122,9 +122,10 @@ def test_make_measure_rejects_zero_atom():
 
 @st.composite
 def atom_clouds(draw):
-    """Finite non-negative (k, d) atoms, d = 2..4: a few base rows, each
-    repeated with offsets spread by up to 2e-9, then scaled as a whole from
-    the subnormal range up to where row sums overflow."""
+    """(k, d) atoms, d = 2..4, and k weights summing to 1: a few base rows,
+    each repeated with offsets spread by up to 2e-9, then scaled as a whole
+    from the subnormal range up to where row sums overflow.  One cloud in
+    four has a coordinate set to a negative or non-finite value."""
     d = draw(st.integers(2, 4))
     shape = (draw(st.integers(1, 5)), d)
     base = draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1)))
@@ -133,19 +134,30 @@ def atom_clouds(draw):
     noise = draw(hnp.arrays(np.float64, (len(rows), d), elements=st.floats(-1, 1)))
     spread = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 3e-10, 1e-9, 2e-9]))
     scale = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e300, 1e308]))
-    return np.abs(base[rows] + spread * noise) * scale
+    atoms = np.abs(base[rows] + spread * noise) * scale
+    bad = draw(st.sampled_from([-0.5, -5e-324, np.nan, np.inf, -np.inf] + [None] * 15))
+    if bad is not None:
+        atoms[draw(st.integers(0, len(atoms) - 1)), draw(st.integers(0, d - 1))] = bad
+    w = draw(hnp.arrays(np.float64, len(atoms), elements=st.floats(0.01, 1)))
+    return atoms, w / w.sum()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(atom_clouds(), st.data())
-def test_make_measure_property_valid_measure_or_typed_error(atoms, data):
-    w = data.draw(hnp.arrays(np.float64, len(atoms), elements=st.floats(0.01, 1)))
-    w = w / w.sum()
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(atom_clouds())
+@example((np.array([[-0.5, 1.5], [0.5, 0.5]]), np.array([0.5, 0.5])))
+@example((np.array([[np.nan, 1.0], [0.5, 0.5]]), np.array([0.5, 0.5])))
+def test_make_measure_property_valid_measure_or_typed_error(cloud):
+    atoms, w = cloud
+    off = ~(np.isfinite(atoms) & (atoms >= 0)).all(axis=1)
     try:
         mu = make_measure(atoms, w)
-    except ZeroColumnError:
-        assert np.any(atoms.sum(axis=1) == 0)
+    except InvalidAtomError as exc:
+        assert off.any() and f"atom {np.argmax(off)} " in str(exc)
         return
+    except ZeroColumnError:
+        assert not off.any() and np.any(atoms.sum(axis=1) == 0)
+        return
+    assert not off.any()
     assert validate_measure(mu)
     assert abs(mu.weights.sum() - w.sum()) <= 1e-12
 

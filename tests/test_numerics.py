@@ -299,7 +299,9 @@ def test_loglog_fit_r2_below_one_with_noise():
 def test_loglog_fit_input_validation():
     with pytest.raises(ValueError):
         fit_loglog_slope([10], [0.1])
-    with pytest.raises(ValueError):
-        fit_loglog_slope([10, 100], [0.1, -0.1])
+    # an error with no finite logarithm is a typed error
+    for bad in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DegenerateDesignError):
+            fit_loglog_slope([10, 100], [0.1, bad])
     with pytest.raises(DegenerateDesignError):
         fit_loglog_slope([10, 10, 10], [0.1, 0.2, 0.3])

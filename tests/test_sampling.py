@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from tailfactor.errors import (
     ConfigError,
+    InvalidAlphaError,
     MaxTrialsExceededError,
     SampleOverflowError,
     TooFewPointsError,
@@ -46,12 +47,10 @@ def test_pareto_sampler_matches_cdf(alpha):
 
 
 def test_tilted_sampler_matches_cdf():
+    # A = I/c divides every Pareto coordinate by c
     alpha, c = 2.0, 1.3
-    gen = RngStream(11, 0).generator()
-    spec = ModelSpec(
-        A=np.eye(2), alpha=alpha, s=0.2, latent_kind="custom", custom_scales=[c, c]
-    )
-    x = sample_latent_batch(spec, 100_000, gen).ravel()
+    spec = ModelSpec(A=np.eye(2) / c, alpha=alpha, s=0.2, latent_kind="iid-pareto")
+    x = generate_dataset(spec, 100_000, seed=11).xs.ravel()
     stat, _ = stats.kstest(x, lambda t: 1.0 - (1.0 + c * t) ** (-alpha))
     assert stat < 0.01
 
@@ -129,6 +128,8 @@ def test_rejection_cost_scales_with_acceptance_probability():
     st.floats(0.0, 1e308),
     st.integers(0, 2**32),
 )
+@example(0, 2, 1e300, 1.0, 0)  # m^(alpha+1) overflows: no budget, nothing to draw
+@example(1, 2, 1e300, 1.0, 0)
 def test_conditional_sampler_property_tail_vectors_or_typed_error(count, m, alpha, t, seed):
     try:
         out = sample_conditional_pareto(count, m, alpha, t, RngStream(seed, 0))
@@ -138,6 +139,25 @@ def test_conditional_sampler_property_tail_vectors_or_typed_error(count, m, alph
     assert np.all(np.isfinite(out)) and np.all(out >= 0)
     with np.errstate(over="ignore"):
         assert np.all(out.sum(axis=1) >= t)
+
+
+def test_extreme_alpha_raises_typed_errors():
+    # n^((1-2s)/alpha) overflows float64
+    with pytest.raises(InvalidAlphaError, match="overflows float64"):
+        tail_threshold(256, 1e-300, 0.4)
+    # (1-u)^(-1/alpha) overflows for most draws at alpha = 1e-3
+    spec = ModelSpec(A=np.eye(2), alpha=1e-3, s=0.2, latent_kind="iid-pareto")
+    with pytest.raises(SampleOverflowError, match="alpha=0.001"):
+        generate_dataset(spec, 64, seed=1)
+
+
+def test_negative_and_large_seeds_draw_distinct_streams():
+    draws = {
+        seed: RngStream(seed, 0).generator().random()
+        for seed in (0, 1, -1, -2, 2**63, 2**63 + 1)
+    }
+    assert len(set(draws.values())) == len(draws)
+    assert draws[-1] == RngStream(2**64 - 1, 0).generator().random()
 
 
 def test_conditional_sampler_rare_event_costs_few_rounds():
@@ -261,14 +281,3 @@ def test_read_batch_rejects_malformed_files(tmp_path, spoil, message):
     with pytest.raises(ConfigError) as exc:
         read_batch(path)
     assert message in str(exc.value) and path.stem in str(exc.value)
-
-
-def test_custom_latent_kind_scales_coordinates():
-    spec = ModelSpec(
-        A=np.eye(2), alpha=1.0, s=0.2, latent_kind="custom", custom_scales=[1.0, 4.0]
-    )
-    gen = RngStream(17, 0).generator()
-    z = sample_latent_batch(spec, 100_000, gen)
-    # medians scale inversely with the per-coordinate factor
-    med = np.median(z, axis=0)
-    assert med[0] / med[1] == pytest.approx(4.0, rel=0.1)

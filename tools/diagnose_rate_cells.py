@@ -37,7 +37,6 @@ from tailfactor import (
     conventional_threshold,
     estimate_directions,
     fit_loglog_slope,
-    ground_truth_for,
     kmeans,
     make_measure,
     run_convergence_experiment,
@@ -48,7 +47,7 @@ from tailfactor import (
 )
 from tailfactor.errors import TailFactorError
 from tailfactor.harness import _default_runner
-from tailfactor.sampling import tail_threshold
+from tailfactor.sampling import tail_threshold, worst_case_tilts
 
 BASE_SEED = 20240601
 REPLICATES = 30
@@ -98,7 +97,8 @@ def population_bias(n, cfg: ConvConfig):
     threshold scaled by the largest column norm.  Draws by plain rejection
     from the unconditioned Pareto sampler.
     """
-    A, truth = ground_truth_for(n, cfg.alpha, cfg.s)
+    A = np.diag(worst_case_tilts(n, cfg.s))
+    truth = spectral_measure_of(A, cfg.alpha)
     tau = conventional_threshold(n, cfg)
     if tau < A.sum(axis=0).max() * tail_threshold(n, cfg.alpha, cfg.s):
         raise ValueError(f"tau={tau:.4g} reaches below the latent tail threshold")

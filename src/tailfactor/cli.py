@@ -34,7 +34,13 @@ from .measures import (
     validate_measure,
     _fmt,
 )
-from .sampling import generate_dataset, read_batch, worst_case_tilts, write_batch
+from .sampling import (
+    check_sample_size,
+    generate_dataset,
+    read_batch,
+    worst_case_tilts,
+    write_batch,
+)
 from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
@@ -174,6 +180,12 @@ def _check_tilts(model: dict, n: int):
         _build("model.n" if n < 2 else "model.s", worst_case_tilts, n, model["s"])
 
 
+def _check_size(model: dict, n: int, path: str):
+    """numpy can index the n-row latent and observation arrays of the model."""
+    width = 2 if model["A"] is None else max(model["A"].shape)
+    _build(path, check_sample_size, n, width)
+
+
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     model = read_model(cfg)
     exp = _require(cfg, "experiment", "config")
@@ -184,6 +196,8 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
     if n_grid and n_grid[0] >= 2:  # n^-s is largest at the first size
         _check_tilts(model, n_grid[0])
+    if n_grid:
+        _check_size(model, max(n_grid), "experiment.n_grid")
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
@@ -216,6 +230,7 @@ def cmd_simulate(args) -> int:
     model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"))
     n = model["n"]
     _check_tilts(model, n)
+    _check_size(model, n, "model.n")
     if model["A"] is None:
         model["A"] = np.diag(worst_case_tilts(n, model["s"]))
     kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}

@@ -29,6 +29,10 @@ class SampleOverflowError(TailFactorError):
     """A sampler proposal overflowed float64, so the law cannot be drawn."""
 
 
+class SampleSizeError(TailFactorError):
+    """A sample size below 1, or too large for numpy to index as an array."""
+
+
 class WorstCaseDimensionError(TailFactorError):
     """The worst-case latent law is only defined for two factors."""
 
@@ -51,6 +55,10 @@ class NoSolutionError(TailFactorError):
 
 class DegenerateDesignError(TailFactorError):
     """Regression data are degenerate: all abscissae equal, or a log not finite."""
+
+
+class CostRangeError(TailFactorError):
+    """A transport objective leaves the float64 range at this order p."""
 
 
 class SolverFailureError(TailFactorError):

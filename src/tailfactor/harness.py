@@ -24,11 +24,13 @@ from .estimators import (
     ConvConfig,
     TwoStepConfig,
     estimate_conventional,
+    estimate_directions,
     estimate_two_step,
+    two_step_from_directions,
 )
 from .measures import ModelSpec, spectral_measure_of, _fmt
 from .numerics import fit_loglog_slope
-from .sampling import generate_dataset, worst_case_tilts
+from .sampling import check_sample_size, generate_dataset, worst_case_tilts
 from .svg import line_chart
 from .transport import wasserstein_p
 
@@ -71,6 +73,10 @@ class ExperimentConfig:
             spec, _ = _model_at(self, grid[0])
         except (ValueError, TailFactorError) as exc:
             raise ConfigError(f"model at n={grid[0]}: {exc}") from exc
+        try:
+            check_sample_size(grid[-1], max(spec.A.shape))
+        except TailFactorError as exc:
+            raise ConfigError(f"n_grid: {exc}") from exc
         ts = self.two_step
         if ts is not None and spec.A.shape != (ts.m, ts.m):
             shape = f"model d={spec.d} and m={spec.m}"
@@ -139,6 +145,54 @@ def _replicate_task(cfg: ExperimentConfig, n: int, rep: int, runner):
                 ResultRow(n, rep, tag, float("nan"), None, None, True, type(exc).__name__)
             )
     return rows
+
+
+def stage_errors(batch, ts_cfg, truth, p):
+    """W_p errors of the magnitude and the direction stage of the two-step fit.
+
+    Magnitude stage: the tail-frequency equation solved with the true column
+    directions (the l1-normalized columns of A).  Direction stage: the
+    directions from `estimate_directions`, each scaled by the true magnitude
+    of the nearest true column.  A magnitude stage that raises a typed error
+    reads nan.
+    """
+    norms = batch.spec.A.sum(axis=0)
+    true_dirs = batch.spec.A / norms
+    a_dir, _ = estimate_directions(batch, ts_cfg)
+    gaps = np.abs(a_dir[:, :, None] - true_dirs[:, None, :]).sum(axis=0)
+    mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], ts_cfg.alpha)
+    try:
+        _, mu_mag = two_step_from_directions(batch, ts_cfg, true_dirs)
+        magnitude = wasserstein_p(mu_mag, truth, p)
+    except TailFactorError:
+        magnitude = float("nan")
+    return magnitude, wasserstein_p(mu_dir, truth, p)
+
+
+def run_staged_experiment(cfg: ExperimentConfig, threads: int = 1):
+    """The default sweep, plus the two-step stage errors beside its rows.
+
+    Returns (result, stages): ``result`` is what `run_convergence_experiment`
+    returns, and stages[n] holds the `stage_errors` (magnitude, direction)
+    pair of every two-step replicate at n whose full fit completed, in
+    replicate order.
+    """
+    default = _default_runner(cfg)
+    stages = {}
+
+    def run(tag, batch, truth):
+        row = default(tag, batch, truth)
+        if tag == "two-step":
+            stages[batch.n, batch.stream_id] = stage_errors(
+                batch, cfg.two_step, truth, cfg.p
+            )
+        return row
+
+    result = run_convergence_experiment(cfg, threads, runner=run)
+    return result, {
+        n: tuple(stages[n, r] for r in range(cfg.replicates) if (n, r) in stages)
+        for n in cfg.n_grid
+    }
 
 
 def run_convergence_experiment(

@@ -17,6 +17,7 @@ from .errors import (
     InvalidAlphaError,
     MaxTrialsExceededError,
     SampleOverflowError,
+    SampleSizeError,
     TailFactorError,
     TooFewPointsError,
     ZeroColumnError,
@@ -176,13 +177,21 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     return z
 
 
+def check_sample_size(n: int, width: int) -> None:
+    """SampleSizeError unless n >= 1 and numpy can index an n x width
+    float64 array.  It allocates nothing."""
+    if n < 1:
+        raise SampleSizeError(f"need n >= 1, got {n}")
+    if n * width * 8 > np.iinfo(np.intp).max:
+        raise SampleSizeError(f"an n x {width} float64 array is too large to index")
+
+
 def generate_dataset(
     spec: ModelSpec, n: int, seed: int, stream_id: int = 0
 ) -> SampleBatch:
     """n observations X = A Z, bit-reproducible given (seed, stream_id);
     SampleOverflowError if one leaves the float64 range (alpha near 0)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_sample_size(n, max(spec.A.shape))
     gen = RngStream(seed, stream_id).generator()
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
         xs = sample_latent_batch(spec, n, gen) @ spec.A.T

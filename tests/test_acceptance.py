@@ -18,15 +18,14 @@ direction stage (k-means centers above the O(log n) threshold, with the
 true magnitudes) is of lower order: it may decay faster than n^-s but not
 slower.  On this grid it is not small, so the full two-step slope alone
 measures a mix of both stages; the full error of the shipped estimator
-is held to the same one-sided bound.  The stage decomposition is defined
-once, in tools/diagnose_rate_cells.py, and loaded from there.
+is held to the same one-sided bound.  The stage decomposition is
+tailfactor.harness.run_staged_experiment, which tools/diagnose_rate_cells.py
+runs too.
 """
 
 import hashlib
-import importlib.util
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from tailfactor import (
     wasserstein_pp,
 )
 from tailfactor.cli import main
+from tailfactor.harness import run_staged_experiment
 from tailfactor.sampling import (
     RngStream,
     sample_conditional_pareto,
@@ -67,11 +67,6 @@ KAPPA_BAR = {
     (2.0, 0.2): 0.5,
     (2.0, 0.4): 1.0,
 }
-
-_DIAGNOSE = Path(__file__).resolve().parents[1] / "tools" / "diagnose_rate_cells.py"
-_spec = importlib.util.spec_from_file_location("diagnose_rate_cells", _DIAGNOSE)
-diagnose = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(diagnose)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> bool:
@@ -117,10 +112,9 @@ def _run_conv_cell(alpha: float, s: float, kappa_bar: float):
 def _run_two_step_cell(alpha: float, with_conv: bool):
     """Experiment result plus the median stage errors per grid point.
 
-    One sweep: the harness's default runner gives every row, and the stage
-    errors of each completed two-step replicate are recorded beside it,
-    keyed by (n, replicate).  A failed magnitude stage reads nan and is left
-    out of its median.
+    One sweep gives every row and the stage errors of each completed
+    two-step replicate.  A failed magnitude stage reads nan and is left out
+    of its median.
     """
     s = 0.4
     cfg = ExperimentConfig(
@@ -134,14 +128,8 @@ def _run_two_step_cell(alpha: float, with_conv: bool):
         else None,
         two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=alpha, s=s),
     )
-    stages = {}
-    res = run_convergence_experiment(
-        cfg, threads=THREADS, runner=diagnose.staged_runner(cfg, stages)
-    )
-    medians = [
-        np.nanmedian([err for key, err in stages.items() if key[0] == n], axis=0)
-        for n in GRID
-    ]
+    res, stages = run_staged_experiment(cfg, threads=THREADS)
+    medians = [np.nanmedian(stages[n], axis=0) for n in GRID]
     magnitude = tuple(float(m[0]) for m in medians)
     direction = tuple(float(m[1]) for m in medians)
     return res, magnitude, direction

@@ -150,6 +150,10 @@ def test_wasserstein_hand_example(tmp_path, capsys):
     f2.write_text(measure_to_json(nu))
     assert main(["wasserstein", str(f1), str(f2)]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.6, abs=1e-12)
+    # 2^2000 overflows float64; the scaled costs give W = 2 * 0.3^(1/2000).
+    assert main(["wasserstein", str(f1), str(f2), "--p", "2000"]) == 0
+    w = float(capsys.readouterr().out.strip())
+    assert w == pytest.approx(2.0 * 0.3 ** (1 / 2000), rel=1e-12)
 
 
 def test_wasserstein_invalid_measure_is_config_error(tmp_path, capsys):
@@ -385,6 +389,17 @@ MALFORMED = {
     "n-grid-bool": (
         _experiment(lambda d: d["experiment"].update(n_grid=[True, 2, 3])),
         "experiment.n_grid.0",
+    ),
+    # Sizes numpy cannot index, rejected before any allocation.
+    "simulate-n-1e300": (_simulate(n=1e300), "model.n"),
+    "simulate-n-2-62": (_simulate(n=2**62, A="worst-case-diag"), "model.n"),
+    "n-grid-1e300": (
+        _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 1e300])),
+        "experiment.n_grid",
+    ),
+    "n-grid-2-62": (
+        _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 2**62])),
+        "experiment.n_grid",
     ),
 }
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,10 +12,12 @@ from tailfactor.estimators import ConvConfig, TwoStepConfig
 from tailfactor.harness import (
     ExperimentConfig,
     diagnostic_counts,
-    _model_at,
     emit_outputs,
     run_convergence_experiment,
+    run_staged_experiment,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(**kw):
@@ -28,7 +35,15 @@ def _cfg(**kw):
 
 def test_ground_truth_weights():
     # the worst-case model at n = 10^4 and the truth the sweep measures against
-    spec, mu = _model_at(_cfg(), 10_000)
+    seen = {}
+
+    def runner(tag, batch, truth):
+        seen[batch.n] = batch.spec, truth
+        return 1.0 / batch.n, 1, None
+
+    cfg = _cfg(n_grid=(2_500, 5_000, 10_000), replicates=1)
+    run_convergence_experiment(cfg, runner=runner)
+    spec, mu = seen[10_000]
     eps = 10_000.0**-0.4
     assert np.allclose(spec.A, np.diag([1.0 + eps, 1.0 - eps]))
     w_big = (1.0 + eps) ** 2 / ((1.0 + eps) ** 2 + (1.0 - eps) ** 2)
@@ -187,3 +202,27 @@ def test_fixed_loading_matrix_used_as_ground_truth():
         assert np.array_equal(A_used, A)
         # weights proportional to column norms^alpha: 4/5 and 1/5
         assert np.allclose(sorted(truth.weights), [0.2, 0.8])
+
+
+def test_staged_sweep_matches_default_rows_for_any_thread_count():
+    cfg = _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))
+    res, stages = run_staged_experiment(cfg)
+    assert res.rows == run_convergence_experiment(cfg).rows
+    res2, stages2 = run_staged_experiment(cfg, threads=2)
+    assert res2.rows == res.rows
+    assert stages2.keys() == stages.keys() == set(cfg.n_grid)
+    for n in cfg.n_grid:
+        np.testing.assert_array_equal(stages2[n], stages[n])  # nan equals nan
+        done = [r for r in res.rows if r.n == n and r.estimator == "two-step"]
+        assert len(stages[n]) == sum(not r.failed for r in done)
+        assert all(len(pair) == 2 for pair in stages[n])
+
+
+def test_diagnose_tool_imports_and_parses_arguments():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    tool = ROOT / "tools" / "diagnose_rate_cells.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--kmax" in proc.stdout

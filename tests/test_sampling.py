@@ -12,6 +12,7 @@ from tailfactor.errors import (
     InvalidAlphaError,
     MaxTrialsExceededError,
     SampleOverflowError,
+    SampleSizeError,
     TooFewPointsError,
     WorstCaseDimensionError,
     ZeroColumnError,
@@ -19,6 +20,7 @@ from tailfactor.errors import (
 from tailfactor.measures import ModelSpec
 from tailfactor.sampling import (
     RngStream,
+    check_sample_size,
     generate_dataset,
     pareto_quantile,
     read_batch,
@@ -228,6 +230,14 @@ def test_generate_dataset_deterministic_and_stream_separated():
     # X = A Z with A = diag(2, 1): column-0 marginal is twice a Pareto draw
     assert b1.xs.shape == (500, 2)
     assert not b1.xs.flags.writeable
+    # Sizes below 1 or beyond numpy's index range fail before any draw.
+    for n in (0, -3, 2**62):
+        with pytest.raises(SampleSizeError):
+            generate_dataset(spec, n, seed=42)
+    # The widest of the n x d and n x m arrays counts; this only computes.
+    check_sample_size(5 * 10**17, 2)
+    with pytest.raises(SampleSizeError, match="n x 3"):
+        check_sample_size(5 * 10**17, 3)
 
 
 def test_batch_csv_round_trip(tmp_path):

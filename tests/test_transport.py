@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailfactor.errors import DimensionMismatchError
+from tailfactor.errors import CostRangeError, DimensionMismatchError
 from tailfactor.measures import make_measure
 from tailfactor.transport import (
     solve_transport,
@@ -50,6 +50,24 @@ def test_w2_between_vertex_mixtures():
     obj, _ = wasserstein_pp(mu, nu, 2.0)
     assert obj == pytest.approx(2.0, abs=1e-12)
     assert wasserstein_p(mu, nu, 2.0) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    # At p = 1100 and 2000, 2^p overflows float64: W_p = 2 * 0.5^(1/p) stays
+    # exact, and W_p^p = 0.5 * 2^p raises the typed error.
+    for p in (1100.0, 2000.0):
+        assert wasserstein_p(mu, nu, p) == pytest.approx(2.0 * 0.5 ** (1 / p), rel=1e-15)
+        with pytest.raises(CostRangeError, match="W_p\\^p"):
+            wasserstein_pp(mu, nu, p)
+    # Off the vertices, costs 0.2 and 0.4: both p-th powers underflow at
+    # p = 1100.  The scaled costs keep W_p = (0.5 * 0.2^p + 0.5 * 0.4^p)^(1/p).
+    mu = make_measure([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+    nu = make_measure([[0.5, 0.5]], [1.0])
+    assert wasserstein_p(mu, nu, 1100.0) == pytest.approx(0.4 * 0.5 ** (1 / 1100), rel=1e-15)
+    # Here the plan pays only the cost 0.2^1100 = 0 beside a largest cost
+    # 1.2^1100 in range: the objective reads 0 though W_p is about 0.19987.
+    mu = make_measure([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
+    nu = make_measure([[0.4, 0.6], [1.0, 0.0]], [0.5, 0.5])
+    for distance in (wasserstein_p, wasserstein_pp):
+        with pytest.raises(CostRangeError, match="underflows at p=1100"):
+            distance(mu, nu, 1100.0)
 
 
 def test_identity_of_indiscernibles_and_symmetry():

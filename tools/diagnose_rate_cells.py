@@ -16,8 +16,8 @@ Each section ends with the fitted slopes over 2^11 .. 2^17 and, when --kmax
 is above 17, over the extended grid.  The sweeps use one thread per CPU; the
 numbers do not depend on the thread count.
 
-The stage decomposition (`stage_errors`, `staged_runner`) is defined here
-once; the acceptance suite's criterion 2 loads it from this file.
+The stage decomposition is `tailfactor.harness.run_staged_experiment`, the
+sweep the acceptance suite's criterion 2 runs.
 
 Usage:
     PYTHONPATH=src python tools/diagnose_rate_cells.py [--kmax 20]
@@ -35,18 +35,15 @@ from tailfactor import (
     RngStream,
     TwoStepConfig,
     conventional_threshold,
-    estimate_directions,
     fit_loglog_slope,
     kmeans,
     make_measure,
     run_convergence_experiment,
     sample_pareto,
     spectral_measure_of,
-    two_step_from_directions,
     wasserstein_p,
 )
-from tailfactor.errors import TailFactorError
-from tailfactor.harness import _default_runner
+from tailfactor.harness import run_staged_experiment
 from tailfactor.sampling import tail_threshold, worst_case_tilts
 
 BASE_SEED = 20240601
@@ -148,48 +145,6 @@ def diagnose_conv(grid, threads):
     print(f"  failed replicates: {res.failure_rate['conv']:.1%}")
 
 
-def stage_errors(batch, ts_cfg, truth, p):
-    """W_p errors of the magnitude and the direction stage of the two-step fit.
-
-    Magnitude stage: the tail-frequency equation solved with the true column
-    directions (the l1-normalized columns of A).  Direction stage: the
-    directions from `estimate_directions`, each scaled by the true magnitude
-    of the nearest true column.  A magnitude stage that raises a typed error
-    reads nan.
-    """
-    norms = batch.spec.A.sum(axis=0)
-    true_dirs = batch.spec.A / norms
-    a_dir, _ = estimate_directions(batch, ts_cfg)
-    gaps = np.abs(a_dir[:, :, None] - true_dirs[:, None, :]).sum(axis=0)
-    mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], ts_cfg.alpha)
-    try:
-        _, mu_mag = two_step_from_directions(batch, ts_cfg, true_dirs)
-        magnitude = wasserstein_p(mu_mag, truth, p)
-    except TailFactorError:
-        magnitude = float("nan")
-    return magnitude, wasserstein_p(mu_dir, truth, p)
-
-
-def staged_runner(cfg: ExperimentConfig, stages: dict):
-    """The harness's default runner that also records the two-step stages.
-
-    Every row comes from the shipped estimators unchanged.  For each two-step
-    replicate the shipped fit completes, stages[(n, replicate)] gets the
-    (magnitude, direction) errors of `stage_errors`.
-    """
-    default = _default_runner(cfg)
-
-    def run(tag, batch, truth):
-        row = default(tag, batch, truth)
-        if tag == "two-step":
-            stages[batch.n, batch.stream_id] = stage_errors(
-                batch, cfg.two_step, truth, cfg.p
-            )
-        return row
-
-    return run
-
-
 def diagnose_two_step(alpha, grid, threads):
     cfg = ExperimentConfig(
         alpha=alpha,
@@ -199,10 +154,7 @@ def diagnose_two_step(alpha, grid, threads):
         base_seed=BASE_SEED,
         two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=alpha, s=S),
     )
-    stages = {}
-    res = run_convergence_experiment(
-        cfg, threads=threads, runner=staged_runner(cfg, stages)
-    )
+    res, stages = run_staged_experiment(cfg, threads=threads)
     print(f"two-step cell alpha={alpha:g} s={S} kappa_tilde=0.3 kappa=1")
     print(
         "         n  full W1     sd   local  magnitude   local  direction   local"
@@ -210,8 +162,7 @@ def diagnose_two_step(alpha, grid, threads):
     table = []
     for n in grid:
         full = [r.error for r in res.rows if r.n == n and not r.failed]
-        staged = np.array([e for key, e in stages.items() if key[0] == n])
-        table.append((_spread(full), np.nanmedian(staged, axis=0)))
+        table.append((_spread(full), np.nanmedian(stages[n], axis=0)))
     full = [row[0][0] for row in table]
     magnitude = [row[1][0] for row in table]
     direction = [row[1][1] for row in table]
@@ -226,7 +177,7 @@ def diagnose_two_step(alpha, grid, threads):
         grid,
         [("full", full), ("magnitude", magnitude), ("direction", direction)],
     )
-    mag_failed = sum(np.isnan(m) for m, _ in stages.values())
+    mag_failed = sum(np.isnan(m) for n in grid for m, _ in stages[n])
     print(
         f"  failed replicates: {res.failure_rate['two-step']:.1%}; "
         f"magnitude stage failed: {mag_failed}"

@@ -44,14 +44,13 @@ from .sampling import (
 from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
-MODEL_KEYS = {"A", "alpha", "s", "latent", "zeta", "n", "seed", "stream_id"}
+MODEL_KEYS = {"A", "alpha", "s", "latent", "n", "seed", "stream_id"}
 # The model's numbers.  alpha, s and n are range-checked here, before ModelSpec
 # sees them: the estimator configs take alpha and s, and n and s size the
 # worst-case matrix.
 MODEL_NUMBERS = {
     "alpha": dict(lo=0),
     "s": dict(lo=0, hi=0.5),
-    "zeta": dict(),
     "n": dict(integer=True, lo=0),
     "seed": dict(integer=True),
     "stream_id": dict(integer=True),
@@ -201,21 +200,23 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
+    aggregate = exp.get("aggregate", "median")  # older configs name the only one
+    if aggregate != "median":
+        raise ConfigError(f"experiment.aggregate: only 'median', got {aggregate!r}")
     alpha, s = model["alpha"], model["s"]
     kw = _fields(
         exp,
         "experiment",
         ExperimentConfig,
         ("n_grid", "aggregate", "estimators"),
-        ("alpha", "s", "zeta"),
+        ("alpha", "s"),
         n_grid=n_grid,
-        aggregate=exp.get("aggregate", ExperimentConfig.aggregate),
         conv=estimator_config(cfg, "conv", alpha, s) if "conv" in tags else None,
         two_step=(
             estimator_config(cfg, "two_step", alpha, s) if "two-step" in tags else None
         ),
         fixed_A=model["A"],
-        **{k: model[k] for k in ("alpha", "s", "zeta", "latent_kind") if k in model},
+        **{k: model[k] for k in ("alpha", "s", "latent_kind") if k in model},
     )
     if seed_override is not None:
         kw["base_seed"] = seed_override
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size numpy can index but the machine cannot hold
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -41,7 +41,7 @@ class ConvConfig:
 
     def __post_init__(self):
         positive = (self.kappa_bar, self.alpha, self.collapse_k)
-        if min(positive) <= 0 or not 0 < self.s < 0.5:
+        if not all(0 < x < math.inf for x in positive) or not 0 < self.s < 0.5:
             raise ValueError(f"invalid conventional config {self}")
 
 
@@ -57,7 +57,7 @@ class TwoStepConfig:
 
     def __post_init__(self):
         positive = (self.kappa_tilde, self.kappa, self.alpha)
-        if min(positive) <= 0 or self.m < 2 or not 0 < self.s < 0.5:
+        if not all(0 < x < math.inf for x in positive) or self.m < 2 or not 0 < self.s < 0.5:
             raise ValueError(f"invalid two-step config {self}")
 
 

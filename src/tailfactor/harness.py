@@ -46,10 +46,8 @@ class ExperimentConfig:
     base_seed: int
     conv: Optional[ConvConfig] = None
     two_step: Optional[TwoStepConfig] = None
-    aggregate: str = "median"
     p: float = 1.0
     latent_kind: str = "tilted-worst-case"
-    zeta: float = 1.0
     fixed_A: Optional[np.ndarray] = None  # None => worst-case diagonal per n
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class ExperimentConfig:
             raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.aggregate not in ("median", "mean"):
-            raise ConfigError(f"unknown aggregate {self.aggregate!r}")
         if not 1 <= self.p < math.inf:
             raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:
@@ -115,9 +111,7 @@ class ExperimentResult:
 def _model_at(cfg: ExperimentConfig, n: int):
     """The ModelSpec replicates at sample size n draw from, and its true measure."""
     A = np.diag(worst_case_tilts(n, cfg.s)) if cfg.fixed_A is None else cfg.fixed_A
-    spec = ModelSpec(
-        A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind, zeta=cfg.zeta
-    )
+    spec = ModelSpec(A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind)
     return spec, spectral_measure_of(spec.A, spec.alpha)
 
 
@@ -210,7 +204,6 @@ def run_convergence_experiment(
     slope_fits = {}
     failure_rate = {}
     aggregated = {}
-    agg_fn = np.median if cfg.aggregate == "median" else np.mean
     for tag in cfg.tags:
         tag_rows = [r for r in rows if r.estimator == tag]
         failure_rate[tag] = sum(r.failed for r in tag_rows) / len(tag_rows)
@@ -222,7 +215,7 @@ def run_convergence_experiment(
                     f"every replicate failed for estimator {tag} at n={n}"
                 )
             ns.append(n)
-            errs.append(float(agg_fn(good)))
+            errs.append(float(np.median(good)))
         aggregated[tag] = (tuple(ns), tuple(errs))
         slope, intercept, r2 = fit_loglog_slope(ns, errs)
         slope_fits[tag] = (slope, intercept, r2, len(ns))

@@ -7,6 +7,7 @@ norms.  ``spectral_measure_of`` builds that measure in canonical form.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -163,8 +164,8 @@ def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     the same direction collapse to a single atom.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    if alpha <= 0:
-        raise InvalidAlphaError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise InvalidAlphaError(f"alpha must be finite and > 0, got {alpha}")
     norms = np.abs(A).sum(axis=0)
     if np.any(norms == 0):
         raise ZeroColumnError("loading matrix has a zero column")
@@ -186,15 +187,14 @@ class ModelSpec:
 
     ``A`` is a non-negative d-by-m loading matrix, ``alpha`` the tail index,
     ``s`` the deviation parameter in (0, 1/2) and ``latent_kind`` selects the
-    latent-factor law, one of LATENT_KINDS.  ``zeta`` scales the tail
-    threshold.
+    latent-factor law, one of LATENT_KINDS.
     """
 
     A: np.ndarray
     alpha: float
     s: float
     latent_kind: str = "iid-pareto"
-    zeta: float = 1.0
+    zeta: ClassVar[float] = 1.0  # tail-threshold scale; perfbench's tracer reads it too
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
@@ -221,12 +221,10 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise ValueError("loading matrix must be finite and entry-wise non-negative")
     if np.any(spec.A.sum(axis=0) == 0):
         raise ZeroColumnError("loading matrix has a zero column")
-    if spec.alpha <= 0:
-        raise InvalidAlphaError(f"alpha must be > 0, got {spec.alpha}")
+    if not 0 < spec.alpha < np.inf:
+        raise InvalidAlphaError(f"alpha must be finite and > 0, got {spec.alpha}")
     if not (0 < spec.s < 0.5):
         raise ValueError(f"s must be in (0, 0.5), got {spec.s}")
-    if spec.zeta <= 0:
-        raise ValueError(f"zeta must be > 0, got {spec.zeta}")
     if spec.latent_kind not in LATENT_KINDS:
         raise ValueError(f"unknown latent kind {spec.latent_kind!r}")
     if spec.latent_kind == "tilted-worst-case" and m != 2:

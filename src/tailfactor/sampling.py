@@ -155,9 +155,9 @@ def scaled_power(scale: float, base: float, exponent: float) -> float:
         raise InvalidAlphaError(msg) from None
 
 
-def tail_threshold(n: int, alpha: float, s: float, zeta: float = 1.0) -> float:
-    """Radial level zeta * n^((1-2s)/alpha) above which the law is pure Pareto."""
-    return scaled_power(zeta, float(n), (1.0 - 2.0 * s) / alpha)
+def tail_threshold(n: int, alpha: float, s: float, scale: float = 1.0) -> float:
+    """Radial level scale * n^((1-2s)/alpha); the model's own has scale ModelSpec.zeta."""
+    return scaled_power(scale, float(n), (1.0 - 2.0 * s) / alpha)
 
 
 def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
@@ -225,8 +225,8 @@ def read_batch(csv_path) -> SampleBatch:
     """Load a batch written by ``write_batch``.
 
     A CSV value that is not a finite number, or a sidecar that lacks a key,
-    holds an invalid model or disagrees with the CSV on n or d, raises
-    ConfigError naming the file.
+    holds an invalid model, a boolean alpha or s, a zeta other than 1 or
+    disagrees with the CSV on n or d, raises ConfigError naming the file.
     """
     csv_path = Path(csv_path)
     try:
@@ -235,6 +235,10 @@ def read_batch(csv_path) -> SampleBatch:
             raise ValueError("non-finite value")
         doc = json.loads(csv_path.with_suffix(".json").read_text())
         spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
+        if any(isinstance(doc[k], bool) for k in ("alpha", "s")):
+            raise ValueError("alpha and s must be numbers, not booleans")
+        if doc.get("zeta", spec.zeta) != spec.zeta:  # older sidecars carry zeta = 1
+            raise ValueError(f"zeta must be {spec.zeta}, got {doc['zeta']!r}")
         if (doc["n"], spec.d) != xs.shape:
             raise ValueError(f"sidecar n = {doc['n']}, d = {spec.d}, CSV {xs.shape}")
         seed, stream_id = doc["seed"], doc["stream_id"]

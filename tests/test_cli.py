@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailfactor.cli import main
+from tailfactor import cli
+from tailfactor.cli import experiment_config_from, load_config, main
 from tailfactor.measures import (
     make_measure,
     measure_from_json,
@@ -201,6 +202,28 @@ def test_config_file_not_json_exits_two(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+def test_memory_error_is_one_line_exit_one(tmp_path, capsys, monkeypatch):
+    # A size numpy can index but the machine cannot hold; nothing is allocated.
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "generate_dataset", too_big)
+    rc = main(["simulate", "--config", _sim_config(tmp_path), "--out", str(tmp_path / "b.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == ["MemoryError: Unable to allocate 8.00 TiB"]
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert len(paths) >= 2
+    for path in paths:
+        doc = load_config(path)
+        cfg = experiment_config_from(doc)
+        assert set(cfg.tags) == set(doc["experiment"]["estimators"])
+        assert cfg.n_grid == tuple(doc["experiment"]["n_grid"])
+
+
 def test_smoke_outputs_pin_golden_bytes(tmp_path):
     # A change that moves these bytes updates the digests and says so.
     golden = {
@@ -275,6 +298,14 @@ def _drop_sidecar_alpha(csv):
     doc = json.loads(csv.with_suffix(".json").read_text())
     del doc["alpha"]
     _write(csv.with_suffix(".json"), doc)
+
+
+def _sidecar(**values):
+    def spoil(csv):
+        doc = json.loads(csv.with_suffix(".json").read_text())
+        _write(csv.with_suffix(".json"), {**doc, **values})
+
+    return spoil
 
 
 def _nan_cell(csv):
@@ -376,11 +407,25 @@ MALFORMED = {
     "simulate-latent-custom": (_simulate(latent={"custom": [1.0, 4.0]}), "model.latent"),
     "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
     "batch-csv-nan": (_estimate(spoil_batch=_nan_cell), "batch.csv"),
+    "sidecar-alpha-infinity": (
+        _estimate(spoil_batch=_sidecar(alpha=float("inf"))),
+        "alpha must be finite and > 0, got inf",
+    ),
     "kappa-bar-infinity": (
         _experiment(lambda d: d["estimator"]["conv"].update(kappa_bar=float("inf"))),
         "estimator.conv.kappa_bar",
     ),
     "p-nan": (_experiment(lambda d: d["experiment"].update(p=NAN)), "experiment.p"),
+    # The tail-threshold scale is the constant ModelSpec.zeta; the median is
+    # the only aggregate, and older configs may still name it.
+    "model-zeta": (
+        _experiment(lambda d: d["model"].update(zeta=1.0)),
+        "model: unknown key(s) ['zeta']",
+    ),
+    "aggregate-mean": (
+        _experiment(lambda d: d["experiment"].update(aggregate="mean")),
+        "experiment.aggregate",
+    ),
     "threads-0": (_threads("0"), "--threads"),
     "threads-minus-1": (_threads("-1"), "--threads"),
     "experiment-s-tiny": (_experiment(lambda d: d["model"].update(s=1e-20)), "model.s"),
@@ -447,7 +492,12 @@ BASES = {
             "latent": "tilted-worst-case",
         },
         "estimator": _ESTIMATORS,
-        "experiment": {"n_grid": [64, 128, 256], "replicates": 1, "base_seed": 1},
+        "experiment": {
+            "n_grid": [64, 128, 256],
+            "replicates": 1,
+            "base_seed": 1,
+            "aggregate": "median",
+        },
     },
     "wasserstein": {"atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.8, 0.2]},
 }

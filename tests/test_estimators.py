@@ -226,3 +226,15 @@ def test_config_validation():
         ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.5)
     with pytest.raises(ValueError):
         TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=0.0, s=0.2)
+    # NaN and inf fail the range checks too; an extreme finite alpha passes
+    conv = dict(kappa_bar=1.0, alpha=2.0, s=0.2)
+    two_step = dict(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    for bad in (math.nan, math.inf):
+        for key in ("kappa_bar", "alpha"):
+            with pytest.raises(ValueError):
+                ConvConfig(**{**conv, key: bad})
+        for key in ("kappa_tilde", "kappa", "alpha"):
+            with pytest.raises(ValueError):
+                TwoStepConfig(**{**two_step, key: bad})
+    ConvConfig(**{**conv, "alpha": 1e300})
+    TwoStepConfig(**{**two_step, "alpha": 1e300})

@@ -62,8 +62,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(replicates=0)
     with pytest.raises(ConfigError):
-        _cfg(aggregate="max")
-    with pytest.raises(ConfigError):
         _cfg(conv=None)  # no estimator at all
     with pytest.raises(ConfigError):
         _cfg(n_grid=(2, 512, 1024))  # direction threshold needs n >= 3

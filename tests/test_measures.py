@@ -46,8 +46,11 @@ def test_zero_column_rejected():
 
 
 def test_nonpositive_alpha_rejected():
-    with pytest.raises(InvalidAlphaError):
-        spectral_measure_of(np.eye(2), alpha=0.0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidAlphaError):
+            spectral_measure_of(np.diag([1.3, 0.7]), alpha=alpha)
+    # Extreme but finite: the largest column takes all the weight.
+    assert np.array_equal(spectral_measure_of(np.diag([1.3, 0.7]), 1e300).weights, [0, 1])
 
 
 def test_total_column_scaling_leaves_measure_unchanged():
@@ -177,5 +180,9 @@ def test_model_spec_validation():
         ModelSpec(A=np.eye(2), alpha=1.0, s=0.7)  # s out of range
     with pytest.raises(Exception):
         ModelSpec(A=np.ones((3, 2)), alpha=1.0, s=0.2)  # m < d
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidAlphaError):
+            ModelSpec(A=np.eye(2), alpha=alpha, s=0.2)
+    assert ModelSpec(A=np.eye(2), alpha=1e300, s=0.2).alpha == 1e300
     spec = ModelSpec(A=np.eye(2), alpha=1.0, s=0.2)
     assert spec.d == 2 and spec.m == 2

@@ -196,7 +196,7 @@ def test_worst_case_tilts_and_threshold_formulas():
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=1e-20, latent_kind="tilted-worst-case")
     with pytest.raises(ZeroColumnError, match="s=1e-20 is too small at n=256"):
         sample_latent_batch(spec, 256, RngStream(1, 0).generator())
-    # zeta * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
+    # scale * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)
 
@@ -252,6 +252,13 @@ def test_batch_csv_round_trip(tmp_path):
     assert np.array_equal(back.spec.A, spec.A)
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2"
+    # The threshold scale is a constant: not written, but an older
+    # sidecar's "zeta": 1 still loads.
+    side = path.with_suffix(".json")
+    doc = json.loads(side.read_text())
+    assert "zeta" not in doc
+    side.write_text(json.dumps({**doc, "zeta": 1}))
+    assert np.array_equal(read_batch(path).xs, batch.xs)
 
 
 def _edit_sidecar(edit):
@@ -278,11 +285,18 @@ def _edit_csv(edit):
     [
         (_edit_csv(lambda lines: lines.__setitem__(3, "inf,1.0")), "non-finite value"),
         (_edit_csv(lambda lines: lines.pop()), "n = 64, d = 2, CSV (63, 2)"),
-        (_edit_sidecar(lambda doc: doc.pop("zeta")), "sidecar lacks key 'zeta'"),
+        (_edit_sidecar(lambda doc: doc.pop("latent_kind")), "sidecar lacks key 'latent_kind'"),
         (_edit_sidecar(lambda doc: doc.update(A=np.eye(3).tolist())), "d = 3, CSV (64, 2)"),
         (_edit_sidecar(lambda doc: doc.update(s=0.7)), "s must be in"),
+        (_edit_sidecar(lambda doc: doc.update(alpha=True)), "must be numbers, not booleans"),
+        (_edit_sidecar(lambda doc: doc.update(alpha=float("inf"))), "alpha must be finite"),
+        (_edit_sidecar(lambda doc: doc.update(alpha=float("nan"))), "alpha must be finite"),
+        (_edit_sidecar(lambda doc: doc.update(zeta=2)), "zeta must be 1.0, got 2"),
     ],
-    ids=["inf-cell", "row-missing", "key-missing", "d-disagrees", "bad-model"],
+    ids=[
+        "inf-cell", "row-missing", "key-missing", "d-disagrees", "bad-model",
+        "alpha-true", "alpha-inf", "alpha-nan", "zeta-2",
+    ],
 )
 def test_read_batch_rejects_malformed_files(tmp_path, spoil, message):
     path = tmp_path / "batch.csv"

@@ -56,6 +56,9 @@ MODEL_NUMBERS = {
     "stream_id": dict(integer=True),
 }
 ESTIMATORS = {"conv": ConvConfig, "two_step": TwoStepConfig}
+# The factor count each section may still name; older configs send it, and
+# it must be the model's m.
+FACTOR_KEYS = {"conv": "collapse_k", "two_step": "m"}
 
 
 def _check_keys(doc, allowed, path: str):
@@ -164,12 +167,17 @@ def read_model(cfg: dict, required=("alpha", "s")) -> dict:
     return out
 
 
-def estimator_config(cfg: dict, key: str, alpha: float, s: float):
+def estimator_config(cfg: dict, key: str, alpha: float, s: float, m: int):
     """ConvConfig or TwoStepConfig of ``estimator.<key>`` at the model's
-    alpha and s; the section sets only the tuning constants."""
+    alpha and s; the section sets only the tuning constants, and names the
+    factor count only as the model's m."""
     est = _check_keys(_require(cfg, "estimator", "config"), ESTIMATORS, "estimator")
-    cls, path = ESTIMATORS[key], f"estimator.{key}"
-    kw = _fields(_require(est, key, "estimator"), path, cls, fixed=("alpha", "s"))
+    cls, path, factors = ESTIMATORS[key], f"estimator.{key}", FACTOR_KEYS[key]
+    section = _require(est, key, "estimator")
+    kw = _fields(section, path, cls, (factors,), ("alpha", "s"))
+    if section.get(factors, m) != m:
+        got = section[factors]
+        raise ConfigError(f"{path}.{factors}: must be the model's m={m}, got {got!r}")
     return _build(path, cls, alpha=alpha, s=s, **kw)
 
 
@@ -203,7 +211,8 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     aggregate = exp.get("aggregate", "median")  # older configs name the only one
     if aggregate != "median":
         raise ConfigError(f"experiment.aggregate: only 'median', got {aggregate!r}")
-    alpha, s = model["alpha"], model["s"]
+    m = 2 if model["A"] is None else model["A"].shape[1]  # worst-case-diag is 2x2
+    at = (model["alpha"], model["s"], m)
     kw = _fields(
         exp,
         "experiment",
@@ -211,10 +220,8 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         ("n_grid", "aggregate", "estimators"),
         ("alpha", "s"),
         n_grid=n_grid,
-        conv=estimator_config(cfg, "conv", alpha, s) if "conv" in tags else None,
-        two_step=(
-            estimator_config(cfg, "two_step", alpha, s) if "two-step" in tags else None
-        ),
+        conv=estimator_config(cfg, "conv", *at) if "conv" in tags else None,
+        two_step=estimator_config(cfg, "two_step", *at) if "two-step" in tags else None,
         fixed_A=model["A"],
         **{k: model[k] for k in ("alpha", "s", "latent_kind") if k in model},
     )
@@ -247,12 +254,10 @@ def cmd_estimate(args) -> int:
         raise ConfigError("model: estimate reads the model from the batch sidecar")
     batch = read_batch(args.batch)
     spec = batch.spec
-    est_cfg = estimator_config(cfg, args.kind.replace("-", "_"), spec.alpha, spec.s)
+    key = args.kind.replace("-", "_")
+    est_cfg = estimator_config(cfg, key, spec.alpha, spec.s, spec.m)
     if args.kind == "conv":
         mu, _ = estimate_conventional(batch, est_cfg)
-    elif spec.A.shape != (est_cfg.m, est_cfg.m):
-        got = f"{est_cfg.m}, but the batch's A is {spec.d}x{spec.m}"
-        raise ConfigError(f"estimator.two_step.m: {got}: it needs a square A")
     else:
         _, mu, _ = estimate_two_step(batch, est_cfg)
     Path(args.out).write_text(measure_to_json(mu) + "\n")

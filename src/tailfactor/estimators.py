@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidAtomError,
     NoExceedancesError,
     NoSolutionError,
     TooFewPointsError,
@@ -37,27 +38,25 @@ class ConvConfig:
     kappa_bar: float
     alpha: float
     s: float
-    collapse_k: int = 2
 
     def __post_init__(self):
-        positive = (self.kappa_bar, self.alpha, self.collapse_k)
+        positive = (self.kappa_bar, self.alpha)
         if not all(0 < x < math.inf for x in positive) or not 0 < self.s < 0.5:
             raise ValueError(f"invalid conventional config {self}")
 
 
 @dataclass(frozen=True)
 class TwoStepConfig:
-    """Two-step estimator settings (square case d = m)."""
+    """Two-step estimator settings; the model's A must be square (d = m)."""
 
     kappa_tilde: float
     kappa: float
     alpha: float
     s: float
-    m: int = 2
 
     def __post_init__(self):
         positive = (self.kappa_tilde, self.kappa, self.alpha)
-        if not all(0 < x < math.inf for x in positive) or self.m < 2 or not 0 < self.s < 0.5:
+        if not all(0 < x < math.inf for x in positive) or not 0 < self.s < 0.5:
             raise ValueError(f"invalid two-step config {self}")
 
 
@@ -75,11 +74,17 @@ def empirical_angular_measure(batch, tau: float):
     """Empirical angular measure of the samples above the radial threshold.
 
     Returns (measure, n_tau) where atoms are the normalized exceedances with
-    uniform weight 1/n_tau (duplicates merged).
+    uniform weight 1/n_tau (duplicates merged).  A non-finite entry of an
+    array ``batch`` raises InvalidAtomError; a SampleBatch is finite.
     """
     if tau < 0:
         raise ValueError(f"need tau >= 0, got {tau}")
-    xs = batch.xs if isinstance(batch, SampleBatch) else np.asarray(batch)
+    if isinstance(batch, SampleBatch):
+        xs = batch.xs
+    else:
+        xs = np.asarray(batch)
+        if not np.isfinite(xs).all():
+            raise InvalidAtomError("samples must be finite")
     points, n_tau = _thresholded_points(xs, tau)
     mu = make_measure(points, np.full(n_tau, 1.0 / n_tau))
     return mu, n_tau
@@ -94,15 +99,14 @@ def conventional_threshold(n: int, cfg: ConvConfig) -> float:
 
 
 def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
-    """POT estimate: k-means summary of the thresholded angular samples.
+    """POT estimate: k-means summary of the thresholded angular samples, one
+    cluster per factor of the batch's model.
 
     Returns (measure, n_tau).
     """
     tau = conventional_threshold(batch.n, cfg)
     points, n_tau = _thresholded_points(batch.xs, tau)
-    if n_tau < cfg.collapse_k:
-        raise TooFewPointsError(f"n_tau={n_tau} below k={cfg.collapse_k}")
-    km = kmeans(points, cfg.collapse_k)
+    km = kmeans(points, batch.spec.m)
     return make_measure(km.centers, km.weights), n_tau
 
 
@@ -114,7 +118,8 @@ def direction_threshold(n: int, cfg: TwoStepConfig) -> float:
 
 
 def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
-    """Direction matrix: k-means centers of the high-threshold angular cloud.
+    """Direction matrix: k-means centers of the high-threshold angular cloud,
+    one per factor of the batch's model.
 
     Returns (matrix with unit-l1 columns sorted lexicographically, n_tau_tilde).
     """
@@ -122,10 +127,8 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     try:
         points, n_tt = _thresholded_points(batch.xs, tau_tilde)
     except NoExceedancesError:
-        raise TooFewPointsError(f"n_tau_tilde=0 below m={cfg.m}") from None
-    if n_tt < cfg.m:
-        raise TooFewPointsError(f"n_tau_tilde={n_tt} below m={cfg.m}")
-    km = kmeans(points, cfg.m)
+        raise TooFewPointsError(f"n_tau_tilde=0 below m={batch.spec.m}") from None
+    km = kmeans(points, batch.spec.m)
     centers = km.centers / np.abs(km.centers).sum(axis=1, keepdims=True)
     return centers.T.copy(), n_tt
 
@@ -163,10 +166,8 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     transformed = batch.xs @ a_inv.T
     n = batch.n
     tau = tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa)
-    thetas = np.empty(cfg.m)
-    for i in range(cfg.m):
-        count = int((transformed[:, i] > tau).sum())
-        thetas[i] = solve_theta(count, n, R_HAT, tau, cfg.alpha)
+    counts = [int((col > tau).sum()) for col in transformed.T]
+    thetas = np.array([solve_theta(c, n, R_HAT, tau, cfg.alpha) for c in counts])
     a_hat = a_dir * thetas[None, :]
     return a_hat, spectral_measure_of(a_hat, cfg.alpha)
 
@@ -176,12 +177,12 @@ def estimate_two_step(batch: SampleBatch, cfg: TwoStepConfig):
 
     Returns (A_hat, measure, n_tau_tilde).  Any stage failure raises a typed
     error; callers treat that as a failed replicate.  The batch's model must
-    have a square m-by-m A (DimensionMismatchError).
+    have a square A (DimensionMismatchError).
     """
     spec = batch.spec
-    if spec.A.shape != (cfg.m, cfg.m):
+    if spec.d != spec.m:
         shape = f"got d={spec.d}, m={spec.m}"
-        raise DimensionMismatchError(f"two-step needs a square A with m={cfg.m}, {shape}")
+        raise DimensionMismatchError(f"two-step needs a square A, {shape}")
     a_dir, n_tt = estimate_directions(batch, cfg)
     a_hat, measure = two_step_from_directions(batch, cfg, a_dir)
     return a_hat, measure, n_tt

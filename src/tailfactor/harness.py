@@ -73,10 +73,9 @@ class ExperimentConfig:
             check_sample_size(grid[-1], max(spec.A.shape))
         except TailFactorError as exc:
             raise ConfigError(f"n_grid: {exc}") from exc
-        ts = self.two_step
-        if ts is not None and spec.A.shape != (ts.m, ts.m):
-            shape = f"model d={spec.d} and m={spec.m}"
-            raise ConfigError(f"two-step m={ts.m} but {shape}: it needs a square A")
+        if self.two_step is not None and spec.d != spec.m:
+            shape = f"the model has d={spec.d}, m={spec.m}"
+            raise ConfigError(f"two-step needs a square A, but {shape}")
 
     @property
     def tags(self):

@@ -155,6 +155,12 @@ def validate_measure(mu: DiscreteMeasure) -> bool:
     return True
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise InvalidAlphaError unless the tail index is in (0, inf)."""
+    if not 0 < alpha < np.inf:
+        raise InvalidAlphaError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     """Closed-form limiting spectral measure of the factor model X = A Z.
 
@@ -164,8 +170,7 @@ def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     the same direction collapse to a single atom.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    if not 0 < alpha < np.inf:
-        raise InvalidAlphaError(f"alpha must be finite and > 0, got {alpha}")
+    check_alpha(alpha)
     norms = np.abs(A).sum(axis=0)
     if np.any(norms == 0):
         raise ZeroColumnError("loading matrix has a zero column")
@@ -221,8 +226,7 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise ValueError("loading matrix must be finite and entry-wise non-negative")
     if np.any(spec.A.sum(axis=0) == 0):
         raise ZeroColumnError("loading matrix has a zero column")
-    if not 0 < spec.alpha < np.inf:
-        raise InvalidAlphaError(f"alpha must be finite and > 0, got {spec.alpha}")
+    check_alpha(spec.alpha)
     if not (0 < spec.s < 0.5):
         raise ValueError(f"s must be in (0, 0.5), got {spec.s}")
     if spec.latent_kind not in LATENT_KINDS:

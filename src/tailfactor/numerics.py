@@ -8,6 +8,7 @@ import numpy as np
 from .errors import (
     DegenerateDesignError,
     DimensionMismatchError,
+    InvalidAtomError,
     NearSingularError,
     TooFewPointsError,
 )
@@ -222,14 +223,16 @@ def kmeans(points, k: int) -> KMeansResult:
     mass fractions, none of them empty.  Fewer distinct points than k raise
     TooFewPointsError; on a line the count is of distinct positions along
     it, so rows apart only by rounding off the line count once.  k < 1
-    raises ValueError, and input other than an (n, d) array raises
-    DimensionMismatchError.
+    raises ValueError, input other than an (n, d) array raises
+    DimensionMismatchError, and a non-finite coordinate InvalidAtomError.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DimensionMismatchError(f"points of shape {points.shape}, need (n, d)")
+    if not np.isfinite(points).all():
+        raise InvalidAtomError("points must be finite")
     n = points.shape[0]
     if n < k:
         raise TooFewPointsError(f"{n} points for k={k}")

@@ -22,7 +22,7 @@ from .errors import (
     TooFewPointsError,
     ZeroColumnError,
 )
-from .measures import ModelSpec, SampleBatch, _fmt
+from .measures import ModelSpec, SampleBatch, _fmt, check_alpha
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,10 @@ def pareto_quantile(u, alpha: float):
 
 
 def sample_pareto(alpha: float, rng, size=None):
-    """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1)."""
+    """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1).
+
+    Raises InvalidAlphaError unless 0 < alpha < inf."""
+    check_alpha(alpha)
     gen = _as_generator(rng)
     u = gen.random(size)
     return pareto_quantile(u, alpha)
@@ -85,8 +88,12 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     however the rounds fall.  Raises MaxTrialsExceededError once
     count * max_trials proposals leave vectors missing, and
     SampleOverflowError as soon as a counted proposal has a coordinate
-    beyond the float64 range: dropping it would truncate the law.
+    beyond the float64 range: dropping it would truncate the law.  Raises
+    InvalidAlphaError unless 0 < alpha < inf, and ValueError for m < 1.
     """
+    check_alpha(alpha)
+    if m < 1:
+        raise ValueError(f"need m >= 1 components, got {m}")
     gen = _as_generator(rng)
     if max_trials is None:
         try:

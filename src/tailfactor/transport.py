@@ -20,7 +20,12 @@ import math
 
 import numpy as np
 
-from .errors import CostRangeError, DimensionMismatchError, SolverFailureError
+from .errors import (
+    CostRangeError,
+    DimensionMismatchError,
+    InvalidAtomError,
+    SolverFailureError,
+)
 from .measures import DiscreteMeasure
 
 WEIGHT_DROP = 1e-15
@@ -165,7 +170,9 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     nu.n_atoms).  ``scale`` is 1 unless the largest cost's p-th power leaves
     [TINY, inf); then it is the largest cost.  Raises CostRangeError where
     the objective reads 0 although the plan moves mass a positive distance:
-    every cost it pays underflowed.
+    every cost it pays underflowed, and InvalidAtomError for a negative or
+    non-finite atom coordinate or weight, or no weight >= WEIGHT_DROP (as
+    where the weights sum to 0).
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dims {mu.dim} vs {nu.dim}")
@@ -174,10 +181,16 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     p = float(p)
     wa = np.asarray(mu.weights, dtype=np.float64)
     wb = np.asarray(nu.weights, dtype=np.float64)
+    xa = np.asarray(mu.atoms, dtype=np.float64)
+    xb = np.asarray(nu.atoms, dtype=np.float64)
+    for x in (wa, wb, xa, xb):
+        if not (np.isfinite(x) & (x >= 0)).all():
+            raise InvalidAtomError("atoms and weights must be finite and >= 0")
     keep_a = np.nonzero(wa >= WEIGHT_DROP)[0]
     keep_b = np.nonzero(wb >= WEIGHT_DROP)[0]
-    xa = np.asarray(mu.atoms, dtype=np.float64)[keep_a]
-    xb = np.asarray(nu.atoms, dtype=np.float64)[keep_b]
+    if not (keep_a.size and keep_b.size):
+        raise InvalidAtomError(f"a measure has no weight >= {WEIGHT_DROP}")
+    xa, xb = xa[keep_a], xb[keep_b]
     dist = np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2)
     top = dist.max(initial=0.0)
     with np.errstate(over="ignore"):

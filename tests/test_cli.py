@@ -329,12 +329,6 @@ MALFORMED = {
         _experiment(lambda d: d["model"].update(A=[[1.0, 0.5], [-0.1, 1.0]], latent="iid-pareto")),
         "model.A",
     ),
-    "two-step-on-d-3-model": (
-        _experiment(
-            lambda d: d["model"].update(A=np.eye(3).tolist(), latent="iid-pareto")
-        ),
-        "two-step m=2 but model d=3",
-    ),
     "latent-custom": (_experiment(lambda d: d["model"].update(latent="custom")), "model.latent"),
     "worst-case-law-on-3x3-A": (
         _experiment(lambda d: d["model"].update(A=np.eye(3).tolist())),
@@ -355,9 +349,14 @@ MALFORMED = {
         "estimator: unknown key(s) ['ground_truth']",
     ),
     "simulate-ragged-A": (_simulate(A=[[1.0, 0.0], [0.0]]), "model.A"),
+    # The factor count is the model's m; older configs may still name it.
     "two-step-m-3-on-d-2": (
         _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(m=3)),
-        "estimator.two_step.m",
+        "estimator.two_step.m: must be the model's m",
+    ),
+    "collapse_k-3": (
+        _estimate(edit=lambda d: d["estimator"]["conv"].update(collapse_k=3)),
+        "estimator.conv.collapse_k: must be the model's m",
     ),
     "sidecar-without-alpha": (_estimate(spoil_batch=_drop_sidecar_alpha), "lacks key 'alpha'"),
     "misspelled-estimator-tag": (
@@ -398,11 +397,7 @@ MALFORMED = {
     ),
     "two-step-on-2x3-A": (
         _experiment(lambda d: d["model"].update(A=A_2X3, latent="iid-pareto")),
-        "two-step m=2 but model d=2 and m=3: it needs a square A",
-    ),
-    "estimate-two-step-on-2x3-batch": (
-        _estimate("two-step", A=A_2X3),
-        "estimator.two_step.m: 2, but the batch's A is 2x3",
+        "two-step needs a square A, but the model has d=2, m=3",
     ),
     "simulate-latent-custom": (_simulate(latent={"custom": [1.0, 4.0]}), "model.latent"),
     "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
@@ -461,12 +456,35 @@ def test_malformed_input_is_one_line_config_error(case, tmp_path, capsys):
     assert fragment in lines[0]
 
 
+def test_estimate_two_step_on_2x3_batch_exits_one(tmp_path, capsys):
+    # the model of the batch has three factors in two dimensions
+    rc = main(_estimate("two-step", A=A_2X3)(tmp_path))
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("DimensionMismatchError: "), lines
+    assert "two-step needs a square A, got d=2, m=3" in lines[0]
+
+
+def test_experiment_two_step_on_3x3_model(tmp_path, capsys):
+    # both estimators take the model's three factors
+    def edit(doc):
+        doc["model"].update(A=np.eye(3).tolist(), latent="iid-pareto")
+        doc["experiment"]["replicates"] = 3
+
+    assert main(_experiment(edit)(tmp_path)) == 0
+    rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()[1:]
+    tags = [row.split(",")[2] for row in rows]
+    assert tags.count("conv") == tags.count("two-step") == 9
+    stdout = capsys.readouterr().out
+    assert "conv: slope=" in stdout and "two-step: slope=" in stdout
+
+
 # Small valid inputs for the property below, named "<subcommand>[-<case>]".
 # An estimate case names the estimator; a wasserstein input is the first
 # measure file.
 _ESTIMATORS = {
-    "conv": {"kappa_bar": 1.0},
-    "two_step": {"kappa_tilde": 0.3, "kappa": 1.0},
+    "conv": {"kappa_bar": 1.0, "collapse_k": 2},
+    "two_step": {"kappa_tilde": 0.3, "kappa": 1.0, "m": 2},
 }
 BASES = {
     "simulate": {

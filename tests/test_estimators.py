@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tailfactor.errors import (
     DimensionMismatchError,
+    InvalidAtomError,
     NoExceedancesError,
     NoSolutionError,
     TooFewPointsError,
@@ -42,6 +43,10 @@ def test_empirical_angular_measure_no_exceedances():
         empirical_angular_measure(xs, 10.0)
     with pytest.raises(ValueError):
         empirical_angular_measure(xs, -1.0)
+    # a non-finite row is rejected, not dropped as below the threshold
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidAtomError):
+            empirical_angular_measure(np.array([[3.0, 1.0], [bad, 1.0]]), 1.5)
 
 
 def test_conventional_threshold_regimes():
@@ -147,9 +152,18 @@ def test_conventional_estimator_recovers_identity_model():
     batch = _batch(2**16)
     cfg = ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2)
     mu, n_tau = estimate_conventional(batch, cfg)
-    assert n_tau >= cfg.collapse_k
+    assert n_tau >= batch.spec.m
     truth = spectral_measure_of(np.eye(2), 2.0)
     assert wasserstein_p(mu, truth, 1.0) < 0.15
+
+
+def test_conventional_estimator_clusters_into_the_models_factors():
+    # a 2x3 model has three atoms, one per column of A
+    A = np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.2]])
+    batch = _batch(2**14, A=A, seed=3)
+    mu, n_tau = estimate_conventional(batch, ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2))
+    assert mu.n_atoms == 3 and n_tau >= 3
+    assert wasserstein_p(mu, spectral_measure_of(A, 2.0), 1.0) < 0.15
 
 
 def test_conventional_estimator_too_few_points():
@@ -166,7 +180,7 @@ def test_estimate_directions_unit_columns():
     a_dir, n_tt = estimate_directions(batch, cfg)
     assert a_dir.shape == (2, 2)
     assert np.allclose(np.abs(a_dir).sum(axis=0), 1.0, atol=1e-12)
-    assert n_tt >= cfg.m
+    assert n_tt >= batch.spec.m
     # diag model: direction columns approach the coordinate vertices
     off_diag = np.abs(a_dir - np.eye(2)[:, ::-1]).max()
     diag = np.abs(a_dir - np.eye(2)).max()
@@ -205,13 +219,11 @@ def test_two_step_column_permutation_invariance():
 def test_two_step_requires_square_model():
     spec = ModelSpec(A=np.ones((2, 3)), alpha=2.0, s=0.2)
     batch = generate_dataset(spec, 100, seed=0)
-    for m in (2, 3):  # m = 2 matches d but not the three columns of A
-        cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=m)
-        with pytest.raises(DimensionMismatchError):
-            estimate_two_step(batch, cfg)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    with pytest.raises(DimensionMismatchError, match="d=2, m=3"):
+        estimate_two_step(batch, cfg)
     # n = 2 admits no direction threshold: a typed error, not a ValueError
     square = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2, m=2)
     with pytest.raises(TooFewPointsError):
         estimate_two_step(generate_dataset(square, 2, seed=0), cfg)
 

@@ -77,10 +77,10 @@ def test_config_validation():
         _cfg(conv=ConvConfig(kappa_bar=1.0, alpha=0.5, s=0.4))
     with pytest.raises(ConfigError, match="TwoStepConfig has alpha=2.0, s=0.1"):
         _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.1))
-    # two-step needs a square A: m = 2 matches d = 2, not the three factors
+    # two-step needs a square A: two rows, three factors
     A = np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.2]])
     two_step = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4)
-    with pytest.raises(ConfigError, match="d=2 and m=3"):
+    with pytest.raises(ConfigError, match="square A, but the model has d=2, m=3"):
         _cfg(fixed_A=A, latent_kind="iid-pareto", two_step=two_step)
     _cfg(fixed_A=A, latent_kind="iid-pareto")  # the POT estimator takes any A
 

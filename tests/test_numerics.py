@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from tailfactor.errors import (
     DegenerateDesignError,
     DimensionMismatchError,
+    InvalidAtomError,
     NearSingularError,
     TooFewPointsError,
 )
@@ -53,6 +54,10 @@ def test_kmeans_rejects_too_few_points():
         kmeans(np.array([[1.0, 0.0]]), 2)
     with pytest.raises(ValueError, match="k >= 1"):
         kmeans(np.array([[1.0, 0.0]]), 0)
+    # a non-finite point, which would make a non-finite center
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidAtomError):
+            kmeans(np.array([[0.0, 1.0], [bad, 0.5], [1.0, 0.0]]), 2)
     # off a line too: three distinct points, one repeated, cannot fill k = 4
     with pytest.raises(TooFewPointsError, match="3 distinct points"):
         kmeans(np.array([[1e-6, 0.0], [0.0, 1e-6], [0.0, 0.0], [0.0, 0.0]]), 4)

@@ -151,6 +151,14 @@ def test_extreme_alpha_raises_typed_errors():
     spec = ModelSpec(A=np.eye(2), alpha=1e-3, s=0.2, latent_kind="iid-pareto")
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         generate_dataset(spec, 64, seed=1)
+    # alpha <= 0 is no tail index; m = 0 is no vector
+    for alpha in (-1.0, 0.0):
+        with pytest.raises(InvalidAlphaError):
+            sample_pareto(alpha, RngStream(1, 0), 8)
+    with pytest.raises(InvalidAlphaError):
+        sample_conditional_pareto(3, 2, -2.0, 5.0, RngStream(1, 0))
+    with pytest.raises(ValueError, match="m >= 1"):
+        sample_conditional_pareto(3, 0, 2.0, 5.0, RngStream(1, 0))
 
 
 def test_negative_and_large_seeds_draw_distinct_streams():

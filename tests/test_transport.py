@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from tailfactor.errors import CostRangeError, DimensionMismatchError
-from tailfactor.measures import make_measure
+from tailfactor.errors import CostRangeError, DimensionMismatchError, InvalidAtomError
+from tailfactor.measures import DiscreteMeasure, make_measure
 from tailfactor.transport import (
     solve_transport,
     wasserstein_p,
@@ -144,6 +146,27 @@ def test_dimension_mismatch_rejected():
     nu = make_measure([[1.0, 0.0, 0.0]], [1.0])
     with pytest.raises(DimensionMismatchError):
         wasserstein_p(mu, nu)
+
+
+@pytest.mark.parametrize(
+    "weights, atoms",
+    [
+        ([math.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
+        ([-0.5, 1.5], [[1.0, 0.0], [0.0, 1.0]]),
+        ([math.inf, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [[math.nan, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [[1.5, -0.5], [0.0, 1.0]]),
+    ],
+)
+def test_invalid_measure_rejected(weights, atoms):
+    # Built directly, past make_measure's checks: the solver must not read
+    # a number off them.
+    mu = DiscreteMeasure(np.array(atoms), np.array(weights))
+    nu = make_measure([[1.0, 0.0]], [1.0])
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(InvalidAtomError):
+            wasserstein_p(a, b)
 
 
 def test_solver_handles_degenerate_ties():

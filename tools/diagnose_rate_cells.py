@@ -107,7 +107,7 @@ def population_bias(n, cfg: ConvConfig):
         above = x[norms > tau] / norms[norms > tau, None]
         kept.append(above)
         total += above.shape[0]
-    km = kmeans(np.concatenate(kept)[:POP_POINTS], cfg.collapse_k)
+    km = kmeans(np.concatenate(kept)[:POP_POINTS], A.shape[1])
     return tau, wasserstein_p(make_measure(km.centers, km.weights), truth, 1.0)
 
 

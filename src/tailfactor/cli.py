@@ -44,7 +44,10 @@ from .sampling import (
 from .transport import wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
-MODEL_KEYS = {"A", "alpha", "s", "latent", "n", "seed", "stream_id"}
+MODEL_KEYS = {"A", "alpha", "s", "latent"}
+# The sample's size and stream: only simulate draws one sample, so only it
+# takes these keys; experiment takes its sizes and seeds from its own section.
+SAMPLE_KEYS = {"n", "seed", "stream_id"}
 # The model's numbers.  alpha, s and n are range-checked here, before ModelSpec
 # sees them: the estimator configs take alpha and s, and n and s size the
 # worst-case matrix.
@@ -146,13 +149,15 @@ def load_config(path) -> dict:
     return _check_keys(doc, TOP_KEYS, "config")
 
 
-def read_model(cfg: dict, required=("alpha", "s")) -> dict:
-    """The ``model`` section as ModelSpec keywords plus n, seed and stream_id.
+def read_model(cfg: dict, required=("alpha", "s"), sample=False) -> dict:
+    """The ``model`` section as ModelSpec keywords, plus n, seed and
+    stream_id if ``sample`` (they are unknown keys otherwise).
 
     ``A`` is None for "worst-case-diag", whose matrix depends on n.  Numbers
     absent and not ``required`` are left out.
     """
-    model = _check_keys(_require(cfg, "model", "config"), MODEL_KEYS, "model")
+    keys = MODEL_KEYS | SAMPLE_KEYS if sample else MODEL_KEYS
+    model = _check_keys(_require(cfg, "model", "config"), keys, "model")
     out = {
         key: _number(model, key, "model", **bounds)
         for key, bounds in MODEL_NUMBERS.items()
@@ -235,7 +240,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"))
+    model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"), sample=True)
     n = model["n"]
     _check_tilts(model, n)
     _check_size(model, n, "model.n")

@@ -14,8 +14,9 @@ class InvalidAlphaError(TailFactorError):
 
 
 class InvalidAtomError(TailFactorError):
-    """A measure atom or weight is negative or non-finite, the weights sum
-    to 0, or a point cloud has a non-finite coordinate."""
+    """A measure atom or weight, or a sample entry, is negative or
+    non-finite, the weights sum to 0, or a point cloud has a non-finite
+    coordinate."""
 
 
 class DimensionMismatchError(TailFactorError):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InvalidAtomError,
     NoExceedancesError,
     NoSolutionError,
     TooFewPointsError,
@@ -62,7 +61,7 @@ class TwoStepConfig:
 
 def _thresholded_points(xs: np.ndarray, tau: float):
     """Normalized samples with l1-norm strictly above tau, in sample order."""
-    norms = np.abs(xs).sum(axis=1)
+    norms = xs.sum(axis=1)
     mask = norms > tau
     n_tau = int(mask.sum())
     if n_tau == 0:
@@ -70,22 +69,16 @@ def _thresholded_points(xs: np.ndarray, tau: float):
     return xs[mask] / norms[mask, None], n_tau
 
 
-def empirical_angular_measure(batch, tau: float):
-    """Empirical angular measure of the samples above the radial threshold.
+def empirical_angular_measure(batch: SampleBatch, tau: float):
+    """Empirical angular measure of the batch's samples above the radial
+    threshold ``tau`` >= 0.
 
     Returns (measure, n_tau) where atoms are the normalized exceedances with
-    uniform weight 1/n_tau (duplicates merged).  A non-finite entry of an
-    array ``batch`` raises InvalidAtomError; a SampleBatch is finite.
+    uniform weight 1/n_tau (duplicates merged).
     """
     if tau < 0:
         raise ValueError(f"need tau >= 0, got {tau}")
-    if isinstance(batch, SampleBatch):
-        xs = batch.xs
-    else:
-        xs = np.asarray(batch)
-        if not np.isfinite(xs).all():
-            raise InvalidAtomError("samples must be finite")
-    points, n_tau = _thresholded_points(xs, tau)
+    points, n_tau = _thresholded_points(batch.xs, tau)
     mu = make_measure(points, np.full(n_tau, 1.0 / n_tau))
     return mu, n_tau
 
@@ -129,7 +122,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     except NoExceedancesError:
         raise TooFewPointsError(f"n_tau_tilde=0 below m={batch.spec.m}") from None
     km = kmeans(points, batch.spec.m)
-    centers = km.centers / np.abs(km.centers).sum(axis=1, keepdims=True)
+    centers = km.centers / km.centers.sum(axis=1, keepdims=True)
     return centers.T.copy(), n_tt
 
 

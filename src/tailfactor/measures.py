@@ -21,8 +21,14 @@ from .errors import (
 
 MERGE_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
-COORD_TOL = 1e-12
 MASS_TOL = 1e-9
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 view of ``values``; the caller's array keeps its flags."""
+    out = np.asarray(values, dtype=np.float64).view()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -30,12 +36,28 @@ class DiscreteMeasure:
     """Finitely supported probability measure on the positive l1-simplex.
 
     ``atoms`` has shape (k, d) with rows on the simplex, ``weights`` has
-    shape (k,) and sums to one.  Instances built through ``make_measure``
-    are canonical: duplicate atoms merged, rows sorted lexicographically.
+    shape (k,) and sums to one.  Construction checks k >= 1 and that every
+    entry is finite and >= 0; ``validate_measure`` checks the rest.
+    Instances built through ``make_measure`` are canonical: duplicate atoms
+    merged, rows sorted lexicographically.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        atoms, weights = _frozen(self.atoms), _frozen(self.weights)
+        if atoms.ndim != 2 or weights.shape != atoms.shape[:1] or not len(weights):
+            shapes = f"atoms {atoms.shape}, weights {weights.shape}"
+            raise DimensionMismatchError(f"need (k, d) and (k,), k >= 1, got {shapes}")
+        for name, values in (("atom", atoms), ("weight", weights)):
+            valid = np.isfinite(values) & (values >= 0)
+            if not valid.all():
+                bad = int(np.argmin(valid.reshape(len(values), -1).all(axis=1)))
+                got = values[bad].tolist()
+                raise InvalidAtomError(f"{name} {bad} is {got}, need finite >= 0")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
@@ -96,7 +118,7 @@ def _merge_close(atoms: np.ndarray, weights: np.ndarray):
 def make_measure(atoms, weights) -> DiscreteMeasure:
     """Build a canonical DiscreteMeasure: normalize, merge near-duplicates, sort.
 
-    A negative or non-finite coordinate raises InvalidAtomError.  Atoms are
+    A negative or non-finite entry raises InvalidAtomError.  Atoms are
     scaled onto the simplex by their coordinate sum; a sum of 0 raises
     ZeroColumnError (columns of a loading matrix become atoms).  Atoms
     linked by a chain of pairs within MERGE_TOL in l1-distance collapse into
@@ -104,16 +126,8 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     two atoms of the result are within MERGE_TOL.  Atoms are sorted
     lexicographically.
     """
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if atoms.shape[0] != weights.shape[0]:
-        raise DimensionMismatchError(
-            f"{atoms.shape[0]} atoms vs {weights.shape[0]} weights"
-        )
-    valid = (np.isfinite(atoms) & (atoms >= 0)).all(axis=1)
-    if not valid.all():
-        bad = int(np.argmin(valid))
-        raise InvalidAtomError(f"atom {bad} is {atoms[bad].tolist()}, need finite >= 0")
+    raw = DiscreteMeasure(np.atleast_2d(atoms), np.ravel(weights))
+    atoms = raw.atoms
     with np.errstate(over="ignore"):
         norms = atoms.sum(axis=1)
     big = np.isinf(norms)
@@ -124,28 +138,17 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     if not np.all(norms > 0):
         bad = int(np.argmin(norms > 0))
         raise ZeroColumnError(f"atom {bad} has coordinate sum {norms[bad]}, need > 0")
-    atoms, weights = _merge_close(atoms / norms[:, None], weights)
-    atoms.setflags(write=False)
-    weights.setflags(write=False)
+    atoms, weights = _merge_close(atoms / norms[:, None], raw.weights)
     return DiscreteMeasure(atoms=atoms, weights=weights)
 
 
 def validate_measure(mu: DiscreteMeasure) -> bool:
-    """Check all DiscreteMeasure invariants without mutating the input."""
-    atoms = np.asarray(mu.atoms, dtype=np.float64)
-    weights = np.asarray(mu.weights, dtype=np.float64)
-    if atoms.ndim != 2 or weights.ndim != 1:
-        return False
-    k = atoms.shape[0]
-    if k < 1 or weights.shape[0] != k:
-        return False
-    if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
-        return False
-    if np.any(atoms < -COORD_TOL):
-        return False
+    """Check the invariants construction leaves open: atoms on the simplex,
+    unit mass and no two atoms within MERGE_TOL."""
+    atoms, weights, k = mu.atoms, mu.weights, mu.n_atoms
     if np.any(np.abs(atoms.sum(axis=1) - 1.0) > SIMPLEX_TOL):
         return False
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > MASS_TOL:
+    if abs(weights.sum() - 1.0) > MASS_TOL:
         return False
     if k > 1:
         dist = np.abs(atoms[:, None, :] - atoms[None, :, :]).sum(axis=2)
@@ -202,9 +205,7 @@ class ModelSpec:
     zeta: ClassVar[float] = 1.0  # tail-threshold scale; perfbench's tracer reads it too
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", _frozen(np.atleast_2d(self.A)))
         validate_model_spec(self)
 
     @property
@@ -237,12 +238,22 @@ def validate_model_spec(spec: ModelSpec) -> None:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n observations X = A Z plus the spec and seed that generated them."""
+    """n observations X = A Z plus the spec and seed that generated them;
+    ``xs`` is a read-only float64 (n, spec.d) array, finite and >= 0."""
 
     spec: ModelSpec
     seed: int
     stream_id: int
     xs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        xs = _frozen(self.xs)
+        if xs.ndim != 2 or xs.shape[1] != self.spec.d:
+            raise DimensionMismatchError(f"need {self.spec.d} columns, got {xs.shape}")
+        lo, hi = xs.min(initial=0.0), xs.max(initial=0.0)
+        if not (0 <= lo and hi < np.inf):
+            raise InvalidAtomError(f"negative or non-finite value: min {lo}, max {hi}")
+        object.__setattr__(self, "xs", xs)
 
     @property
     def n(self) -> int:
@@ -259,11 +270,9 @@ def _fmt(x: float) -> str:
 
 
 def measure_to_json(mu: DiscreteMeasure) -> str:
-    rows = [
-        "[" + ", ".join(_fmt(v) for v in atom) + "]" for atom in np.asarray(mu.atoms)
-    ]
+    rows = ["[" + ", ".join(_fmt(v) for v in atom) + "]" for atom in mu.atoms]
     atoms = "[" + ", ".join(rows) + "]"
-    weights = "[" + ", ".join(_fmt(w) for w in np.asarray(mu.weights)) + "]"
+    weights = "[" + ", ".join(_fmt(w) for w in mu.weights) + "]"
     return '{"atoms": ' + atoms + ', "weights": ' + weights + "}"
 
 
@@ -273,8 +282,4 @@ def measure_from_json(text: str) -> DiscreteMeasure:
     doc = json.loads(text)
     if not isinstance(doc, dict) or set(doc) != {"atoms", "weights"}:
         raise DimensionMismatchError("measure JSON must have atoms and weights keys")
-    atoms = np.asarray(doc["atoms"], dtype=np.float64)
-    weights = np.asarray(doc["weights"], dtype=np.float64)
-    atoms.setflags(write=False)
-    weights.setflags(write=False)
-    return DiscreteMeasure(atoms=np.atleast_2d(atoms), weights=weights.ravel())
+    return DiscreteMeasure(np.atleast_2d(doc["atoms"]), np.ravel(doc["weights"]))

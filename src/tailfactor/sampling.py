@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidAlphaError,
+    InvalidAtomError,
     MaxTrialsExceededError,
     SampleOverflowError,
     SampleSizeError,
@@ -39,35 +40,30 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
 def pareto_quantile(u, alpha: float):
-    """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf)."""
-    return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / alpha) - 1.0
-
-
-def sample_pareto(alpha: float, rng, size=None):
-    """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1).
+    """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf).
 
     Raises InvalidAlphaError unless 0 < alpha < inf."""
     check_alpha(alpha)
-    gen = _as_generator(rng)
-    u = gen.random(size)
-    return pareto_quantile(u, alpha)
+    return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / alpha) - 1.0
+
+
+def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
+    """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1) with the
+    numpy Generator ``gen`` (``RngStream(...).generator()`` makes one).
+
+    Raises InvalidAlphaError unless 0 < alpha < inf."""
+    check_alpha(alpha)
+    return pareto_quantile(gen.random(size), alpha)
 
 
 # Largest round of the conditional sampler, unless more vectors are missing.
 ROUND_ROWS = 2**16
 
 
-def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
-    """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t.
+def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
+    """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t,
+    drawn with the numpy Generator ``gen``.
 
     Exact rejection sampling.  Proposals come from the law conditioned on
     max(z) >= a with a = t/m, an event that contains ||z||_1 >= t, drawn by
@@ -94,7 +90,6 @@ def sample_conditional_pareto(count, m, alpha, t, rng, max_trials=None):
     check_alpha(alpha)
     if m < 1:
         raise ValueError(f"need m >= 1 components, got {m}")
-    gen = _as_generator(rng)
     if max_trials is None:
         try:
             max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
@@ -163,7 +158,10 @@ def scaled_power(scale: float, base: float, exponent: float) -> float:
 
 
 def tail_threshold(n: int, alpha: float, s: float, scale: float = 1.0) -> float:
-    """Radial level scale * n^((1-2s)/alpha); the model's own has scale ModelSpec.zeta."""
+    """Radial level scale * n^((1-2s)/alpha); the model's own has scale ModelSpec.zeta.
+
+    Raises InvalidAlphaError unless 0 < alpha < inf."""
+    check_alpha(alpha)
     return scaled_power(scale, float(n), (1.0 - 2.0 * s) / alpha)
 
 
@@ -202,10 +200,10 @@ def generate_dataset(
     gen = RngStream(seed, stream_id).generator()
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
         xs = sample_latent_batch(spec, n, gen) @ spec.A.T
-    if not np.isfinite(xs).all():
-        raise SampleOverflowError(f"X = A Z overflowed float64 at alpha={spec.alpha}")
-    xs.setflags(write=False)
-    return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
+    try:
+        return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
+    except InvalidAtomError:  # A, Z >= 0: only an overflow makes an entry invalid
+        raise SampleOverflowError(f"X = A Z overflowed at alpha={spec.alpha}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +229,13 @@ def write_batch(batch: SampleBatch, csv_path) -> None:
 def read_batch(csv_path) -> SampleBatch:
     """Load a batch written by ``write_batch``.
 
-    A CSV value that is not a finite number, or a sidecar that lacks a key,
-    holds an invalid model, a boolean alpha or s, a zeta other than 1 or
-    disagrees with the CSV on n or d, raises ConfigError naming the file.
+    A CSV value that is not a finite number >= 0, or a sidecar that lacks a
+    key, holds an invalid model, a boolean alpha or s, a zeta other than 1
+    or disagrees with the CSV on n or d, raises ConfigError naming the file.
     """
     csv_path = Path(csv_path)
     try:
         xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        if not np.isfinite(xs).all():
-            raise ValueError("non-finite value")
         doc = json.loads(csv_path.with_suffix(".json").read_text())
         spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
         if any(isinstance(doc[k], bool) for k in ("alpha", "s")):
@@ -248,10 +244,8 @@ def read_batch(csv_path) -> SampleBatch:
             raise ValueError(f"zeta must be {spec.zeta}, got {doc['zeta']!r}")
         if (doc["n"], spec.d) != xs.shape:
             raise ValueError(f"sidecar n = {doc['n']}, d = {spec.d}, CSV {xs.shape}")
-        seed, stream_id = doc["seed"], doc["stream_id"]
+        return SampleBatch(spec=spec, seed=doc["seed"], stream_id=doc["stream_id"], xs=xs)
     except KeyError as exc:
         raise ConfigError(f"batch {csv_path}: sidecar lacks key {exc}") from exc
     except (TypeError, ValueError, TailFactorError) as exc:
         raise ConfigError(f"batch {csv_path}: {exc}") from exc
-    xs.setflags(write=False)
-    return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)

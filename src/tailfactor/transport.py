@@ -170,27 +170,19 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     nu.n_atoms).  ``scale`` is 1 unless the largest cost's p-th power leaves
     [TINY, inf); then it is the largest cost.  Raises CostRangeError where
     the objective reads 0 although the plan moves mass a positive distance:
-    every cost it pays underflowed, and InvalidAtomError for a negative or
-    non-finite atom coordinate or weight, or no weight >= WEIGHT_DROP (as
-    where the weights sum to 0).
+    every cost it pays underflowed, and InvalidAtomError for a measure with
+    no weight >= WEIGHT_DROP (as where the weights sum to 0).
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dims {mu.dim} vs {nu.dim}")
     if not 1 <= p < math.inf:
         raise ValueError(f"need 1 <= p < inf, got {p}")
     p = float(p)
-    wa = np.asarray(mu.weights, dtype=np.float64)
-    wb = np.asarray(nu.weights, dtype=np.float64)
-    xa = np.asarray(mu.atoms, dtype=np.float64)
-    xb = np.asarray(nu.atoms, dtype=np.float64)
-    for x in (wa, wb, xa, xb):
-        if not (np.isfinite(x) & (x >= 0)).all():
-            raise InvalidAtomError("atoms and weights must be finite and >= 0")
-    keep_a = np.nonzero(wa >= WEIGHT_DROP)[0]
-    keep_b = np.nonzero(wb >= WEIGHT_DROP)[0]
+    keep_a = np.nonzero(mu.weights >= WEIGHT_DROP)[0]
+    keep_b = np.nonzero(nu.weights >= WEIGHT_DROP)[0]
     if not (keep_a.size and keep_b.size):
         raise InvalidAtomError(f"a measure has no weight >= {WEIGHT_DROP}")
-    xa, xb = xa[keep_a], xb[keep_b]
+    xa, xb = mu.atoms[keep_a], nu.atoms[keep_b]
     dist = np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2)
     top = dist.max(initial=0.0)
     with np.errstate(over="ignore"):
@@ -198,7 +190,7 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     cost = dist if scale == 1.0 else dist / scale
     if p != 1.0:
         cost = cost**p
-    flow, obj = solve_transport(wa[keep_a], wb[keep_b], cost)
+    flow, obj = solve_transport(mu.weights[keep_a], nu.weights[keep_b], cost)
     if obj == 0.0 and (flow[dist > 0] > 0).any():
         raise CostRangeError(f"every cost the optimal plan pays underflows at p={p}")
     gamma = np.zeros((mu.n_atoms, nu.n_atoms))

@@ -306,7 +306,7 @@ def test_criterion_5_sampler_fidelity():
     start = time.monotonic()
     worst_ks = 0.0
     for alpha in (0.5, 1.0, 2.0):
-        x = sample_pareto(alpha, RngStream(505, int(alpha * 10)), size=100_000)
+        x = sample_pareto(alpha, RngStream(505, int(alpha * 10)).generator(), size=100_000)
         stat, _ = stats.kstest(x, lambda t, a=alpha: 1.0 - (1.0 + t) ** (-a))
         worst_ks = max(worst_ks, stat)
 
@@ -319,7 +319,7 @@ def test_criterion_5_sampler_fidelity():
     den2, _ = integrate.quad(dens, t, np.inf)
     target = num / (den1 + den2)
     # 400 k draws: the 2 % tolerance is 4.6 standard errors of the fraction.
-    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(506, 0))
+    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(506, 0).generator())
     frac = float((draws[:, 0] > q).mean())
     rel = abs(frac - target) / target
     elapsed = time.monotonic() - start

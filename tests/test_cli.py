@@ -308,10 +308,24 @@ def _sidecar(**values):
     return spoil
 
 
-def _nan_cell(csv):
-    lines = csv.read_text().splitlines()
-    lines[5] = "nan," + lines[5].split(",")[1]
-    csv.write_text("\n".join(lines) + "\n")
+def _cell(value):
+    def spoil(csv):
+        lines = csv.read_text().splitlines()
+        lines[5] = value + "," + lines[5].split(",")[1]
+        csv.write_text("\n".join(lines) + "\n")
+
+    return spoil
+
+
+def _wasserstein_file(atoms):
+    def argv(tmp_path):
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"atoms": atoms, "weights": [0.5, 0.5]}))
+        nu = tmp_path / "nu.json"
+        nu.write_text(measure_to_json(make_measure(np.eye(2), [0.5, 0.5])))
+        return ["wasserstein", str(mu), str(nu)]
+
+    return argv
 
 
 def _threads(count):
@@ -401,7 +415,26 @@ MALFORMED = {
     ),
     "simulate-latent-custom": (_simulate(latent={"custom": [1.0, 4.0]}), "model.latent"),
     "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
-    "batch-csv-nan": (_estimate(spoil_batch=_nan_cell), "batch.csv"),
+    "batch-csv-nan": (_estimate(spoil_batch=_cell("nan")), "batch.csv"),
+    # X = A Z >= 0, so a negative entry is a defect of the file
+    "batch-csv-negative": (_estimate(spoil_batch=_cell("-0.5")), "batch.csv"),
+    "wasserstein-coordinate-minus-1e-13": (
+        _wasserstein_file([[-1e-13, 1.0 + 1e-13], [1.0, 0.0]]),
+        "cannot load measure: atom 0 is",
+    ),
+    # Only simulate draws one sample of size model.n from (seed, stream_id).
+    "experiment-model-n": (
+        _experiment(lambda d: d["model"].update(n=7)),
+        "model: unknown key(s) ['n']",
+    ),
+    "experiment-model-seed": (
+        _experiment(lambda d: d["model"].update(seed=3)),
+        "model: unknown key(s) ['seed']",
+    ),
+    "experiment-model-stream-id": (
+        _experiment(lambda d: d["model"].update(stream_id=9)),
+        "model: unknown key(s) ['stream_id']",
+    ),
     "sidecar-alpha-infinity": (
         _estimate(spoil_batch=_sidecar(alpha=float("inf"))),
         "alpha must be finite and > 0, got inf",

@@ -24,29 +24,35 @@ from tailfactor.estimators import (
     solve_theta,
     two_step_from_directions,
 )
-from tailfactor.measures import ModelSpec, spectral_measure_of
+from tailfactor.measures import ModelSpec, SampleBatch, spectral_measure_of
 from tailfactor.sampling import generate_dataset
 from tailfactor.transport import wasserstein_p
 
 
+def _rows_batch(rows):
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    return SampleBatch(spec=spec, seed=0, stream_id=0, xs=np.array(rows))
+
+
 def test_empirical_angular_measure_hand_count():
-    xs = np.array([[3.0, 1.0], [0.5, 0.5], [2.0, 2.0]])
-    mu, n_tau = empirical_angular_measure(xs, 1.5)
+    batch = _rows_batch([[3.0, 1.0], [0.5, 0.5], [2.0, 2.0]])
+    mu, n_tau = empirical_angular_measure(batch, 1.5)
     assert n_tau == 2  # (0.5, 0.5) has norm 1 <= 1.5 and drops out
     assert np.allclose(mu.atoms, [[0.5, 0.5], [0.75, 0.25]])
     assert np.allclose(mu.weights, [0.5, 0.5])
 
 
 def test_empirical_angular_measure_no_exceedances():
-    xs = np.array([[0.2, 0.1], [0.1, 0.3]])
+    batch = _rows_batch([[0.2, 0.1], [0.1, 0.3]])
     with pytest.raises(NoExceedancesError):
-        empirical_angular_measure(xs, 10.0)
+        empirical_angular_measure(batch, 10.0)
     with pytest.raises(ValueError):
-        empirical_angular_measure(xs, -1.0)
-    # a non-finite row is rejected, not dropped as below the threshold
+        empirical_angular_measure(batch, -1.0)
+    # a non-finite row makes no batch, so it is never dropped as below the
+    # threshold
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidAtomError):
-            empirical_angular_measure(np.array([[3.0, 1.0], [bad, 1.0]]), 1.5)
+            _rows_batch([[3.0, 1.0], [bad, 1.0]])
 
 
 def test_conventional_threshold_regimes():

@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tailfactor.errors import InvalidAlphaError, InvalidAtomError, ZeroColumnError
+from tailfactor.errors import (
+    DimensionMismatchError,
+    InvalidAlphaError,
+    InvalidAtomError,
+    ZeroColumnError,
+)
 from tailfactor.measures import (
     DiscreteMeasure,
     ModelSpec,
@@ -97,6 +102,30 @@ def test_validate_measure_rejects_mass_deficit():
 def test_validate_measure_rejects_off_simplex_atom():
     mu = DiscreteMeasure(atoms=np.array([[0.6, 0.5]]), weights=np.array([1.0]))
     assert not validate_measure(mu)
+
+
+def test_discrete_measure_checks_its_entries_when_built():
+    atoms, weights = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])
+    mu = DiscreteMeasure(atoms, weights)
+    assert not (mu.atoms.flags.writeable or mu.weights.flags.writeable)
+    assert atoms.flags.writeable  # the caller's array is left as it was
+    # no atom, or shapes that do not pair k atoms with k weights
+    for bad_atoms, bad_weights in (
+        (np.empty((0, 2)), np.empty(0)),
+        (atoms, np.array([1.0])),
+        (np.array([1.0, 0.0]), np.array([1.0])),
+        (atoms, np.array([[0.5, 0.5]])),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            DiscreteMeasure(bad_atoms, bad_weights)
+    # a coordinate just below 0 is off the positive simplex; the first bad
+    # atom or weight is named
+    with pytest.raises(InvalidAtomError, match="atom 1 is"):
+        DiscreteMeasure(np.array([[1.0, 0.0], [-1e-13, 1.0 + 1e-13]]), weights)
+    with pytest.raises(InvalidAtomError, match="weight 0 is nan"):
+        DiscreteMeasure(atoms, np.array([np.nan, -1.0]))
+    with pytest.raises(InvalidAtomError, match="weight 1 is -0.5"):
+        make_measure(atoms, [1.5, -0.5])
 
 
 def test_make_measure_merges_near_duplicates():

@@ -9,7 +9,9 @@ from scipy import integrate, stats
 
 from tailfactor.errors import (
     ConfigError,
+    DimensionMismatchError,
     InvalidAlphaError,
+    InvalidAtomError,
     MaxTrialsExceededError,
     SampleOverflowError,
     SampleSizeError,
@@ -17,7 +19,7 @@ from tailfactor.errors import (
     WorstCaseDimensionError,
     ZeroColumnError,
 )
-from tailfactor.measures import ModelSpec
+from tailfactor.measures import ModelSpec, SampleBatch
 from tailfactor.sampling import (
     RngStream,
     check_sample_size,
@@ -76,7 +78,7 @@ def test_conditional_sampler_against_quadrature():
 
     # 400 k draws put the 2 % tolerance at 4.6 standard errors of the
     # tail fraction (target 0.116).
-    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(23, 0))
+    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(23, 0).generator())
     assert np.all(draws.sum(axis=1) >= t)
     frac = float((draws[:, 0] > q).mean())
     assert frac == pytest.approx(target, rel=0.02)
@@ -86,16 +88,16 @@ def test_conditional_sampler_max_trials_budget():
     # One proposal per vector cannot fill 1,000 vectors at an acceptance
     # rate near 1/4 (t = 1e12).
     with pytest.raises(MaxTrialsExceededError):
-        sample_conditional_pareto(1000, 2, 2.0, 1e12, RngStream(1, 0), max_trials=1)
+        sample_conditional_pareto(1000, 2, 2.0, 1e12, RngStream(1, 0).generator(), max_trials=1)
     # At the edge of the float range (t = inf, 1e308) part of the law lies
     # beyond float64 (about 31 % above 1.8e308 at t = 1e308), so a proposal
     # overflows: the sampler raises rather than return a truncated law,
     # whatever the budget.
     for t in (math.inf, 1e308):
         with pytest.raises(SampleOverflowError):
-            sample_conditional_pareto(1000, 2, 2.0, t, RngStream(1, 0), max_trials=1)
+            sample_conditional_pareto(1000, 2, 2.0, t, RngStream(1, 0).generator(), max_trials=1)
     with pytest.raises(SampleOverflowError):
-        sample_conditional_pareto(10, 2, 2.0, 1e308, RngStream(1, 0))
+        sample_conditional_pareto(10, 2, 2.0, 1e308, RngStream(1, 0).generator())
 
 
 def test_rejection_cost_scales_with_acceptance_probability():
@@ -134,7 +136,7 @@ def test_rejection_cost_scales_with_acceptance_probability():
 @example(1, 2, 1e300, 1.0, 0)
 def test_conditional_sampler_property_tail_vectors_or_typed_error(count, m, alpha, t, seed):
     try:
-        out = sample_conditional_pareto(count, m, alpha, t, RngStream(seed, 0))
+        out = sample_conditional_pareto(count, m, alpha, t, RngStream(seed, 0).generator())
     except (MaxTrialsExceededError, SampleOverflowError):
         return
     assert out.shape == (count, m)
@@ -154,11 +156,30 @@ def test_extreme_alpha_raises_typed_errors():
     # alpha <= 0 is no tail index; m = 0 is no vector
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
-            sample_pareto(alpha, RngStream(1, 0), 8)
+            sample_pareto(alpha, RngStream(1, 0).generator(), 8)
+        with pytest.raises(InvalidAlphaError):
+            pareto_quantile(0.5, alpha)  # -0.5 at alpha = -1, ZeroDivisionError at 0
+        with pytest.raises(InvalidAlphaError):
+            tail_threshold(256, alpha, 0.4)
     with pytest.raises(InvalidAlphaError):
-        sample_conditional_pareto(3, 2, -2.0, 5.0, RngStream(1, 0))
+        sample_conditional_pareto(3, 2, -2.0, 5.0, RngStream(1, 0).generator())
     with pytest.raises(ValueError, match="m >= 1"):
-        sample_conditional_pareto(3, 0, 2.0, 5.0, RngStream(1, 0))
+        sample_conditional_pareto(3, 0, 2.0, 5.0, RngStream(1, 0).generator())
+
+
+def test_sample_batch_checks_its_rows():
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    xs = np.array([[3.0, 1.0], [0.5, 0.5]])
+    batch = SampleBatch(spec=spec, seed=0, stream_id=0, xs=xs)
+    assert batch.xs.dtype == np.float64 and not batch.xs.flags.writeable
+    assert xs.flags.writeable  # the caller's array is left as it was
+    # a row of the wrong width, a 1-d sample, and entries X = A Z cannot take
+    for bad in (np.ones((4, 3)), np.ones(4)):
+        with pytest.raises(DimensionMismatchError, match="need 2 columns"):
+            SampleBatch(spec=spec, seed=0, stream_id=0, xs=bad)
+    for value in (-0.5, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidAtomError, match="negative or non-finite value"):
+            SampleBatch(spec=spec, seed=0, stream_id=0, xs=[[3.0, 1.0], [value, 1.0]])
 
 
 def test_negative_and_large_seeds_draw_distinct_streams():
@@ -187,8 +208,8 @@ def test_conditional_sampler_rare_event_costs_few_rounds():
     # The vectors are the first accepted proposals of the stream, whatever
     # the rounds: fewer vectors from the same stream are a prefix.
     for m, alpha, t in ((2, 2.0, 50.0), (3, 10.0, 1e3), (3, 0.5, 1e6)):
-        more = sample_conditional_pareto(7, m, alpha, t, RngStream(4, 0))
-        fewer = sample_conditional_pareto(3, m, alpha, t, RngStream(4, 0))
+        more = sample_conditional_pareto(7, m, alpha, t, RngStream(4, 0).generator())
+        fewer = sample_conditional_pareto(3, m, alpha, t, RngStream(4, 0).generator())
         assert np.array_equal(more[:3], fewer)
 
 
@@ -292,6 +313,7 @@ def _edit_csv(edit):
     "spoil, message",
     [
         (_edit_csv(lambda lines: lines.__setitem__(3, "inf,1.0")), "non-finite value"),
+        (_edit_csv(lambda lines: lines.__setitem__(3, "-0.5,1.0")), "negative or non-finite"),
         (_edit_csv(lambda lines: lines.pop()), "n = 64, d = 2, CSV (63, 2)"),
         (_edit_sidecar(lambda doc: doc.pop("latent_kind")), "sidecar lacks key 'latent_kind'"),
         (_edit_sidecar(lambda doc: doc.update(A=np.eye(3).tolist())), "d = 3, CSV (64, 2)"),
@@ -302,7 +324,7 @@ def _edit_csv(edit):
         (_edit_sidecar(lambda doc: doc.update(zeta=2)), "zeta must be 1.0, got 2"),
     ],
     ids=[
-        "inf-cell", "row-missing", "key-missing", "d-disagrees", "bad-model",
+        "inf-cell", "negative-cell", "row-missing", "key-missing", "d-disagrees", "bad-model",
         "alpha-true", "alpha-inf", "alpha-nan", "zeta-2",
     ],
 )

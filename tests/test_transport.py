@@ -160,8 +160,12 @@ def test_dimension_mismatch_rejected():
     ],
 )
 def test_invalid_measure_rejected(weights, atoms):
-    # Built directly, past make_measure's checks: the solver must not read
-    # a number off them.
+    # A negative or non-finite entry makes no DiscreteMeasure; weights
+    # summing to 0 do, and the solver must not read a number off them.
+    if sum(weights) != 0:
+        with pytest.raises(InvalidAtomError):
+            DiscreteMeasure(np.array(atoms), np.array(weights))
+        return
     mu = DiscreteMeasure(np.array(atoms), np.array(weights))
     nu = make_measure([[1.0, 0.0]], [1.0])
     for a, b in ((mu, nu), (nu, mu)):

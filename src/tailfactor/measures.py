@@ -239,7 +239,8 @@ def validate_model_spec(spec: ModelSpec) -> None:
 @dataclass(frozen=True)
 class SampleBatch:
     """n observations X = A Z plus the spec and seed that generated them;
-    ``xs`` is a read-only float64 (n, spec.d) array, finite and >= 0."""
+    ``seed`` and ``stream_id`` are ints, not booleans, and ``xs`` is a
+    read-only float64 (n, spec.d) array, finite and >= 0."""
 
     spec: ModelSpec
     seed: int
@@ -247,6 +248,10 @@ class SampleBatch:
     xs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         xs = _frozen(self.xs)
         if xs.ndim != 2 or xs.shape[1] != self.spec.d:
             raise DimensionMismatchError(f"need {self.spec.d} columns, got {xs.shape}")

@@ -230,8 +230,9 @@ def read_batch(csv_path) -> SampleBatch:
     """Load a batch written by ``write_batch``.
 
     A CSV value that is not a finite number >= 0, or a sidecar that lacks a
-    key, holds an invalid model, a boolean alpha or s, a zeta other than 1
-    or disagrees with the CSV on n or d, raises ConfigError naming the file.
+    key, holds an invalid model, a boolean alpha or s, a seed or stream_id
+    that is not an integer, a zeta other than 1 or disagrees with the CSV on
+    n or d, raises ConfigError naming the file.
     """
     csv_path = Path(csv_path)
     try:

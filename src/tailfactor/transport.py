@@ -4,9 +4,12 @@ Solves the transportation linear program with a dense transportation
 simplex: northwest-corner start, Dantzig pricing over the full
 reduced-cost matrix, cycle pivots.  The basis is one spanning tree over the
 row and column nodes, kept as a cell mask for pricing and as adjacency
-lists that each pivot updates in place.  One breadth-first walk of that
-tree per pivot yields the MODI duals and each node's parent and depth, and
-the entering cell's cycle is the tree path from its row and its column up
+lists that each pivot updates in place.  One breadth-first walk of the
+whole tree at the start yields the MODI duals and each node's parent and
+depth; after each pivot only the subtree that the leaving cell cut off is
+walked again, re-hung from the entering cell.  Each dual is still set along
+its tree path from row 0, so the duals are byte-identical to a full walk's.
+The entering cell's cycle is the tree path from its row and its column up
 to their lowest common ancestor.  Supports here stay in the low hundreds of
 atoms, so no approximation is needed; the returned optimum is certified
 against the dual solution.
@@ -17,6 +20,7 @@ power and the scale is multiplied back after the p-th root.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -64,23 +68,22 @@ def _northwest_corner(a, b):
     return flow, basic, adj
 
 
-def _walk(m, cost, adj):
-    """Breadth-first walk of the basis tree from row 0.
+def _walk(m, cost, adj, tree, start):
+    """Breadth-first walk of the basis tree from ``start``, away from its parent.
 
-    ``cost`` is a nested list.  Returns the duals (u, v) with u[0] = 0,
-    each set from its parent along the unique tree path, and every node's
-    parent and depth.
+    ``cost`` is a nested list and ``tree`` the lists (pot, parent, depth)
+    over the nodes, with ``start``'s entries set.  Sets each node's entries
+    below ``start`` from its parent's: its dual along the unique tree path
+    from row 0 (u[0] = 0), its parent and its depth.  Returns the number of
+    nodes reached: m+n from row 0 exactly where the basis graph is a
+    spanning tree.  On a cycle the walk would not end; it stops after m+n.
     """
-    size = len(adj)
-    pot = [0.0] * size
-    parent = [-1] * size
-    depth = [-1] * size
-    depth[0] = 0
-    order = [0]
-    for node in order:  # grows as the walk goes: a FIFO queue
-        below = depth[node] + 1
+    pot, parent, depth = tree
+    order = [start]
+    for node in islice(order, len(adj)):  # grows as the walk goes: a FIFO queue
+        up, below = parent[node], depth[node] + 1
         for nxt in adj[node]:
-            if depth[nxt] >= 0:
+            if nxt == up:
                 continue
             depth[nxt] = below
             parent[nxt] = node
@@ -89,13 +92,12 @@ def _walk(m, cost, adj):
             else:  # col -> row
                 pot[nxt] = cost[nxt][node - m] - pot[node]
             order.append(nxt)
-    if len(order) < size:
-        raise SolverFailureError("basis graph is not a spanning tree")
-    return np.array(pot[:m]), np.array(pot[m:]), parent, depth
+    return len(order)
 
 
 def _cycle(m, parent, depth, i0, j0):
-    """Cells on the tree path row i0 -> col j0, in path order from i0."""
+    """Cells on the tree path row i0 -> col j0, in path order from i0, and
+    how many of them lie between i0 and the lowest common ancestor."""
     a, b = i0, m + j0
     up, down = [a], [b]
     while a != b:  # climb the deeper end until both meet at the ancestor
@@ -106,7 +108,8 @@ def _cycle(m, parent, depth, i0, j0):
             b = parent[b]
             down.append(b)
     path = up + down[-2::-1]
-    return [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
+    cells = [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
+    return cells, len(up) - 1
 
 
 def solve_transport(a, b, cost):
@@ -123,18 +126,22 @@ def solve_transport(a, b, cost):
     flow, basic, adj = _northwest_corner(a, b)
     # Python floats: cheaper scalar reads in the walk, same float64 arithmetic.
     cost_rows = cost.tolist()
+    pot, parent, depth = tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
+    if _walk(m, cost_rows, adj, tree, 0) != m + n:
+        raise SolverFailureError("basis graph is not a spanning tree")
     for _ in range(100 * (m + n) ** 2 + 1000):
-        u, v, parent, depth = _walk(m, cost_rows, adj)
+        u, v = np.array(pot[:m]), np.array(pot[m:])
         reduced = cost - u[:, None] - v[None, :]
         reduced[basic] = 0.0
         i0, j0 = divmod(int(np.argmin(reduced)), n)
         if reduced[i0, j0] >= -1e-12:
             break
-        cycle = _cycle(m, parent, depth, i0, j0)
+        cycle, row_side = _cycle(m, parent, depth, i0, j0)
         # Entering cell gets +theta; path cells alternate starting with -.
         minus = cycle[0::2]
         theta = min(flow[e] for e in minus)
-        li, lj = next(e for e in minus if flow[e] <= theta)
+        q = next(q for q, e in enumerate(minus) if flow[e] <= theta)
+        li, lj = minus[q]
         flow[i0, j0] += theta
         for k, e in enumerate(cycle):
             flow[e] += theta if k % 2 == 1 else -theta
@@ -144,6 +151,12 @@ def solve_transport(a, b, cost):
         adj[m + lj].remove(li)
         adj[i0].append(m + j0)
         adj[m + j0].append(i0)
+        # The leaving cell cut off the subtree holding the entering cell's
+        # end on its side of the ancestor; hang it from the other end.
+        end, other = (i0, m + j0) if 2 * q < row_side else (m + j0, i0)
+        parent[end], depth[end] = other, depth[other] + 1
+        pot[end] = cost_rows[i0][j0] - pot[other]
+        _walk(m, cost_rows, adj, tree, end)
     else:
         raise SolverFailureError("pivot limit reached without optimality")
 

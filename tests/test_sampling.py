@@ -322,10 +322,14 @@ def _edit_csv(edit):
         (_edit_sidecar(lambda doc: doc.update(alpha=float("inf"))), "alpha must be finite"),
         (_edit_sidecar(lambda doc: doc.update(alpha=float("nan"))), "alpha must be finite"),
         (_edit_sidecar(lambda doc: doc.update(zeta=2)), "zeta must be 1.0, got 2"),
+        (_edit_sidecar(lambda doc: doc.update(seed="abc")), "seed must be an integer, got 'abc'"),
+        (_edit_sidecar(lambda doc: doc.update(stream_id=[1])), "stream_id must be an integer"),
+        (_edit_sidecar(lambda doc: doc.update(seed=True)), "seed must be an integer, got True"),
     ],
     ids=[
         "inf-cell", "negative-cell", "row-missing", "key-missing", "d-disagrees", "bad-model",
-        "alpha-true", "alpha-inf", "alpha-nan", "zeta-2",
+        "alpha-true", "alpha-inf", "alpha-nan", "zeta-2", "seed-string", "stream-id-list",
+        "seed-bool",
     ],
 )
 def test_read_batch_rejects_malformed_files(tmp_path, spoil, message):

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tailfactor import transport
 from tailfactor.errors import CostRangeError, DimensionMismatchError, InvalidAtomError
-from tailfactor.measures import DiscreteMeasure, make_measure
+from tailfactor.estimators import empirical_angular_measure
+from tailfactor.measures import DiscreteMeasure, ModelSpec, make_measure
+from tailfactor.sampling import generate_dataset
 from tailfactor.transport import (
     solve_transport,
     wasserstein_p,
     wasserstein_pp,
 )
-from transport_oracles import line_cost, linprog_cost
+from transport_oracles import line_cost, linprog_cost, linprog_plan_cost
 
 RNG = np.random.default_rng(777)
 
@@ -182,3 +188,97 @@ def test_solver_handles_degenerate_ties():
     flow, obj = solve_transport(a, b, cost)
     assert obj == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.diag(flow), 1.0 / 6)
+
+
+# W_1^1 and W_2^2 between the three pairs of d = 3 angular measures below,
+# as a full walk of the basis tree at every pivot computes them; each solve
+# makes 114-179 pivots.  A change to the pricing, the leaving-cell rule or
+# the float operations that set the duals can move these bytes.
+D3_PINNED = [
+    ("0x1.df80d13784ef3p-4", "0x1.d070694c2f6b6p-4"),
+    ("0x1.73ab7f8de69c8p-5", "0x1.566b653ea9496p-6"),
+    ("0x1.40858be745995p-4", "0x1.bbde32f976e5ap-5"),
+]
+
+
+def test_d3_pivoting_solves_are_pinned():
+    # alpha = 1, iid Pareto factors; each measure keeps the top 1/64 of a
+    # sample's l1-norms, so 64 and 72 atoms.
+    A = np.array([[1.0, 0.3, 0.2], [0.2, 1.0, 0.4], [0.1, 0.3, 1.0]])
+    spec = ModelSpec(A=A, alpha=1.0, s=0.2, latent_kind="iid-pareto")
+    for j, pinned in enumerate(D3_PINNED):
+        pair = []
+        for k, n in enumerate((4096, 4608)):
+            batch = generate_dataset(spec, n, seed=7, stream_id=2 * j + k)
+            tau = float(np.quantile(batch.xs.sum(axis=1), 1.0 - 1.0 / 64.0))
+            pair.append(empirical_angular_measure(batch, tau)[0])
+        mu, nu = pair
+        assert (mu.n_atoms, nu.n_atoms) == (64, 72)
+        for p, expected in zip((1.0, 2.0), pinned):
+            obj, _ = wasserstein_pp(mu, nu, p)
+            assert obj.hex() == expected
+            assert obj == pytest.approx(linprog_cost(mu, nu, p), rel=1e-8)
+
+
+@st.composite
+def transport_problems(draw):
+    """(a, b, cost): the weights of two measures of 2-40 atoms in d = 2 or
+    3 and their l1 costs to the power 1 or 2, or, tie-heavy, uniform
+    weights with integer costs in {0, 1, 2}."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        cost = draw(hnp.arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
+    d = draw(st.sampled_from([2, 3]))
+    unit = st.floats(0.01, 1.0)
+    mu, nu = (
+        make_measure(
+            draw(hnp.arrays(np.float64, (k, d), elements=unit)),
+            draw(hnp.arrays(np.float64, k, elements=unit)),
+        )
+        for k in (m, n)
+    )
+    cost = np.abs(mu.atoms[:, None, :] - nu.atoms[None, :, :]).sum(axis=2)
+    return mu.weights, nu.weights, cost ** draw(st.sampled_from([1.0, 2.0]))
+
+
+def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
+    # Spy on the walks.  After each pivot one walk starts at the entering
+    # cell's end in the cut-off subtree; the duals, parents and depths it
+    # leaves must equal those of a full walk from row 0.  A flow that the
+    # pivot left unchanged marks a zero-theta pivot.
+    seen = set()
+    corner, walk = transport._northwest_corner, transport._walk
+    flows = []
+
+    def spy_corner(a, b):
+        flow, basic, adj = corner(a, b)
+        flows[:] = [flow, flow.copy()]
+        return flow, basic, adj
+
+    def spy_walk(m, cost, adj, tree, start):
+        reached = walk(m, cost, adj, tree, start)
+        if tree[1][start] >= 0:  # not the first walk, from row 0
+            size = len(adj)
+            full = ([0.0] * size, [-1] * size, [0] * size)
+            assert walk(m, cost, adj, full, 0) == size
+            assert tree == full
+            flow, before = flows
+            seen.add("row end" if start < m else "column end")
+            seen.update({"single leaf"} if reached == 1 else ())
+            seen.update({"zero theta"} if np.array_equal(flow, before) else ())
+            flows[1] = flow.copy()
+        return reached
+
+    monkeypatch.setattr(transport, "_northwest_corner", spy_corner)
+    monkeypatch.setattr(transport, "_walk", spy_walk)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(transport_problems())
+    def check(problem):
+        a, b, cost = problem
+        _, obj = solve_transport(a, b, cost)
+        assert obj == pytest.approx(linprog_plan_cost(a, b, cost), abs=1e-8)
+
+    check()
+    assert seen == {"row end", "column end", "single leaf", "zero theta"}

@@ -6,14 +6,20 @@ from scipy.optimize import linprog
 
 def linprog_cost(mu, nu, p):
     """W_p^p between two discrete measures from the HiGHS LP solver."""
-    a = np.asarray(mu.weights)
-    b = np.asarray(nu.weights)
-    b = b * (a.sum() / b.sum())
     cost = (
         np.abs(np.asarray(mu.atoms)[:, None, :] - np.asarray(nu.atoms)[None, :, :])
         .sum(axis=2)
         ** p
     )
+    return linprog_plan_cost(mu.weights, nu.weights, cost)
+
+
+def linprog_plan_cost(a, b, cost):
+    """Optimal cost for supplies a, demands b (rescaled to a's mass) and an
+    m-by-n cost matrix, from the HiGHS LP solver."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    b = b * (a.sum() / b.sum())
     m, n = cost.shape
     A_eq = np.zeros((m + n, m * n))
     for i in range(m):
@@ -26,6 +32,9 @@ def linprog_cost(mu, nu, p):
         b_eq=np.concatenate([a, b])[:-1],
         bounds=(0, None),
         method="highs",
+        # Tightened from HiGHS's 1e-7 defaults, which leave the objective
+        # off by up to about 5e-8 relative on 64-by-72 problems.
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success
     return float(res.fun)

@@ -19,7 +19,13 @@ from .errors import (
     NoSolutionError,
     TooFewPointsError,
 )
-from .measures import SampleBatch, make_measure, spectral_measure_of
+from .measures import (
+    SampleBatch,
+    _onto_simplex,
+    make_measure,
+    row_sums,
+    spectral_measure_of,
+)
 from .numerics import invert_square_matrix, kmeans
 from .sampling import scaled_power, tail_threshold
 
@@ -60,13 +66,18 @@ class TwoStepConfig:
 
 
 def _thresholded_points(xs: np.ndarray, tau: float):
-    """Normalized samples with l1-norm strictly above tau, in sample order."""
-    norms = xs.sum(axis=1)
+    """Normalized samples with l1-norm strictly above tau, in sample order.
+
+    A row whose l1-norm overflows float64 counts as above every tau and is
+    normalized after scaling it by its largest entry, as ``make_measure``
+    does, so it keeps its direction."""
+    with np.errstate(over="ignore"):
+        norms = row_sums(xs)
     mask = norms > tau
     n_tau = int(mask.sum())
     if n_tau == 0:
         raise NoExceedancesError(f"no sample above tau={tau}")
-    return xs[mask] / norms[mask, None], n_tau
+    return _onto_simplex(xs[mask], norms[mask]), n_tau
 
 
 def empirical_angular_measure(batch: SampleBatch, tau: float):

@@ -115,6 +115,37 @@ def _merge_close(atoms: np.ndarray, weights: np.ndarray):
         atoms, weights = merged, total
 
 
+def row_sums(xs: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, d) array, adding its columns in column order.
+
+    One vector add per column instead of numpy's per-row reduction loop,
+    with the bytes of ``xs.sum(axis=1)``, which also adds up to 7 entries
+    left to right.  An overflowing row gives inf under the caller's errstate.
+    """
+    d = xs.shape[1]
+    if d >= 8:  # numpy's pairwise sum regroups 8 or more entries: keep its bytes
+        return xs.sum(axis=1)
+    out = xs[:, 0] + xs[:, 1] if d > 1 else xs[:, 0].copy()
+    for j in range(2, d):
+        out += xs[:, j]
+    out += 0.0  # numpy's sum starts at +0.0: a row of -0.0 sums to +0.0
+    return out
+
+
+def _onto_simplex(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``rows`` divided by their l1-norms ``norms`` (> 0, from ``row_sums``).
+
+    A row whose norm overflowed to inf is scaled by its largest entry first
+    and summed again, so it keeps its direction; other rows are divided as
+    they are."""
+    big = np.isinf(norms)
+    if big.any():
+        rows, norms = rows.copy(), norms.copy()
+        rows[big] /= rows[big].max(axis=1, keepdims=True)
+        norms[big] = row_sums(rows[big])
+    return rows / norms[:, None]
+
+
 def make_measure(atoms, weights) -> DiscreteMeasure:
     """Build a canonical DiscreteMeasure: normalize, merge near-duplicates, sort.
 
@@ -127,18 +158,12 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     lexicographically.
     """
     raw = DiscreteMeasure(np.atleast_2d(atoms), np.ravel(weights))
-    atoms = raw.atoms
     with np.errstate(over="ignore"):
-        norms = atoms.sum(axis=1)
-    big = np.isinf(norms)
-    if big.any():  # a sum beyond the float range: scale by the largest first
-        atoms = atoms.copy()
-        atoms[big] /= atoms[big].max(axis=1, keepdims=True)
-        norms = atoms.sum(axis=1)
+        norms = row_sums(raw.atoms)
     if not np.all(norms > 0):
         bad = int(np.argmin(norms > 0))
         raise ZeroColumnError(f"atom {bad} has coordinate sum {norms[bad]}, need > 0")
-    atoms, weights = _merge_close(atoms / norms[:, None], raw.weights)
+    atoms, weights = _merge_close(_onto_simplex(raw.atoms, norms), raw.weights)
     return DiscreteMeasure(atoms=atoms, weights=weights)
 
 

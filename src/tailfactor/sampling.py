@@ -23,7 +23,7 @@ from .errors import (
     TooFewPointsError,
     ZeroColumnError,
 )
-from .measures import ModelSpec, SampleBatch, _fmt, check_alpha
+from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, row_sums
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
         z = pareto_quantile(u[:, 1:] * np.where(cols < first, 1.0 - q, 1.0), alpha)
         with np.errstate(over="ignore"):  # overflow raises below
             z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
-            hits = np.flatnonzero(z.sum(axis=1) >= t)[:need]
+            hits = np.flatnonzero(row_sums(z) >= t)[:need]
         used = int(hits[-1]) + 1 if hits.size == need else len(z)
         finite = np.isfinite(z[:used]).all(axis=1)
         if not finite.all():
@@ -177,7 +177,7 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
         z /= np.array(worst_case_tilts(n, spec.s))
         t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
-        mask = z.sum(axis=1) >= t
+        mask = row_sums(z) >= t
         z[mask] = sample_conditional_pareto(int(mask.sum()), 2, spec.alpha, t, gen)
     return z
 

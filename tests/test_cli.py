@@ -498,6 +498,25 @@ def test_estimate_two_step_on_2x3_batch_exits_one(tmp_path, capsys):
     assert "two-step needs a square A, got d=2, m=3" in lines[0]
 
 
+def _overflowing_rows(csv):
+    # rows whose l1-norm overflows float64; read_batch accepts them
+    lines = csv.read_text().splitlines()
+    lines[1:6] = ["1.5e308,1.5e308"] * 5
+    csv.write_text("\n".join(lines) + "\n")
+
+
+def test_estimate_conv_on_overflowing_rows_warns_nothing(tmp_path):
+    argv = _estimate(spoil_batch=_overflowing_rows)(tmp_path)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    lines = stderr.getvalue().splitlines()
+    assert not caught, [str(w.message) for w in caught]
+    assert (rc, lines) == (0, []) or (rc == 1 and len(lines) == 1), (rc, lines)
+
+
 def test_experiment_two_step_on_3x3_model(tmp_path, capsys):
     # both estimators take the model's three factors
     def edit(doc):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ def test_empirical_angular_measure_no_exceedances():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidAtomError):
             _rows_batch([[3.0, 1.0], [bad, 1.0]])
+
+
+def test_row_with_overflowing_norm_keeps_its_direction():
+    # the l1-norm of (1.5e308, 1.5e308) is inf: above every tau, direction (1/2, 1/2)
+    rows = np.ones((100, 2))
+    rows[::20] = 1.5e308
+    batch = _rows_batch(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, n_tau = empirical_angular_measure(batch, 10.0)
+        assert (n_tau, mu.atoms.tolist(), mu.weights.tolist()) == (5, [[0.5, 0.5]], [1.0])
+        # one direction is too few for the model's two factors
+        with pytest.raises(TooFewPointsError):
+            estimate_conventional(batch, ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2))
+        with pytest.raises(TooFewPointsError):
+            estimate_two_step(batch, TwoStepConfig(0.3, 1.0, alpha=2.0, s=0.2))
+        # finite rows keep their arithmetic next to an overflowing one
+        mu, n_tau = empirical_angular_measure(_rows_batch([[3.0, 1.0], [1.7e308, 0.4e308]]), 1.5)
+    assert n_tau == 2 and mu.atoms[0].tolist() == [0.75, 0.25]
+    assert np.allclose(mu.atoms[1], [17 / 21, 4 / 21], rtol=1e-15, atol=0)
 
 
 def test_conventional_threshold_regimes():

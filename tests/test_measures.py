@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from tailfactor.measures import (
     make_measure,
     measure_from_json,
     measure_to_json,
+    row_sums,
     spectral_measure_of,
     validate_measure,
 )
+from tailfactor.sampling import generate_dataset
 
 RNG = np.random.default_rng(1234)
 
@@ -150,6 +153,32 @@ def test_make_measure_merges_pairs_that_are_not_lexicographic_neighbours():
 def test_make_measure_rejects_zero_atom():
     with pytest.raises(ZeroColumnError):
         make_measure([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_row_sums_are_the_bytes_of_numpy_sum(d):
+    # Pareto(1/2) rows with zeros of both signs, subnormals and inf entries;
+    # read-only, as a batch's xs is
+    rng = np.random.default_rng(d)
+    xs = (1.0 - rng.random((5000, d))) ** -2.0 - 1.0
+    xs[::7, rng.integers(d)] = 0.0
+    xs[1::13] = -0.0
+    xs[2::11] *= 1e-310
+    xs[3::97, -1] = np.inf
+    xs.setflags(write=False)
+    before = xs.tobytes()
+    out = row_sums(xs)
+    assert out.tobytes() == xs.sum(axis=1).tobytes()
+    assert xs.tobytes() == before and not np.shares_memory(out, xs)
+
+
+def test_row_sums_of_a_batch_and_of_overflowing_rows():
+    batch = generate_dataset(ModelSpec(A=np.ones((3, 3)), alpha=1.0, s=0.2), 4096, seed=5)
+    assert row_sums(batch.xs).tobytes() == batch.xs.sum(axis=1).tobytes()
+    huge = np.full((4, 3), 1.5e308)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        assert row_sums(huge).tolist() == huge.sum(axis=1).tolist() == [np.inf] * 4
 
 
 @st.composite

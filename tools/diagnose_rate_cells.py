@@ -44,6 +44,7 @@ from tailfactor import (
     wasserstein_p,
 )
 from tailfactor.harness import run_staged_experiment
+from tailfactor.measures import row_sums
 from tailfactor.sampling import tail_threshold, worst_case_tilts
 
 BASE_SEED = 20240601
@@ -103,7 +104,7 @@ def population_bias(n, cfg: ConvConfig):
     kept, total = [], 0
     while total < POP_POINTS:
         x = sample_pareto(cfg.alpha, gen, size=(1 << 20, 2)) @ A.T
-        norms = x.sum(axis=1)
+        norms = row_sums(x)
         above = x[norms > tau] / norms[norms > tau, None]
         kept.append(above)
         total += above.shape[0]

@@ -163,14 +163,23 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     """Magnitude stage of the two-step estimator, given the direction matrix.
 
     Decouples coordinates with the inverse of ``a_dir``, then solves the
-    tail-frequency equation per coordinate.  Returns (A_hat, measure).
+    tail-frequency equation per coordinate.  A row whose product overflows
+    float64 is scaled by its largest entry and compared with tau scaled the
+    same way, as ``_onto_simplex`` keeps such a row.  Returns (A_hat, measure).
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
-    transformed = batch.xs @ a_inv.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = batch.xs @ a_inv.T
     n = batch.n
     tau = tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa)
-    counts = [int((col > tau).sum()) for col in transformed.T]
+    above = transformed > tau
+    if not np.isfinite(transformed).all():  # one pass; a per-row test costs more
+        big = ~np.isfinite(transformed).all(axis=1)
+        rows = batch.xs[big]
+        scale = rows.max(axis=1, keepdims=True)
+        above[big] = (rows / scale) @ a_inv.T > tau / scale
+    counts = [int(col.sum()) for col in above.T]
     thetas = np.array([solve_theta(c, n, R_HAT, tau, cfg.alpha) for c in counts])
     a_hat = a_dir * thetas[None, :]
     return a_hat, spectral_measure_of(a_hat, cfg.alpha)

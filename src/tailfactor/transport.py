@@ -10,9 +10,22 @@ depth; after each pivot only the subtree that the leaving cell cut off is
 walked again, re-hung from the entering cell.  Each dual is still set along
 its tree path from row 0, so the duals are byte-identical to a full walk's.
 The entering cell's cycle is the tree path from its row and its column up
-to their lowest common ancestor.  Supports here stay in the low hundreds of
-atoms, so no approximation is needed; the returned optimum is certified
-against the dual solution.
+to their lowest common ancestor, the apex.  Supports here stay in the low
+hundreds of atoms, so no approximation is needed; the returned optimum is
+certified against the dual solution.
+
+Termination follows from a rule, not from a pivot count (Cunningham, Math.
+Programming 1976; Ahuja, Magnanti & Orlin, Network Flows, ch. 11).  The
+tree, rooted at row 0, is kept strongly feasible: every basic cell of zero
+flow hangs its row below its column, so positive flow could reach row 0
+from every node.  The leaving cell is the last blocking cell met when the
+cycle is walked from the apex in the entering cell's direction.  That keeps
+the tree strongly feasible; a degenerate pivot then cuts off the subtree
+that holds the entering cell's row and lowers the sum of the row duals less
+the column duals, and every other pivot lowers the objective, so no basis
+comes back.  The northwest-corner start is strongly feasible for positive
+supplies and demands away from rounding (see ``solve_transport``); from
+such a start the pivot cap that remains is a bug guard only.
 
 Where the largest cost's p-th power leaves [TINY, inf), as it does for p
 in the thousands, the costs are divided by the largest one before the
@@ -41,7 +54,9 @@ def _northwest_corner(a, b):
     """Initial basic feasible solution with exactly m+n-1 basic cells.
 
     Returns the flow, the basic-cell mask and the basis tree's adjacency
-    lists (nodes 0..m-1 are rows, m.. columns).
+    lists (nodes 0..m-1 are rows, m.. columns).  The cells form one path
+    from row 0: a row hangs below the column of its first cell, a column
+    below the row of its first cell.
     """
     m, n = len(a), len(b)
     flow = np.zeros((m, n))
@@ -117,6 +132,20 @@ def solve_transport(a, b, cost):
 
     Returns (gamma, objective).  Raises SolverFailureError if optimality
     cannot be certified; that signals a bug, not bad input.
+
+    The northwest-corner start is strongly feasible exactly where the first
+    cell of every column carries positive flow: its tie rule advances the
+    row, so each other zero-flow cell hangs its row below its column.  In
+    exact arithmetic that holds when a[0] and every demand are positive; in
+    float64 the corner's running remainders must also not use up the last
+    row before its last column, which only a remaining demand within
+    rounding of zero can do.  ``_optimum`` keeps only weights >= WEIGHT_DROP,
+    so its solves meet the exact condition, and the measures this package
+    builds, whose weights are counts over a sample size, are far from the
+    rounding.  Where the start is not strongly feasible, as for a zero
+    demand passed here directly, the leaving rule proves nothing and the
+    pivot cap ``100 (m+n)^2 + 1000`` is the guard; from a strongly feasible
+    start the cap is a bug guard only.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -129,7 +158,8 @@ def solve_transport(a, b, cost):
     pot, parent, depth = tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
     if _walk(m, cost_rows, adj, tree, 0) != m + n:
         raise SolverFailureError("basis graph is not a spanning tree")
-    for _ in range(100 * (m + n) ** 2 + 1000):
+    cap = 100 * (m + n) ** 2 + 1000  # a bug guard from a strongly feasible start
+    for _ in range(cap):
         u, v = np.array(pot[:m]), np.array(pot[m:])
         reduced = cost - u[:, None] - v[None, :]
         reduced[basic] = 0.0
@@ -139,9 +169,14 @@ def solve_transport(a, b, cost):
         cycle, row_side = _cycle(m, parent, depth, i0, j0)
         # Entering cell gets +theta; path cells alternate starting with -.
         minus = cycle[0::2]
-        theta = min(flow[e] for e in minus)
-        q = next(q for q, e in enumerate(minus) if flow[e] <= theta)
+        # Leave at the last blocking cell met walking the cycle from the apex
+        # down to row i0, across the entering cell and up from column j0:
+        # the first least flow in the order column j0's side from the apex
+        # down, then row i0's side from i0 up.
+        side = (row_side + 1) // 2  # minus[side:] lie on column j0's side
+        q = min([*range(side, len(minus)), *range(side)], key=lambda q: flow[minus[q]])
         li, lj = minus[q]
+        theta = flow[li, lj]
         flow[i0, j0] += theta
         for k, e in enumerate(cycle):
             flow[e] += theta if k % 2 == 1 else -theta
@@ -153,12 +188,12 @@ def solve_transport(a, b, cost):
         adj[m + j0].append(i0)
         # The leaving cell cut off the subtree holding the entering cell's
         # end on its side of the ancestor; hang it from the other end.
-        end, other = (i0, m + j0) if 2 * q < row_side else (m + j0, i0)
+        end, other = (i0, m + j0) if q < side else (m + j0, i0)
         parent[end], depth[end] = other, depth[other] + 1
         pot[end] = cost_rows[i0][j0] - pot[other]
         _walk(m, cost_rows, adj, tree, end)
     else:
-        raise SolverFailureError("pivot limit reached without optimality")
+        raise SolverFailureError(f"bug guard: {cap} pivots without optimality")
 
     # Certify with the final basis's duals: dual feasibility and
     # complementary slackness.

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from tailfactor import cli
 from tailfactor.cli import experiment_config_from, load_config, main
+from tailfactor.estimators import TwoStepConfig, estimate_two_step
 from tailfactor.measures import (
     make_measure,
     measure_from_json,
     measure_to_json,
     spectral_measure_of,
 )
+from tailfactor.sampling import read_batch
 from tailfactor.transport import wasserstein_p
 
 
@@ -182,6 +184,22 @@ def test_experiment_smoke_runs_fast_and_emits_files(tmp_path, capsys):
         assert (out / name).exists(), name
     stdout = capsys.readouterr().out
     assert "conv: slope=" in stdout and "two-step: slope=" in stdout
+
+
+def test_experiment_seed_override_sets_the_base_seed(tmp_path):
+    # --seed-override gives the rows of the config with that base_seed
+    rows = {}
+    for name, seed, override in (
+        ("own", 1, []),
+        ("override", 1, ["--seed-override", "99"]),
+        ("config", 99, []),
+    ):
+        run = tmp_path / name
+        run.mkdir()
+        argv = _experiment(lambda d: d["experiment"].update(base_seed=seed))(run)
+        assert main(override + argv) == 0
+        rows[name] = (run / "out" / "rows.csv").read_bytes()
+    assert rows["override"] == rows["config"] != rows["own"]
 
 
 def test_experiment_unwritable_out_dir_exits_one(tmp_path, capsys):
@@ -463,6 +481,10 @@ MALFORMED = {
         _experiment(lambda d: d["experiment"].update(n_grid=[True, 2, 3])),
         "experiment.n_grid.0",
     ),
+    "n-grid-not-a-list": (
+        _experiment(lambda d: d["experiment"].update(n_grid=1024)),
+        "experiment.n_grid: expected a list of integers",
+    ),
     # Sizes numpy cannot index, rejected before any allocation.
     "simulate-n-1e300": (_simulate(n=1e300), "model.n"),
     "simulate-n-2-62": (_simulate(n=2**62, A="worst-case-diag"), "model.n"),
@@ -515,6 +537,30 @@ def test_estimate_conv_on_overflowing_rows_warns_nothing(tmp_path):
     lines = stderr.getvalue().splitlines()
     assert not caught, [str(w.message) for w in caught]
     assert (rc, lines) == (0, []) or (rc == 1 and len(lines) == 1), (rc, lines)
+
+
+def _overflowing_products(csv):
+    # rows of ones beside rows whose product with the inverse direction
+    # matrix overflows float64; read_batch accepts them
+    rows = ["1,1"] * 1000 + ["1.5e308,1.5e308"] * 3 + ["1.7e308,4e307"] * 3
+    csv.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+    _sidecar(n=len(rows))(csv)
+
+
+def test_estimate_two_step_on_overflowing_products_warns_nothing(tmp_path):
+    argv = _estimate("two-step", spoil_batch=_overflowing_products)(tmp_path)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    lines = stderr.getvalue().splitlines()
+    assert not caught, [str(w.message) for w in caught]
+    assert (rc, lines) == (0, []), lines
+    # the measure the API estimates from the same file
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    _, mu, _ = estimate_two_step(read_batch(tmp_path / "batch.csv"), cfg)
+    assert (tmp_path / "m.json").read_text() == measure_to_json(mu) + "\n"
 
 
 def test_experiment_two_step_on_3x3_model(tmp_path, capsys):

@@ -14,6 +14,7 @@ from tailfactor.errors import (
     TooFewPointsError,
 )
 from tailfactor.estimators import (
+    R_HAT,
     ConvConfig,
     TwoStepConfig,
     conventional_threshold,
@@ -26,7 +27,8 @@ from tailfactor.estimators import (
     two_step_from_directions,
 )
 from tailfactor.measures import ModelSpec, SampleBatch, spectral_measure_of
-from tailfactor.sampling import generate_dataset
+from tailfactor.numerics import invert_square_matrix
+from tailfactor.sampling import generate_dataset, tail_threshold
 from tailfactor.transport import wasserstein_p
 
 
@@ -74,6 +76,31 @@ def test_row_with_overflowing_norm_keeps_its_direction():
         mu, n_tau = empirical_angular_measure(_rows_batch([[3.0, 1.0], [1.7e308, 0.4e308]]), 1.5)
     assert n_tau == 2 and mu.atoms[0].tolist() == [0.75, 0.25]
     assert np.allclose(mu.atoms[1], [17 / 21, 4 / 21], rtol=1e-15, atol=0)
+
+
+# Rows of ones beside rows whose product with the inverse direction matrix
+# overflows float64 (the second kind cancels to about 3.7e292 in the first column).
+OVERFLOWING_PRODUCTS = [[1.0, 1.0]] * 1000 + [[1.5e308, 1.5e308]] * 3 + [[1.7e308, 0.4e308]] * 3
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+    reason="needs a long double wider than float64",
+)
+def test_magnitude_stage_counts_overflowing_products_exactly():
+    batch = _rows_batch(OVERFLOWING_PRODUCTS)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_hat, _, _ = estimate_two_step(batch, cfg)
+    # the per-column counts of an extended-precision product, which does not overflow
+    a_dir, _ = estimate_directions(batch, cfg)
+    wide = batch.xs.astype(np.longdouble) @ invert_square_matrix(a_dir).T.astype(np.longdouble)
+    tau = tail_threshold(batch.n, 2.0, 0.2, 1.0)
+    counts = (wide > tau).sum(axis=0).tolist()
+    assert counts == [6, 3]
+    thetas = [solve_theta(c, batch.n, R_HAT, tau, 2.0) for c in counts]
+    assert np.array_equal(a_hat, a_dir * thetas)
 
 
 def test_conventional_threshold_regimes():

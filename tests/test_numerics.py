@@ -86,6 +86,19 @@ def test_kmeans_inertia_nonincreasing_within_run():
     assert np.all(np.diff(hist) <= 1e-9)
 
 
+def test_lloyd_reseeds_an_empty_cluster():
+    # The third center is far from every point, so no point picks it at
+    # first: Lloyd's update reseeds it at the point farthest from its center.
+    pts = np.random.default_rng(5).uniform(0, 1, size=(50, 2))
+    start = np.array([pts[0], pts[1], [100.0, 100.0]])
+    centers, counts, inertia, history = _lloyd(pts, start.copy())
+    assert (counts > 0).all() and counts.sum() == len(pts)
+    assert np.abs(centers).max() <= 1.0
+    again = _lloyd(pts, start.copy())
+    assert (again[0].tobytes(), again[1].tobytes()) == (centers.tobytes(), counts.tobytes())
+    assert (again[2], again[3]) == (inertia, history)
+
+
 def test_kmeans_permutation_invariant_output():
     pts = RNG.uniform(0, 1, size=(50, 2))
     res = kmeans(pts, 3)

@@ -220,15 +220,32 @@ def test_d3_pivoting_solves_are_pinned():
             assert obj == pytest.approx(linprog_cost(mu, nu, p), rel=1e-8)
 
 
+def _strongly_feasible(m, flow, adj, parent):
+    """Every basic cell of zero flow hangs its row below its column."""
+    return all(parent[i] == col for i in range(m) for col in adj[i] if flow[i, col - m] == 0)
+
+
+def _balanced(a, b):
+    """Integer supplies and demands, each times the other side's total: the
+    totals agree exactly, so solve_transport keeps them as they are."""
+    return a * b.sum(), b * a.sum()
+
+
 @st.composite
 def transport_problems(draw):
     """(a, b, cost): the weights of two measures of 2-40 atoms in d = 2 or
-    3 and their l1 costs to the power 1 or 2, or, tie-heavy, uniform
-    weights with integer costs in {0, 1, 2}."""
+    3 and their l1 costs to the power 1 or 2, or, tie-heavy, uniform or
+    integer weights with integer costs in {0, 1, 2}.  Every weight is
+    positive and far from rounding, so the start is strongly feasible."""
     m, n = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "integer", "measures"]))
+    if kind != "measures":
         cost = draw(hnp.arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 1.0, 2.0])))
-        return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
+        if kind == "uniform":
+            return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
+        units = st.sampled_from([1.0, 2.0, 3.0])
+        a, b = (draw(hnp.arrays(np.float64, k, elements=units)) for k in (m, n))
+        return (*_balanced(a, b), cost)
     d = draw(st.sampled_from([2, 3]))
     unit = st.floats(0.01, 1.0)
     mu, nu = (
@@ -246,7 +263,8 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
     # Spy on the walks.  After each pivot one walk starts at the entering
     # cell's end in the cut-off subtree; the duals, parents and depths it
     # leaves must equal those of a full walk from row 0.  A flow that the
-    # pivot left unchanged marks a zero-theta pivot.
+    # pivot left unchanged marks a zero-theta pivot.  The tree must be
+    # strongly feasible after the start and after every pivot.
     seen = set()
     corner, walk = transport._northwest_corner, transport._walk
     flows = []
@@ -258,6 +276,7 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
 
     def spy_walk(m, cost, adj, tree, start):
         reached = walk(m, cost, adj, tree, start)
+        assert _strongly_feasible(m, flows[0], adj, tree[1])
         if tree[1][start] >= 0:  # not the first walk, from row 0
             size = len(adj)
             full = ([0.0] * size, [-1] * size, [0] * size)
@@ -282,3 +301,27 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
 
     check()
     assert seen == {"row end", "column end", "single leaf", "zero theta"}
+
+
+def test_northwest_corner_start_is_strongly_feasible_where_documented():
+    # Exact supplies and demands, some 0: the start is strongly feasible
+    # exactly where a[0] and every demand are positive.  From a start that
+    # is not, the solve still certifies its optimum.
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(400):
+        m, n = (int(k) for k in rng.integers(2, 8, size=2))
+        a, b = _balanced(*(rng.integers(0, 4, size=k).astype(float) for k in (m, n)))
+        if not (a.sum() > 0 and b.sum() > 0):
+            continue
+        flow, _, adj = transport._northwest_corner(a, b)
+        tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
+        assert transport._walk(m, np.zeros((m, n)).tolist(), adj, tree, 0) == m + n
+        documented = bool(a[0] > 0 and b.min() > 0)
+        assert _strongly_feasible(m, flow, adj, tree[1]) == documented, (a, b)
+        seen.add(documented)
+        if not documented:
+            cost = rng.integers(0, 3, size=(m, n)).astype(float)
+            _, obj = solve_transport(a, b, cost)
+            assert obj == pytest.approx(linprog_plan_cost(a, b, cost), abs=1e-8)
+    assert seen == {True, False}

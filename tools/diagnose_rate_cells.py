@@ -43,8 +43,9 @@ from tailfactor import (
     spectral_measure_of,
     wasserstein_p,
 )
+from tailfactor.errors import NoExceedancesError
+from tailfactor.estimators import _thresholded_points
 from tailfactor.harness import run_staged_experiment
-from tailfactor.measures import row_sums
 from tailfactor.sampling import tail_threshold, worst_case_tilts
 
 BASE_SEED = 20240601
@@ -104,8 +105,10 @@ def population_bias(n, cfg: ConvConfig):
     kept, total = [], 0
     while total < POP_POINTS:
         x = sample_pareto(cfg.alpha, gen, size=(1 << 20, 2)) @ A.T
-        norms = row_sums(x)
-        above = x[norms > tau] / norms[norms > tau, None]
+        try:
+            above, _ = _thresholded_points(x, tau)
+        except NoExceedancesError:
+            continue
         kept.append(above)
         total += above.shape[0]
     km = kmeans(np.concatenate(kept)[:POP_POINTS], A.shape[1])

@@ -12,6 +12,7 @@ from .errors import (
     NearSingularError,
     TooFewPointsError,
 )
+from .measures import row_sums
 
 
 # Lloyd's algorithm off the line: starts, iteration cap, l1 center-move stop.
@@ -33,7 +34,7 @@ class KMeansResult:
 def _assign_points(points, centers):
     d2 = np.empty((points.shape[0], centers.shape[0]))
     for c, center in enumerate(centers):
-        d2[:, c] = ((points - center) ** 2).sum(axis=1)
+        d2[:, c] = row_sums((points - center) ** 2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
     return labels, inertia
@@ -53,7 +54,7 @@ def _kmeans_pp_seed(points, k, gen):
     centers = np.empty((k, points.shape[1]))
     idx = int(gen.integers(n))
     centers[0] = points[idx]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = row_sums((points - centers[0]) ** 2)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -63,7 +64,7 @@ def _kmeans_pp_seed(points, k, gen):
             idx = int(np.searchsorted(np.cumsum(d2), r))
             idx = min(idx, n - 1)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, row_sums((points - centers[c]) ** 2))
     return centers
 
 
@@ -81,7 +82,7 @@ def _lloyd(points, centers):
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
             # Reseed each empty cluster at the point farthest from its center.
-            d2 = ((points - new_centers[labels]) ** 2).sum(axis=1)
+            d2 = row_sums((points - new_centers[labels]) ** 2)
             for c in np.nonzero(~nonempty)[0]:
                 far = int(np.argmax(d2))
                 new_centers[c] = points[far]
@@ -241,7 +242,7 @@ def kmeans(points, k: int) -> KMeansResult:
         labels = _exact_line_labels(points, *line, k)
         sums, counts = _center_update(points, labels, k)
         centers = sums / counts[:, None]
-        inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
+        inertia = float(row_sums((points - centers[labels]) ** 2).sum())
         order = np.lexsort(centers.T[::-1])
         centers, counts, history = centers[order], counts[order], ()
     else:

@@ -119,10 +119,10 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
             z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
             hits = np.flatnonzero(row_sums(z) >= t)[:need]
         used = int(hits[-1]) + 1 if hits.size == need else len(z)
-        finite = np.isfinite(z[:used]).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(z[:used]).all():  # rows are counted only for the message
+            bad = int((~np.isfinite(z[:used]).all(axis=1)).sum())
             raise SampleOverflowError(
-                f"{used - int(finite.sum())} of {used} proposals overflowed "
+                f"{bad} of {used} proposals overflowed "
                 f"float64 (t={t}, m={m}, alpha={alpha})"
             )
         out[filled : filled + hits.size] = z[hits]

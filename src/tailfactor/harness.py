@@ -128,8 +128,10 @@ def _default_runner(cfg: ExperimentConfig):
     return run
 
 
-def _replicate_task(cfg: ExperimentConfig, n: int, rep: int, runner):
-    spec, truth = _model_at(cfg, n)
+def _replicate_task(cfg: ExperimentConfig, model, n: int, rep: int, runner):
+    """The result rows of replicate ``rep`` at n, drawn from ``model``, the
+    (spec, truth) pair `_model_at` gives at n."""
+    spec, truth = model
     batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep)
     rows = []
     for tag in cfg.tags:
@@ -264,12 +266,15 @@ def run_convergence_experiment(
     """Full grid sweep on ``threads`` >= 1 worker threads; deterministic given
     cfg.base_seed for any thread count.
 
-    While the replicates run, OpenBLAS runs at one thread in the whole
-    process, also for BLAS calls on other Python threads; the count it had
-    before returns when the last overlapping sweep ends."""
+    Each grid point's spec and true measure are built once, before the
+    pool starts, and its replicates share them.  While the replicates run,
+    OpenBLAS runs at one thread in the whole process, also for BLAS calls
+    on other Python threads; the count it had before returns when the last
+    overlapping sweep ends."""
     if runner is None:
         runner = _default_runner(cfg)
-    tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
+    models = {n: _model_at(cfg, n) for n in cfg.n_grid}
+    tasks = [(models[n], n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
         chunks = pool.map(lambda t: _replicate_task(cfg, *t, runner), tasks)
         rows = tuple(row for chunk in chunks for row in chunk)

@@ -40,20 +40,32 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
+def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
+    """``pareto_quantile(u, alpha)`` written over the float64 array ``u``:
+    one pass each for 1 - u, the power and the - 1, and no temporary."""
+    check_alpha(alpha)
+    np.subtract(1.0, u, out=u)
+    u **= -1.0 / alpha
+    u -= 1.0
+    return u
+
+
 def pareto_quantile(u, alpha: float):
     """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf).
 
-    Raises InvalidAlphaError unless 0 < alpha < inf."""
-    check_alpha(alpha)
-    return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / alpha) - 1.0
+    Computed in one new array; ``u`` is left as it was.  Raises
+    InvalidAlphaError unless 0 < alpha < inf."""
+    return _pareto_in_place(np.array(u, dtype=np.float64), alpha)[()]
 
 
 def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
     """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1) with the
     numpy Generator ``gen`` (``RngStream(...).generator()`` makes one).
 
+    The quantile is applied in place to the array of uniforms ``gen``
+    draws; without ``size`` that is one float, and a scalar is returned.
     Raises InvalidAlphaError unless 0 < alpha < inf."""
-    return pareto_quantile(gen.random(size), alpha)
+    return _pareto_in_place(np.asarray(gen.random(size)), alpha)[()]
 
 
 # Largest round of the conditional sampler, unless more vectors are missing.
@@ -80,15 +92,21 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
     a rare event costs a few rounds rather than one per proposal.  A round
     counts only its proposals up to the last vector it takes, which makes
     the result the first ``count`` accepted proposals of the stream,
-    however the rounds fall.  Raises MaxTrialsExceededError once
+    however the rounds fall.  Each round's proposals are built in the
+    array of uniforms it draws, one column at a time: a column of an
+    (rows, m) array is one long vector op where a (rows, m) broadcast runs
+    numpy's inner loop once per row.  Raises MaxTrialsExceededError once
     count * max_trials proposals leave vectors missing, and
     SampleOverflowError as soon as a counted proposal has a coordinate
     beyond the float64 range: dropping it would truncate the law.  Raises
-    InvalidAlphaError unless 0 < alpha < inf, and ValueError for m < 1.
+    InvalidAlphaError unless 0 < alpha < inf, and ValueError for m < 1 or
+    a NaN t.
     """
     check_alpha(alpha)
     if m < 1:
         raise ValueError(f"need m >= 1 components, got {m}")
+    if math.isnan(t):
+        raise ValueError(f"need a threshold t, got {t}")
     if max_trials is None:
         try:
             max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
@@ -97,8 +115,7 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
     budget = count * max_trials
     a = max(float(t), 0.0) / m
     q = (1.0 + a) ** (-alpha)
-    cols = np.arange(m)
-    first_cdf = np.cumsum((1.0 - q) ** cols)
+    first_cdf = np.cumsum((1.0 - q) ** np.arange(m))
     out = np.empty((count, m))
     filled = proposals = 0
     while filled < count:
@@ -113,14 +130,19 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
             size = max(need, math.ceil(min(need / rate, ROUND_ROWS)))
         u = gen.random((min(size, budget - proposals), m + 1))
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
-        first = np.minimum(first, m - 1)[:, None]
-        z = pareto_quantile(u[:, 1:] * np.where(cols < first, 1.0 - q, 1.0), alpha)
+        first = np.minimum(first, m - 1)
+        z = u[:, 1:]  # coordinate j is built in column j + 1 of u
         with np.errstate(over="ignore"):  # overflow raises below
-            z = np.where(cols == first, (1.0 + a) * (1.0 + z) - 1.0, z)
+            for j in range(m):
+                col = z[:, j]
+                col[np.flatnonzero(first > j)] *= 1.0 - q  # truncated to [0, a)
+                _pareto_in_place(col, alpha)
+                at = np.flatnonzero(first == j)
+                col[at] = (1.0 + a) * (1.0 + col[at]) - 1.0  # conditioned on >= a
             hits = np.flatnonzero(row_sums(z) >= t)[:need]
         used = int(hits[-1]) + 1 if hits.size == need else len(z)
-        if not np.isfinite(z[:used]).all():  # rows are counted only for the message
-            bad = int((~np.isfinite(z[:used]).all(axis=1)).sum())
+        if not all(np.isfinite(z[:used, j]).all() for j in range(m)):
+            bad = int((~np.isfinite(z[:used]).all(axis=1)).sum())  # for the message
             raise SampleOverflowError(
                 f"{bad} of {used} proposals overflowed "
                 f"float64 (t={t}, m={m}, alpha={alpha})"
@@ -170,14 +192,18 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     Coordinates are i.i.d. Pareto(alpha) for "iid-pareto".  The worst case
     divides coordinate j by its tilt and redraws the rows with l1-norm at or
     above the tail threshold from the untilted law above it; its tilts and
-    threshold depend on the sample size n.
+    threshold depend on the sample size n.  Both steps work in the drawn
+    array one column at a time.
     """
     z = sample_pareto(spec.alpha, gen, (n, spec.m))
     if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
-        z /= np.array(worst_case_tilts(n, spec.s))
+        for j, tilt in enumerate(worst_case_tilts(n, spec.s)):
+            z[:, j] /= tilt
         t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
-        mask = row_sums(z) >= t
-        z[mask] = sample_conditional_pareto(int(mask.sum()), 2, spec.alpha, t, gen)
+        rows = np.flatnonzero(row_sums(z) >= t)
+        redrawn = sample_conditional_pareto(rows.size, 2, spec.alpha, t, gen)
+        for j in range(2):
+            z[rows, j] = redrawn[:, j]
     return z
 
 

@@ -60,6 +60,24 @@ def test_ground_truth_weights():
     assert mu.weights[1] == pytest.approx(w_big, abs=1e-12)
 
 
+def test_replicates_share_the_model_built_once_per_grid_point(monkeypatch):
+    cfg = _cfg(replicates=4)
+    calls = []
+    build = harness._model_at
+    monkeypatch.setattr(harness, "_model_at", lambda cfg, n: calls.append(n) or build(cfg, n))
+    seen = {}
+
+    def runner(tag, batch, truth):
+        seen.setdefault(batch.n, []).append((batch.spec, truth))
+        return 1.0 / batch.n, 1, None
+
+    run_convergence_experiment(cfg, threads=2, runner=runner)
+    assert calls == list(cfg.n_grid)
+    for models in seen.values():
+        assert len(models) == 4
+        assert all(spec is models[0][0] and mu is models[0][1] for spec, mu in models)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(n_grid=(256, 512))  # too short

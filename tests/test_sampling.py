@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -48,6 +49,29 @@ def test_pareto_sampler_matches_cdf(alpha):
     # CDF of the shifted Pareto: F(x) = 1 - (1+x)^(-alpha)
     stat, _ = stats.kstest(x, lambda t: 1.0 - (1.0 + t) ** (-alpha))
     assert stat < 0.01
+
+
+def test_pareto_quantile_leaves_its_argument_unchanged():
+    u = np.array([0.0, 0.25, 0.75, 0.999])
+    before = u.copy()
+    z = pareto_quantile(u, 2.0)
+    assert np.array_equal(u, before) and z is not u
+    u.flags.writeable = False  # a read-only array is copied, not written
+    assert np.array_equal(pareto_quantile(u, 2.0), z)
+    assert pareto_quantile([0.75], 2.0).tolist() == [1.0]
+    assert isinstance(pareto_quantile(0.75, 2.0), np.float64)
+
+
+def test_sample_pareto_without_size_draws_a_scalar():
+    # gen.random() then gives a float, which no kernel can write in place.
+    x = sample_pareto(2.0, RngStream(7, 0).generator())
+    assert isinstance(x, np.float64) and x >= 0.0
+    u = RngStream(7, 0).generator().random()
+    assert x == pareto_quantile(u, 2.0)
+    assert sample_pareto(2.0, RngStream(7, 0).generator(), 1)[0] == x
+    for alpha in (-1.0, 0.0):
+        with pytest.raises(InvalidAlphaError):
+            sample_pareto(alpha, RngStream(1, 0).generator())
 
 
 def test_tilted_sampler_matches_cdf():
@@ -153,6 +177,9 @@ def test_extreme_alpha_raises_typed_errors():
     spec = ModelSpec(A=np.eye(2), alpha=1e-3, s=0.2, latent_kind="iid-pareto")
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         generate_dataset(spec, 64, seed=1)
+    # the conditional sampler's power overflows too: a typed error, no warning
+    with pytest.raises(SampleOverflowError, match="alpha=0.001"):
+        sample_conditional_pareto(5, 2, 1e-3, 1.0, RngStream(1, 0).generator())
     # alpha <= 0 is no tail index; m = 0 is no vector
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
@@ -165,6 +192,11 @@ def test_extreme_alpha_raises_typed_errors():
         sample_conditional_pareto(3, 2, -2.0, 5.0, RngStream(1, 0).generator())
     with pytest.raises(ValueError, match="m >= 1"):
         sample_conditional_pareto(3, 0, 2.0, 5.0, RngStream(1, 0).generator())
+    # a NaN threshold is no event: rejected before any draw, as m < 1 is
+    gen = RngStream(1, 0).generator()
+    with pytest.raises(ValueError, match="need a threshold t, got nan"):
+        sample_conditional_pareto(10, 2, 2.0, float("nan"), gen)
+    assert gen.random() == RngStream(1, 0).generator().random()
 
 
 def test_sample_batch_checks_its_rows():
@@ -267,6 +299,65 @@ def test_generate_dataset_deterministic_and_stream_separated():
     check_sample_size(5 * 10**17, 2)
     with pytest.raises(SampleSizeError, match="n x 3"):
         check_sample_size(5 * 10**17, 3)
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the shape and bytes of generate_dataset(spec, n,
+# 20240601, stream_id).xs; the iid models take a non-diagonal 3 x 3 A and
+# the worst case its diagonal A at n.
+@pytest.mark.parametrize(
+    "kind, alpha, s, n, stream_id, digest",
+    [
+        ("iid-pareto", 0.5, 0.2, 1000, 0, "e4ca71a05cd16900"),
+        ("iid-pareto", 2.0, 0.4, 4096, 3, "9cfed01b090eab1c"),
+        ("iid-pareto", 1.3, 0.25, 777, 11, "2b65cdc3b9601057"),
+        ("tilted-worst-case", 2.0, 0.2, 2048, 0, "8bd64d4e422ba258"),
+        ("tilted-worst-case", 1.0, 0.4, 8192, 5, "82b2c983f2391d96"),
+        ("tilted-worst-case", 0.5, 0.25, 3000, 1, "0cca6b04b4192ab5"),
+        ("tilted-worst-case", 2.0, 0.4, 131072, 7, "c95298dfd3a64c41"),
+    ],
+)
+def test_generate_dataset_pins_its_bytes(kind, alpha, s, n, stream_id, digest):
+    if kind == "iid-pareto":
+        A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]])
+    else:
+        A = np.diag(worst_case_tilts(n, s))
+    spec = ModelSpec(A=A, alpha=alpha, s=s, latent_kind=kind)
+    assert _digest(generate_dataset(spec, n, 20240601, stream_id).xs) == digest
+
+
+# The same for 300 conditional vectors drawn from RngStream(m, int(t)).
+@pytest.mark.parametrize(
+    "m, alpha, t, digest",
+    [
+        (1, 2.0, 0.0, "9199c20eacd55dde"),
+        (1, 2.0, 1.0, "13ce7ed7ea9db80d"),
+        (1, 2.0, 10.0, "5138a07ed0a73e6b"),
+        (1, 2.0, 1e3, "d85857a3d173cc10"),
+        (2, 2.0, 0.0, "da90eddcc1ec96d8"),
+        (2, 2.0, 1.0, "d270d6f5f8cbb267"),
+        (2, 2.0, 10.0, "ef7ab0fdcd857887"),
+        (2, 2.0, 1e3, "301dd7f8d696f9f5"),
+        (3, 2.0, 0.0, "88e020312dba15fb"),
+        (3, 2.0, 1.0, "79c581b0e670baba"),
+        (3, 2.0, 10.0, "e4dfebbf02a963af"),
+        (3, 2.0, 1e3, "558f887dce2d39cb"),
+        (5, 2.0, 0.0, "442ac90a620899b7"),
+        (5, 2.0, 1.0, "9480e8ac98f40718"),
+        (5, 2.0, 10.0, "c7d202eb06e1c8ab"),
+        (5, 2.0, 1e3, "0578f10608e9f5eb"),
+        (1, 0.5, 1.0, "ddb1340a41a94ac7"),
+        (2, 1.0, 10.0, "c80b12bbd0c60c62"),
+        (3, 0.5, 1e3, "93442e95256325ce"),
+    ],
+)
+def test_conditional_sampler_pins_its_bytes(m, alpha, t, digest):
+    out = sample_conditional_pareto(300, m, alpha, t, RngStream(m, int(t)).generator())
+    assert _digest(out) == digest
 
 
 def test_batch_csv_round_trip(tmp_path):

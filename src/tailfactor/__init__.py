@@ -38,6 +38,7 @@ from .numerics import (
 from .sampling import (
     RngStream,
     generate_dataset,
+    pareto_draw,
     sample_conditional_pareto,
     sample_pareto,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "make_measure",
     "measure_from_json",
     "measure_to_json",
+    "pareto_draw",
     "run_convergence_experiment",
     "sample_conditional_pareto",
     "sample_pareto",

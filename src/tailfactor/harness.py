@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .measures import ModelSpec, spectral_measure_of, _fmt
 from .numerics import fit_loglog_slope
-from .sampling import check_sample_size, generate_dataset, worst_case_tilts
+from .sampling import check_sample_size, generate_dataset, pareto_draw, worst_case_tilts
 from .svg import line_chart
 from .transport import wasserstein_p
 
@@ -128,11 +128,12 @@ def _default_runner(cfg: ExperimentConfig):
     return run
 
 
-def _replicate_task(cfg: ExperimentConfig, model, n: int, rep: int, runner):
+def _grid_point_rows(cfg: ExperimentConfig, model, n: int, rep: int, draw, runner):
     """The result rows of replicate ``rep`` at n, drawn from ``model``, the
-    (spec, truth) pair `_model_at` gives at n."""
+    (spec, truth) pair `_model_at` gives at n, on the prefix of the
+    replicate's shared Pareto draw ``draw``."""
     spec, truth = model
-    batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep)
+    batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep, draw=draw)
     rows = []
     for tag in cfg.tags:
         try:
@@ -143,6 +144,38 @@ def _replicate_task(cfg: ExperimentConfig, model, n: int, rep: int, runner):
                 ResultRow(n, rep, tag, float("nan"), None, None, True, type(exc).__name__)
             )
     return rows
+
+
+def _replicate_task(cfg: ExperimentConfig, models, rep: int, runner):
+    """The result rows of replicate ``rep``, one list per grid point n,
+    drawn from ``models[n]``.
+
+    The replicate's i.i.d. Pareto draw is taken once, at the largest n, and
+    each grid point's batch reads its first n rows (see
+    `generate_dataset`).  Grid points run in ascending n, each batch freed
+    before the next is built, and the largest builds its batch in the
+    shared draw itself.  An exception ends the list in place of the grid
+    point that raised it, for the caller to raise in (n, replicate) order."""
+    n_max = cfg.n_grid[-1]
+    out = []
+    try:
+        draw = pareto_draw(models[n_max][0], n_max, cfg.base_seed, rep)
+        for n in cfg.n_grid:
+            out.append(_grid_point_rows(cfg, models[n], n, rep, draw, runner))
+    except Exception as exc:  # the caller raises it in (n, replicate) order
+        out.append(exc)
+    return out
+
+
+def _median(values) -> float:
+    """``float(np.median(values))`` of a short list, to the byte: the middle
+    value, or the mean (a + b) / 2 of the two middle ones; nan if one is
+    nan.  np.median's first call imports numpy.ma, which this avoids."""
+    xs = sorted(float(v) for v in values)
+    if any(math.isnan(x) for x in xs):
+        return math.nan
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
 def stage_errors(batch, ts_cfg, truth, p):
@@ -266,18 +299,32 @@ def run_convergence_experiment(
     """Full grid sweep on ``threads`` >= 1 worker threads; deterministic given
     cfg.base_seed for any thread count.
 
-    Each grid point's spec and true measure are built once, before the
-    pool starts, and its replicates share them.  While the replicates run,
-    OpenBLAS runs at one thread in the whole process, also for BLAS calls
-    on other Python threads; the count it had before returns when the last
-    overlapping sweep ends."""
+    Replicate r draws from the stream (cfg.base_seed, r) at every grid
+    point, and the i.i.d. Pareto draw at n is the first n rows of the one
+    at the largest n.  So each replicate is one pool task: it takes that
+    draw once, at the largest n, and runs the grid points on its prefixes
+    in ascending n.  With fewer replicates than threads, the threads beyond
+    the replicate count stay idle.  Rows are assembled in (n, replicate,
+    estimator) order, and an exception from a task is raised where its grid
+    point falls in that order.  Each grid point's spec and true measure
+    are built once, before the pool starts, and its replicates share them.
+    While the replicates run, OpenBLAS runs at one thread in the whole
+    process, also for BLAS calls on other Python threads; the count it had
+    before returns when the last overlapping sweep ends."""
     if runner is None:
         runner = _default_runner(cfg)
     models = {n: _model_at(cfg, n) for n in cfg.n_grid}
-    tasks = [(models[n], n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(lambda t: _replicate_task(cfg, *t, runner), tasks)
-        rows = tuple(row for chunk in chunks for row in chunk)
+        per_rep = list(
+            pool.map(lambda rep: _replicate_task(cfg, models, rep, runner), range(cfg.replicates))
+        )
+    rows = []
+    for i in range(len(cfg.n_grid)):
+        for chunks in per_rep:  # a task's list ends at its exception
+            if isinstance(chunks[i], Exception):
+                raise chunks[i]
+            rows.extend(chunks[i])
+    rows = tuple(rows)
 
     slope_fits = {}
     failure_rate = {}
@@ -293,7 +340,7 @@ def run_convergence_experiment(
                     f"every replicate failed for estimator {tag} at n={n}"
                 )
             ns.append(n)
-            errs.append(float(np.median(good)))
+            errs.append(_median(good))
         aggregated[tag] = (tuple(ns), tuple(errs))
         slope, intercept, r2 = fit_loglog_slope(ns, errs)
         slope_fits[tag] = (slope, intercept, r2, len(ns))
@@ -379,7 +426,7 @@ def emit_outputs(result: ExperimentResult, out_dir) -> None:
         if not tag_counts:
             continue
         ns = sorted(tag_counts)
-        ys = [transform(float(np.median(tag_counts[n]))) for n in ns]
+        ys = [transform(_median(tag_counts[n])) for n in ns]
         _write_text(
             out_dir / fname,
             line_chart(

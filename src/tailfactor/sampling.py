@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     InvalidAlphaError,
     InvalidAtomError,
     MaxTrialsExceededError,
@@ -50,12 +51,30 @@ def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
     return u
 
 
+def _pareto_quiet(u: np.ndarray, alpha: float) -> np.ndarray:
+    """``_pareto_in_place(u, alpha)`` with no warning: a quantile beyond the
+    float64 range reads inf."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return _pareto_in_place(u, alpha)
+
+
+def _finite(x: np.ndarray, alpha: float):
+    """``x[()]``, or SampleOverflowError where an entry of x is inf."""
+    if np.isinf(x).any():
+        raise SampleOverflowError(
+            f"{int(np.isinf(x).sum())} of {x.size} Pareto draws overflowed "
+            f"float64 at alpha={alpha}"
+        )
+    return x[()]
+
+
 def pareto_quantile(u, alpha: float):
     """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf).
 
     Computed in one new array; ``u`` is left as it was.  Raises
-    InvalidAlphaError unless 0 < alpha < inf."""
-    return _pareto_in_place(np.array(u, dtype=np.float64), alpha)[()]
+    InvalidAlphaError unless 0 < alpha < inf, and SampleOverflowError where
+    a quantile is beyond the float64 range (u = 1, or alpha near 0)."""
+    return _finite(_pareto_quiet(np.array(u, dtype=np.float64), alpha), alpha)
 
 
 def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
@@ -64,8 +83,33 @@ def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
 
     The quantile is applied in place to the array of uniforms ``gen``
     draws; without ``size`` that is one float, and a scalar is returned.
-    Raises InvalidAlphaError unless 0 < alpha < inf."""
-    return _pareto_in_place(np.asarray(gen.random(size)), alpha)[()]
+    Raises InvalidAlphaError unless 0 < alpha < inf, and
+    SampleOverflowError where a draw is beyond the float64 range (alpha
+    near 0): dropping it would truncate the law."""
+    return _finite(_pareto_quiet(np.asarray(gen.random(size)), alpha), alpha)
+
+
+def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
+    """The i.i.d. Pareto(spec.alpha) (n, spec.m) array a batch of n rows of
+    `generate_dataset` starts from: the first n * spec.m uniforms of the
+    stream (seed, stream_id), transformed in place.  It is the first n rows
+    of the draw at any larger n.  An entry beyond the float64 range reads
+    inf, with no warning: the worst case redraws its row, and the i.i.d.
+    model's batch refuses it with SampleOverflowError."""
+    return _pareto_quiet(RngStream(seed, stream_id).generator().random((n, spec.m)), spec.alpha)
+
+
+def _skip_draws(gen: np.random.Generator, k: int) -> None:
+    """Move the fresh Philox generator ``gen`` past its next k doubles, as
+    if ``gen.random(k)`` had run: each counter step yields four of them."""
+    gen.bit_generator.advance(k // 4)
+    gen.bit_generator.random_raw(k % 4)
+
+
+def _max_tail(x: float, m: int, alpha: float) -> float:
+    """P(max z >= x) for m i.i.d. Pareto(alpha) components, x >= 0."""
+    q = (1.0 + x) ** -alpha
+    return -math.expm1(m * math.log1p(-q)) if q < 1.0 else 1.0
 
 
 # Largest round of the conditional sampler, unless more vectors are missing.
@@ -87,9 +131,11 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
     Adv. Appl. Prob. 2006), so the default budget is 1000 * ceil(m^(alpha+1))
     proposals per vector, or 0 where m^(alpha+1) overflows float64.
 
-    Proposals are drawn in rounds: one per missing vector at first, then
-    that many over the acceptance rate seen so far (at most ROUND_ROWS), so
-    a rare event costs a few rounds rather than one per proposal.  A round
+    Proposals are drawn in rounds of the missing vectors' count over a
+    lower bound on the acceptance rate (at most ROUND_ROWS rows): at first
+    the larger of m^-(alpha+1) and P(max z >= t | max z >= a), as
+    max(z) >= t implies ||z||_1 >= t; later the acceptance rate seen so
+    far, if higher.  So most calls take one round.  A round
     counts only its proposals up to the last vector it takes, which makes
     the result the first ``count`` accepted proposals of the stream,
     however the rounds fall.  Each round's proposals are built in the
@@ -113,9 +159,12 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
         except OverflowError:  # no floor to size a budget by: none is drawn
             max_trials = 0
     budget = count * max_trials
-    a = max(float(t), 0.0) / m
+    level = max(float(t), 0.0)
+    a = level / m
     q = (1.0 + a) ** (-alpha)
     first_cdf = np.cumsum((1.0 - q) ** np.arange(m))
+    above_a = _max_tail(a, m, alpha)
+    floor = max(m ** -(alpha + 1.0), _max_tail(level, m, alpha) / above_a if above_a else 0.0)
     out = np.empty((count, m))
     filled = proposals = 0
     while filled < count:
@@ -124,10 +173,9 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
                 f"accepted {filled} of {count} vectors after {proposals} "
                 f"proposals (t={t}, m={m}, alpha={alpha})"
             )
-        need = size = count - filled
-        if proposals:
-            rate = max(filled / proposals, m ** -(alpha + 1.0))
-            size = max(need, math.ceil(min(need / rate, ROUND_ROWS)))
+        need = count - filled
+        rate = max(filled / proposals, floor) if proposals else floor
+        size = max(need, math.ceil(min(need / rate, ROUND_ROWS))) if rate else need
         u = gen.random((min(size, budget - proposals), m + 1))
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
         first = np.minimum(first, m - 1)
@@ -193,10 +241,20 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
     divides coordinate j by its tilt and redraws the rows with l1-norm at or
     above the tail threshold from the untilted law above it; its tilts and
     threshold depend on the sample size n.  Both steps work in the drawn
-    array one column at a time.
+    array one column at a time.  Raises SampleOverflowError where an
+    entry of the latent batch is beyond the float64 range; the worst case
+    redraws a row whose i.i.d. draw overflows, as it is above t.
     """
-    z = sample_pareto(spec.alpha, gen, (n, spec.m))
+    z = _pareto_quiet(gen.random((n, spec.m)), spec.alpha)
+    with np.errstate(over="ignore"):  # raises below
+        return _finite(_latent_in_place(spec, z, gen), spec.alpha)
+
+
+def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
+    """The latent batch of `sample_latent_batch`, built in its i.i.d.
+    Pareto draw ``z`` (n, m); ``gen`` stands just past z's uniforms."""
     if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
+        n = len(z)
         for j, tilt in enumerate(worst_case_tilts(n, spec.s)):
             z[:, j] /= tilt
         t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
@@ -205,6 +263,17 @@ def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
         for j in range(2):
             z[rows, j] = redrawn[:, j]
     return z
+
+
+def _times_A(z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """X = A Z for the latent rows ``z``.  A diagonal A scales z's columns
+    in place, with the bytes of the product ``z @ A.T``: there each entry
+    is z_j a_jj plus products z_k * 0 = +0, which change no float."""
+    if A.shape[0] == A.shape[1] and np.array_equal(A, np.diag(np.diagonal(A))):
+        for j, a in enumerate(np.diagonal(A)):
+            z[:, j] *= a
+        return z
+    return z @ A.T
 
 
 def check_sample_size(n: int, width: int) -> None:
@@ -217,14 +286,41 @@ def check_sample_size(n: int, width: int) -> None:
 
 
 def generate_dataset(
-    spec: ModelSpec, n: int, seed: int, stream_id: int = 0
+    spec: ModelSpec, n: int, seed: int, stream_id: int = 0, *, draw=None
 ) -> SampleBatch:
     """n observations X = A Z, bit-reproducible given (seed, stream_id);
-    SampleOverflowError if one leaves the float64 range (alpha near 0)."""
+    SampleOverflowError if one leaves the float64 range (alpha near 0).
+
+    The latent batch starts from ``pareto_draw(spec, n, seed, stream_id)``.
+    That draw is the first n rows of the one at any larger size, so a
+    caller that needs the stream at several n can take it once and pass it
+    as ``draw``: a float64 (N, spec.m) array with N >= n, equal to
+    ``pareto_draw(spec, N, seed, stream_id)``.  Its first n rows then stand
+    in for the batch's own draw, and the batch is the same to the byte:
+    either way the worst case's conditional draws come from a generator
+    moved past the n * m uniforms of those rows.  When ``draw`` has exactly
+    n rows and is writeable, the batch is built in it and it is
+    overwritten; otherwise it is left as it was.  A draw of another shape
+    raises DimensionMismatchError.  A diagonal A scales the latent columns
+    in place instead of forming a second n x m array.
+    """
     check_sample_size(n, max(spec.A.shape))
+    if draw is None:
+        draw = pareto_draw(spec, n, seed, stream_id)
+    elif not (
+        isinstance(draw, np.ndarray)
+        and draw.dtype == np.float64
+        and draw.ndim == 2
+        and draw.shape[1] == spec.m
+        and len(draw) >= n
+    ):
+        got = f"{getattr(draw, 'dtype', type(draw).__name__)} {np.shape(draw)}"
+        raise DimensionMismatchError(f"need a float64 (N >= {n}, {spec.m}) draw, got {got}")
+    z = draw if len(draw) == n and draw.flags.writeable else draw[:n].copy()
     gen = RngStream(seed, stream_id).generator()
+    _skip_draws(gen, n * spec.m)
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
-        xs = sample_latent_batch(spec, n, gen) @ spec.A.T
+        xs = _times_A(_latent_in_place(spec, z, gen), spec.A)
     try:
         return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
     except InvalidAtomError:  # A, Z >= 0: only an overflow makes an entry invalid

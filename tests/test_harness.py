@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,82 @@ def test_replicates_share_the_model_built_once_per_grid_point(monkeypatch):
     for models in seen.values():
         assert len(models) == 4
         assert all(spec is models[0][0] and mu is models[0][1] for spec, mu in models)
+
+
+TWO_STEP = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4)
+ODD_GRID = (257, 515, 1029)  # n * m is 2 or 3 mod 4 for m = 2 and 3
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dict(two_step=TWO_STEP),
+        dict(two_step=TWO_STEP, n_grid=ODD_GRID),
+        dict(two_step=TWO_STEP, fixed_A=np.array([[1.0, 0.3], [0.2, 0.9]])),
+        dict(
+            two_step=TWO_STEP,
+            n_grid=ODD_GRID,
+            latent_kind="iid-pareto",
+            fixed_A=np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]]),
+        ),
+    ],
+    ids=["worst-case", "worst-case-odd-n", "tilted-2x2", "iid-3x3-odd-n"],
+)
+@pytest.mark.parametrize("threads, replicates", [(1, 3), (2, 3), (2, 1)])
+def test_shared_draw_gives_the_rows_of_per_grid_point_draws(monkeypatch, model, threads, replicates):
+    cfg = _cfg(replicates=replicates, **model)
+    shared = run_convergence_experiment(cfg, threads=threads)
+    own = harness.generate_dataset  # each (n, replicate) draws its own sample
+    monkeypatch.setattr(harness, "generate_dataset", lambda *a, draw, **k: own(*a, **k))
+    assert shared.rows == run_convergence_experiment(cfg).rows
+    assert [(r.n, r.replicate) for r in shared.rows[:: len(cfg.tags)]] == [
+        (n, rep) for n in cfg.n_grid for rep in range(replicates)
+    ]
+
+
+def test_sweep_raises_the_first_error_in_grid_order():
+    # Replicate 0 fails at the largest n, replicate 2 at the middle one: the
+    # per-replicate tasks raise the error of (512, 2), which comes first in
+    # (n, replicate) order.
+    def runner(tag, batch, truth):
+        if (batch.n, batch.stream_id) == (1024, 0):
+            raise RuntimeError("late")
+        if (batch.n, batch.stream_id) == (512, 2):
+            raise KeyError("first")
+        return 1.0 / batch.n, 1, None
+
+    for threads in (1, 2):
+        with pytest.raises(KeyError, match="first"):
+            run_convergence_experiment(_cfg(), threads=threads, runner=runner)
+
+
+def test_sweep_imports_no_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, a cost inside every sweep.
+    code = (
+        "import sys\n"
+        "from tailfactor import ConvConfig, ExperimentConfig, TwoStepConfig\n"
+        "from tailfactor import emit_outputs, run_convergence_experiment\n"
+        "cfg = ExperimentConfig(alpha=2.0, s=0.4, n_grid=(256, 512, 1024), replicates=3,\n"
+        "    base_seed=11, conv=ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.4),\n"
+        "    two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))\n"
+        f"emit_outputs(run_convergence_experiment(cfg, threads=2), {str(tmp_path)!r})\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "diag_counts_two_step.svg").exists()
+
+
+def test_median_matches_numpy_to_the_byte():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 4, 7, 30):
+        values = list(rng.pareto(1.5, size)) + [1e308] * (size % 3 == 0)
+        assert harness._median(values) == float(np.median(values))
+        counts = [int(c) for c in rng.integers(1, 10**6, size)]
+        assert harness._median(counts) == float(np.median(counts))
+    assert harness._median([1e308, 1e308]) == np.inf  # (a + b) / 2 overflows, as np.median's
+    assert math.isnan(harness._median([1.0, math.nan, 2.0]))
 
 
 def test_config_validation():

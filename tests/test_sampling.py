@@ -25,6 +25,7 @@ from tailfactor.sampling import (
     RngStream,
     check_sample_size,
     generate_dataset,
+    pareto_draw,
     pareto_quantile,
     read_batch,
     sample_conditional_pareto,
@@ -33,6 +34,7 @@ from tailfactor.sampling import (
     tail_threshold,
     worst_case_tilts,
     write_batch,
+    _skip_draws,
 )
 
 
@@ -177,6 +179,22 @@ def test_extreme_alpha_raises_typed_errors():
     spec = ModelSpec(A=np.eye(2), alpha=1e-3, s=0.2, latent_kind="iid-pareto")
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         generate_dataset(spec, 64, seed=1)
+    # the public Pareto samplers raise it too, with no warning first
+    with pytest.raises(SampleOverflowError, match="alpha=0.001"):
+        sample_pareto(1e-3, RngStream(1, 0).generator(), 6)
+    with pytest.raises(SampleOverflowError, match="1 of 2 Pareto draws"):
+        pareto_quantile([0.5, 1.0 - 1e-10], 1e-3)
+    with pytest.raises(SampleOverflowError):
+        pareto_quantile(1.0, 2.0)  # the quantile at u = 1 is +inf
+    # the worst case redraws a row whose i.i.d. draw overflows: that row is
+    # above the threshold, so the batch is drawn from the law it defines
+    n = 2**17
+    A = np.diag(worst_case_tilts(n, 0.4))
+    spec = ModelSpec(A=A, alpha=0.02, s=0.4, latent_kind="tilted-worst-case")
+    assert np.isinf(pareto_draw(spec, n, 1, 5)).any()
+    assert np.isfinite(generate_dataset(spec, n, 1, 5).xs).all()
+    with pytest.raises(SampleOverflowError):
+        sample_pareto(0.02, RngStream(1, 5).generator(), (n, 2))
     # the conditional sampler's power overflows too: a typed error, no warning
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         sample_conditional_pareto(5, 2, 1e-3, 1.0, RngStream(1, 0).generator())
@@ -301,6 +319,76 @@ def test_generate_dataset_deterministic_and_stream_separated():
         check_sample_size(5 * 10**17, 3)
 
 
+def test_skipping_draws_matches_the_sequential_stream():
+    for k in (1, 2, 3, 4, 500, 999):
+        gen = RngStream(7, 3).generator()
+        gen.random(k)
+        skipped = RngStream(7, 3).generator()
+        _skip_draws(skipped, k)
+        assert np.array_equal(skipped.random(9), gen.random(9)), k
+
+
+def _models():
+    iid = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]])
+    for n in (1, 2, 3, 500, 999):
+        yield n, ModelSpec(A=iid, alpha=1.3, s=0.25, latent_kind="iid-pareto")
+        if n >= 2:
+            A = np.diag(worst_case_tilts(n, 0.4))
+            yield n, ModelSpec(A=A, alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+
+
+def test_shared_draw_prefix_gives_the_batch_bytes():
+    # The rows of a larger draw of the same stream stand in for the batch's
+    # own draw; n * m is odd or 2 mod 4 for several n, so the generator
+    # skips a part of a Philox block.
+    for n, spec in _models():
+        own = generate_dataset(spec, n, 20240601, stream_id=5).xs
+        draw = pareto_draw(spec, 1000, 20240601, 5)
+        sampled = sample_pareto(spec.alpha, RngStream(20240601, 5).generator(), (1000, spec.m))
+        assert np.array_equal(draw, sampled)
+        before = draw.copy()
+        shared = generate_dataset(spec, n, 20240601, stream_id=5, draw=draw).xs
+        assert shared.tobytes() == own.tobytes(), (n, spec.latent_kind)
+        assert np.array_equal(draw, before)  # more rows than n: left as it was
+        exact = draw[:n].copy()
+        batch = generate_dataset(spec, n, 20240601, stream_id=5, draw=exact)
+        assert batch.xs.tobytes() == own.tobytes()
+        frozen = draw[:n].copy()
+        frozen.setflags(write=False)
+        assert generate_dataset(spec, n, 20240601, 5, draw=frozen).xs.tobytes() == own.tobytes()
+        assert np.array_equal(frozen, before[:n])
+    # n rows, writeable and a diagonal A: the batch is the draw itself
+    spec = ModelSpec(A=np.diag([2.0, 0.5]), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+    draw = pareto_draw(spec, 300, 3, 1)
+    assert np.shares_memory(generate_dataset(spec, 300, 3, 1, draw=draw).xs, draw)
+
+
+def test_shared_draw_of_another_shape_raises():
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4)
+    wrong = (np.ones((9, 2)), np.ones((20, 3)), np.ones(40), np.ones((20, 2), np.float32))
+    for bad in (*wrong, [[1.0, 1.0]] * 20):
+        with pytest.raises(DimensionMismatchError, match=r"need a float64 \(N >= 10, 2\) draw"):
+            generate_dataset(spec, 10, seed=1, draw=bad)
+
+
+def test_diagonal_A_scales_in_place_with_the_product_bytes():
+    for kind, A in (
+        ("tilted-worst-case", np.diag(worst_case_tilts(4096, 0.2))),
+        ("iid-pareto", np.diag([3.0, 0.25, 1.0])),
+    ):
+        spec = ModelSpec(A=A, alpha=1.5, s=0.2, latent_kind=kind)
+        z = sample_latent_batch(spec, 4096, RngStream(9, 2).generator())
+        xs = generate_dataset(spec, 4096, 9, 2).xs
+        assert xs.tobytes() == (z @ A.T).tobytes()
+    # an entry of the scaled batch beyond the float64 range still raises
+    spec = ModelSpec(A=np.diag([1e308, 1.0]), alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    with pytest.raises(SampleOverflowError, match="X = A Z overflowed"):
+        generate_dataset(spec, 64, seed=1)
+    draw = pareto_draw(spec, 64, 1)
+    with pytest.raises(SampleOverflowError, match="X = A Z overflowed"):
+        generate_dataset(spec, 64, seed=1, draw=draw)
+
+
 def _digest(a):
     a = np.ascontiguousarray(a)
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:16]
@@ -358,6 +446,50 @@ def test_generate_dataset_pins_its_bytes(kind, alpha, s, n, stream_id, digest):
 def test_conditional_sampler_pins_its_bytes(m, alpha, t, digest):
     out = sample_conditional_pareto(300, m, alpha, t, RngStream(m, int(t)).generator())
     assert _digest(out) == digest
+
+
+class _RecordingGen(np.random.Generator):
+    """A Generator that records the size of each ``random`` call."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return super().random(size)
+
+
+@pytest.mark.parametrize(
+    "m, alpha, t, max_trials, digest",
+    [
+        (3, 2.0, 10.0, 6, "e4dfebbf02a963af"),  # the pin above, uncapped
+        (5, 4.0, 3.0, 10, "0b2f89456dea65ae"),
+    ],
+)
+def test_conditional_sampler_budget_capped_first_round_keeps_its_bytes(
+    m, alpha, t, max_trials, digest
+):
+    # The first round would be the count over a lower bound on the
+    # acceptance rate, more than the budget of 300 * max_trials proposals:
+    # it draws the budget, and the vectors stay the stream's first accepted.
+    gen = _RecordingGen(RngStream(m, int(t)).generator().bit_generator)
+    out = sample_conditional_pareto(300, m, alpha, t, gen, max_trials=max_trials)
+    assert gen.sizes == [(300 * max_trials, m + 1)]
+    assert _digest(out) == digest
+
+
+def test_conditional_sampler_first_round_is_sized_by_the_acceptance_bound():
+    # At the worst case's threshold at n = 2^17, s = 0.2, one proposal per
+    # missing vector took three rounds (234, 636 and 8 proposals).
+    n, s, alpha = 2**17, 0.2, 2.0
+    t = tail_threshold(n, alpha, s)
+    gen = _RecordingGen(RngStream(1, 0).generator().bit_generator)
+    sample_conditional_pareto(234, 2, alpha, t, gen)
+    q_t, q_a = (1.0 + t) ** -alpha, (1.0 + t / 2) ** -alpha
+    bound = (1.0 - (1.0 - q_t) ** 2) / (1.0 - (1.0 - q_a) ** 2)
+    assert gen.sizes[0][0] == pytest.approx(234 / bound, abs=1.0)
+    assert len(gen.sizes) <= 2
 
 
 def test_batch_csv_round_trip(tmp_path):

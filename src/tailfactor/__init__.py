@@ -38,7 +38,6 @@ from .numerics import (
 from .sampling import (
     RngStream,
     generate_dataset,
-    pareto_draw,
     sample_conditional_pareto,
     sample_pareto,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "make_measure",
     "measure_from_json",
     "measure_to_json",
-    "pareto_draw",
     "run_convergence_experiment",
     "sample_conditional_pareto",
     "sample_pareto",

@@ -23,6 +23,7 @@ from .measures import (
     SampleBatch,
     _onto_simplex,
     make_measure,
+    row_sums,
     spectral_measure_of,
 )
 from .numerics import invert_square_matrix, kmeans
@@ -64,13 +65,14 @@ class TwoStepConfig:
             raise ValueError(f"invalid two-step config {self}")
 
 
-def _thresholded_points(xs: np.ndarray, norms: np.ndarray, tau: float):
-    """Normalized samples with l1-norm ``norms`` (from ``row_sums``) strictly
-    above tau, in sample order.
+def _thresholded_points(xs: np.ndarray, tau: float):
+    """Normalized samples with l1-norm strictly above tau, in sample order.
 
     A row whose l1-norm overflows float64 counts as above every tau and is
     normalized after scaling it by its largest entry, as ``make_measure``
     does, so it keeps its direction."""
+    with np.errstate(over="ignore"):
+        norms = row_sums(xs)
     mask = norms > tau
     n_tau = int(mask.sum())
     if n_tau == 0:
@@ -87,7 +89,7 @@ def empirical_angular_measure(batch: SampleBatch, tau: float):
     """
     if tau < 0:
         raise ValueError(f"need tau >= 0, got {tau}")
-    points, n_tau = _thresholded_points(batch.xs, batch.norms, tau)
+    points, n_tau = _thresholded_points(batch.xs, tau)
     mu = make_measure(points, np.full(n_tau, 1.0 / n_tau))
     return mu, n_tau
 
@@ -107,7 +109,7 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
     Returns (measure, n_tau).
     """
     tau = conventional_threshold(batch.n, cfg)
-    points, n_tau = _thresholded_points(batch.xs, batch.norms, tau)
+    points, n_tau = _thresholded_points(batch.xs, tau)
     km = kmeans(points, batch.spec.m)
     return make_measure(km.centers, km.weights), n_tau
 
@@ -127,7 +129,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     """
     tau_tilde = direction_threshold(batch.n, cfg)
     try:
-        points, n_tt = _thresholded_points(batch.xs, batch.norms, tau_tilde)
+        points, n_tt = _thresholded_points(batch.xs, tau_tilde)
     except NoExceedancesError:
         raise TooFewPointsError(f"n_tau_tilde=0 below m={batch.spec.m}") from None
     km = kmeans(points, batch.spec.m)

@@ -6,7 +6,6 @@ the normalized columns of A, weighted by the alpha-th power of the column
 norms.  ``spectral_measure_of`` builds that measure in canonical form.
 """
 
-import functools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -289,14 +288,6 @@ class SampleBatch:
     @property
     def n(self) -> int:
         return self.xs.shape[0]
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        """Read-only l1-norms of the rows (their ``row_sums``), computed on
-        first use and kept, so the thresholds of one batch share one pass.
-        A row whose sum overflows float64 reads inf."""
-        with np.errstate(over="ignore"):
-            return _frozen(row_sums(self.xs))
 
 
 # ---------------------------------------------------------------------------

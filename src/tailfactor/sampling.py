@@ -234,25 +234,16 @@ def tail_threshold(n: int, alpha: float, s: float, scale: float = 1.0) -> float:
     return scaled_power(scale, float(n), (1.0 - 2.0 * s) / alpha)
 
 
-def sample_latent_batch(spec: ModelSpec, n: int, gen) -> np.ndarray:
-    """n latent vectors in R^m_+ per the spec's latent kind.
-
-    Coordinates are i.i.d. Pareto(alpha) for "iid-pareto".  The worst case
-    divides coordinate j by its tilt and redraws the rows with l1-norm at or
-    above the tail threshold from the untilted law above it; its tilts and
-    threshold depend on the sample size n.  Both steps work in the drawn
-    array one column at a time.  Raises SampleOverflowError where an
-    entry of the latent batch is beyond the float64 range; the worst case
-    redraws a row whose i.i.d. draw overflows, as it is above t.
-    """
-    z = _pareto_quiet(gen.random((n, spec.m)), spec.alpha)
-    with np.errstate(over="ignore"):  # raises below
-        return _finite(_latent_in_place(spec, z, gen), spec.alpha)
-
-
 def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
-    """The latent batch of `sample_latent_batch`, built in its i.i.d.
-    Pareto draw ``z`` (n, m); ``gen`` stands just past z's uniforms."""
+    """The n latent vectors in R^m_+ of the spec's latent kind, built in
+    their i.i.d. Pareto(alpha) draw ``z`` (n, m), one column at a time;
+    ``gen`` stands just past z's uniforms.
+
+    That draw is the latent batch for "iid-pareto".  The worst case divides
+    coordinate j by its tilt and redraws the rows with l1-norm at or above
+    the tail threshold from the untilted law above it, a row whose i.i.d.
+    draw overflowed among them; its tilts and threshold depend on n.
+    """
     if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
         n = len(z)
         for j, tilt in enumerate(worst_case_tilts(n, spec.s)):
@@ -299,10 +290,11 @@ def generate_dataset(
     in for the batch's own draw, and the batch is the same to the byte:
     either way the worst case's conditional draws come from a generator
     moved past the n * m uniforms of those rows.  When ``draw`` has exactly
-    n rows and is writeable, the batch is built in it and it is
-    overwritten; otherwise it is left as it was.  A draw of another shape
-    raises DimensionMismatchError.  A diagonal A scales the latent columns
-    in place instead of forming a second n x m array.
+    n rows and is writeable, the batch is built in it: it is overwritten
+    and made read-only, as the batch may share its memory.  Otherwise it is
+    left as it was.  A draw of another shape raises DimensionMismatchError.
+    A diagonal A scales the latent columns in place instead of forming a
+    second n x m array.
     """
     check_sample_size(n, max(spec.A.shape))
     if draw is None:
@@ -321,6 +313,8 @@ def generate_dataset(
     _skip_draws(gen, n * spec.m)
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
         xs = _times_A(_latent_in_place(spec, z, gen), spec.A)
+    if z is draw:
+        draw.setflags(write=False)
     try:
         return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
     except InvalidAtomError:  # A, Z >= 0: only an overflow makes an entry invalid

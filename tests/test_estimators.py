@@ -304,20 +304,3 @@ def test_config_validation():
                 TwoStepConfig(**{**two_step, key: bad})
     ConvConfig(**{**conv, "alpha": 1e300})
     TwoStepConfig(**{**two_step, "alpha": 1e300})
-
-
-def test_thresholds_of_a_batch_share_one_row_sum(monkeypatch):
-    from tailfactor import measures
-
-    batch = _batch(4096, s=0.4)
-    sums = []
-    real = measures.row_sums
-    monkeypatch.setattr(measures, "row_sums", lambda xs: sums.append(xs.shape) or real(xs))
-    estimate_conventional(batch, ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.4))
-    estimate_directions(batch, TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))
-    empirical_angular_measure(batch, 5.0)
-    assert sums.count((4096, 2)) == 1
-    assert not batch.norms.flags.writeable
-    assert batch.norms.tobytes() == real(batch.xs).tobytes()
-    # a row whose sum overflows reads inf
-    assert _rows_batch([[1e308, 1e308], [1.0, 2.0]]).norms.tolist() == [math.inf, 3.0]

@@ -29,11 +29,11 @@ from tailfactor.sampling import (
     pareto_quantile,
     read_batch,
     sample_conditional_pareto,
-    sample_latent_batch,
     sample_pareto,
     tail_threshold,
     worst_case_tilts,
     write_batch,
+    _latent_in_place,
     _skip_draws,
 )
 
@@ -270,11 +270,11 @@ def test_worst_case_tilts_and_threshold_formulas():
     # at n = 1 the second tilt would vanish
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     with pytest.raises(TooFewPointsError, match="n >= 2"):
-        sample_latent_batch(spec, 1, RngStream(1, 0).generator())
+        generate_dataset(spec, 1, seed=1)
     # at s = 1e-20 n^-s rounds to 1, and the second tilt is 0
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=1e-20, latent_kind="tilted-worst-case")
     with pytest.raises(ZeroColumnError, match="s=1e-20 is too small at n=256"):
-        sample_latent_batch(spec, 256, RngStream(1, 0).generator())
+        generate_dataset(spec, 256, seed=1)
     # scale * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)
@@ -290,8 +290,7 @@ def test_worst_case_batch_is_pareto_above_threshold():
     # conditioned on the norm; check the tails of z1 look Pareto(alpha).
     spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     n = 200_000
-    gen = RngStream(99, 0).generator()
-    z = sample_latent_batch(spec, n, gen)
+    z = generate_dataset(spec, n, 99).xs  # A = I: X is the latent batch
     assert z.shape == (n, 2)
     assert np.all(z >= 0)
     t = tail_threshold(n, 2.0, 0.4)
@@ -361,6 +360,7 @@ def test_shared_draw_prefix_gives_the_batch_bytes():
     spec = ModelSpec(A=np.diag([2.0, 0.5]), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     draw = pareto_draw(spec, 300, 3, 1)
     assert np.shares_memory(generate_dataset(spec, 300, 3, 1, draw=draw).xs, draw)
+    assert not draw.flags.writeable  # the caller cannot change the batch
 
 
 def test_shared_draw_of_another_shape_raises():
@@ -377,7 +377,8 @@ def test_diagonal_A_scales_in_place_with_the_product_bytes():
         ("iid-pareto", np.diag([3.0, 0.25, 1.0])),
     ):
         spec = ModelSpec(A=A, alpha=1.5, s=0.2, latent_kind=kind)
-        z = sample_latent_batch(spec, 4096, RngStream(9, 2).generator())
+        gen = RngStream(9, 2).generator()
+        z = _latent_in_place(spec, sample_pareto(spec.alpha, gen, (4096, spec.m)), gen)
         xs = generate_dataset(spec, 4096, 9, 2).xs
         assert xs.tobytes() == (z @ A.T).tobytes()
     # an entry of the scaled batch beyond the float64 range still raises

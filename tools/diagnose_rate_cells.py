@@ -46,7 +46,6 @@ from tailfactor import (
 from tailfactor.errors import NoExceedancesError
 from tailfactor.estimators import _thresholded_points
 from tailfactor.harness import run_staged_experiment
-from tailfactor.measures import row_sums
 from tailfactor.sampling import tail_threshold, worst_case_tilts
 
 BASE_SEED = 20240601
@@ -107,7 +106,7 @@ def population_bias(n, cfg: ConvConfig):
     while total < POP_POINTS:
         x = sample_pareto(cfg.alpha, gen, size=(1 << 20, 2)) @ A.T
         try:
-            above, _ = _thresholded_points(x, row_sums(x), tau)
+            above, _ = _thresholded_points(x, tau)
         except NoExceedancesError:
             continue
         kept.append(above)

@@ -34,6 +34,9 @@ R_HAT = 1.0
 # Below this, solve_theta takes ratio^(-1/alpha) - 1 from expm1: it cancels.
 CANCEL_GAP = 1e-3
 TINY = np.finfo(np.float64).tiny
+# Rows per block of the magnitude stage's counts: a block's columns stay in
+# cache, and no n x d product is formed.
+BLOCK_ROWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -163,23 +166,33 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     """Magnitude stage of the two-step estimator, given the direction matrix.
 
     Decouples coordinates with the inverse of ``a_dir``, then solves the
-    tail-frequency equation per coordinate.  A row whose product overflows
-    float64 is scaled by its largest entry and compared with tau scaled the
+    tail-frequency equation per coordinate.  Coordinate k counts the rows x
+    with x . a_inv[k] > tau, BLOCK_ROWS rows at a time, summing the product
+    in column order with no BLAS call.  An entry that overflows float64 is
+    compared after scaling its row by its largest entry, tau scaled the
     same way, as ``_onto_simplex`` keeps such a row.  Returns (A_hat, measure).
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
-    with np.errstate(over="ignore", invalid="ignore"):
-        transformed = batch.xs @ a_inv.T
     n = batch.n
     tau = tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa)
-    above = transformed > tau
-    if not np.isfinite(transformed).all():  # one pass; a per-row test costs more
-        big = ~np.isfinite(transformed).all(axis=1)
-        rows = batch.xs[big]
-        scale = rows.max(axis=1, keepdims=True)
-        above[big] = (rows / scale) @ a_inv.T > tau / scale
-    counts = [int(col.sum()) for col in above.T]
+    counts = []
+    for w in a_inv:
+        count = 0
+        for lo in range(0, n, BLOCK_ROWS):
+            rows = batch.xs[lo : lo + BLOCK_ROWS]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = rows[:, 0] * w[0]
+                for j in range(1, len(w)):
+                    dot += rows[:, j] * w[j]
+            above = dot > tau
+            if not np.isfinite(dot).all():  # one pass; a per-entry test costs more
+                bad = ~np.isfinite(dot)
+                big = rows[bad]
+                scale = big.max(axis=1)
+                above[bad] = np.einsum("ij,j->i", big / scale[:, None], w) > tau / scale
+            count += int(np.count_nonzero(above))
+        counts.append(count)
     thetas = np.array([solve_theta(c, n, R_HAT, tau, cfg.alpha) for c in counts])
     a_hat = a_dir * thetas[None, :]
     return a_hat, spectral_measure_of(a_hat, cfg.alpha)

@@ -260,12 +260,12 @@ def _openblas_controls():
 class _OneBlasThread:
     """Context manager that runs OpenBLAS at one thread, process-wide.
 
-    The sweep's only BLAS calls are (n x 2)(2 x 2) products; at two BLAS
-    threads their workers spin on the cores the sweep's pool needs.  The
-    first of overlapping entries saves each library's count and sets 1; the
-    last exit restores it, also when the body raises.  gemm splits rows
-    between its threads and runs every entry through the same kernel, so
-    no output byte depends on the count.
+    The sweep's only BLAS product is X = A Z for a non-diagonal A, an
+    (n x 2)(2 x 2) product; at two BLAS threads its workers spin on the
+    cores the sweep's pool needs.  The first of overlapping entries saves
+    each library's count and sets 1; the last exit restores it, also when
+    the body raises.  gemm splits rows between its threads and runs every
+    entry through the same kernel, so no output byte depends on the count.
     """
 
     def __init__(self):

@@ -42,39 +42,17 @@ class RngStream:
 
 
 def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
-    """``pareto_quantile(u, alpha)`` written over the float64 array ``u``:
-    one pass each for 1 - u, the power and the - 1, and no temporary."""
+    """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf),
+    written over the float64 array of uniforms ``u``: one pass each for
+    1 - u, the power and the - 1, and no temporary.  A quantile beyond the
+    float64 range (u = 1, or alpha near 0) reads inf, with no warning.
+    Raises InvalidAlphaError unless 0 < alpha < inf."""
     check_alpha(alpha)
-    np.subtract(1.0, u, out=u)
-    u **= -1.0 / alpha
-    u -= 1.0
-    return u
-
-
-def _pareto_quiet(u: np.ndarray, alpha: float) -> np.ndarray:
-    """``_pareto_in_place(u, alpha)`` with no warning: a quantile beyond the
-    float64 range reads inf."""
     with np.errstate(over="ignore", divide="ignore"):
-        return _pareto_in_place(u, alpha)
-
-
-def _finite(x: np.ndarray, alpha: float):
-    """``x[()]``, or SampleOverflowError where an entry of x is inf."""
-    if np.isinf(x).any():
-        raise SampleOverflowError(
-            f"{int(np.isinf(x).sum())} of {x.size} Pareto draws overflowed "
-            f"float64 at alpha={alpha}"
-        )
-    return x[()]
-
-
-def pareto_quantile(u, alpha: float):
-    """Inverse CDF of the density alpha*(1+x)^-(alpha+1) on [0, inf).
-
-    Computed in one new array; ``u`` is left as it was.  Raises
-    InvalidAlphaError unless 0 < alpha < inf, and SampleOverflowError where
-    a quantile is beyond the float64 range (u = 1, or alpha near 0)."""
-    return _finite(_pareto_quiet(np.array(u, dtype=np.float64), alpha), alpha)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / alpha
+        u -= 1.0
+    return u
 
 
 def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
@@ -86,7 +64,13 @@ def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
     Raises InvalidAlphaError unless 0 < alpha < inf, and
     SampleOverflowError where a draw is beyond the float64 range (alpha
     near 0): dropping it would truncate the law."""
-    return _finite(_pareto_quiet(np.asarray(gen.random(size)), alpha), alpha)
+    x = _pareto_in_place(np.asarray(gen.random(size)), alpha)
+    if np.isinf(x).any():
+        raise SampleOverflowError(
+            f"{int(np.isinf(x).sum())} of {x.size} Pareto draws overflowed "
+            f"float64 at alpha={alpha}"
+        )
+    return x[()]
 
 
 def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
@@ -94,9 +78,10 @@ def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.nd
     `generate_dataset` starts from: the first n * spec.m uniforms of the
     stream (seed, stream_id), transformed in place.  It is the first n rows
     of the draw at any larger n.  An entry beyond the float64 range reads
-    inf, with no warning: the worst case redraws its row, and the i.i.d.
-    model's batch refuses it with SampleOverflowError."""
-    return _pareto_quiet(RngStream(seed, stream_id).generator().random((n, spec.m)), spec.alpha)
+    inf: the worst case redraws its row, and the i.i.d. model's batch
+    refuses it with SampleOverflowError."""
+    u = RngStream(seed, stream_id).generator().random((n, spec.m))
+    return _pareto_in_place(u, spec.alpha)
 
 
 def _skip_draws(gen: np.random.Generator, k: int) -> None:
@@ -116,7 +101,7 @@ def _max_tail(x: float, m: int, alpha: float) -> float:
 ROUND_ROWS = 2**16
 
 
-def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
+def sample_conditional_pareto(count, m, alpha, t, gen):
     """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t,
     drawn with the numpy Generator ``gen``.
 
@@ -128,8 +113,9 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
     conditioned on z_J >= a and the ones after J are unconditioned.  A
     proposal is accepted if its norm reaches t.  The acceptance rate is at
     least m^-(alpha+1) for every t (single big jump: Asmussen & Kroese,
-    Adv. Appl. Prob. 2006), so the default budget is 1000 * ceil(m^(alpha+1))
-    proposals per vector, or 0 where m^(alpha+1) overflows float64.
+    Adv. Appl. Prob. 2006), so the budget, 1000 * ceil(m^(alpha+1))
+    proposals per vector or 0 where m^(alpha+1) overflows float64, only
+    guards against a defect.
 
     Proposals are drawn in rounds of the missing vectors' count over a
     lower bound on the acceptance rate (at most ROUND_ROWS rows): at first
@@ -141,8 +127,9 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
     however the rounds fall.  Each round's proposals are built in the
     array of uniforms it draws, one column at a time: a column of an
     (rows, m) array is one long vector op where a (rows, m) broadcast runs
-    numpy's inner loop once per row.  Raises MaxTrialsExceededError once
-    count * max_trials proposals leave vectors missing, and
+    numpy's inner loop once per row.  Raises MaxTrialsExceededError where
+    vectors are still missing once the counted proposals reach the budget
+    (checked before each round, so the last round may pass it), and
     SampleOverflowError as soon as a counted proposal has a coordinate
     beyond the float64 range: dropping it would truncate the law.  Raises
     InvalidAlphaError unless 0 < alpha < inf, and ValueError for m < 1 or
@@ -153,12 +140,10 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
         raise ValueError(f"need m >= 1 components, got {m}")
     if math.isnan(t):
         raise ValueError(f"need a threshold t, got {t}")
-    if max_trials is None:
-        try:
-            max_trials = 1000 * math.ceil(m ** (alpha + 1.0))
-        except OverflowError:  # no floor to size a budget by: none is drawn
-            max_trials = 0
-    budget = count * max_trials
+    try:
+        budget = count * 1000 * math.ceil(m ** (alpha + 1.0))
+    except OverflowError:  # no floor to size a budget by: none is drawn
+        budget = 0
     level = max(float(t), 0.0)
     a = level / m
     q = (1.0 + a) ** (-alpha)
@@ -176,7 +161,7 @@ def sample_conditional_pareto(count, m, alpha, t, gen, max_trials=None):
         need = count - filled
         rate = max(filled / proposals, floor) if proposals else floor
         size = max(need, math.ceil(min(need / rate, ROUND_ROWS))) if rate else need
-        u = gen.random((min(size, budget - proposals), m + 1))
+        u = gen.random((size, m + 1))
         first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
         first = np.minimum(first, m - 1)
         z = u[:, 1:]  # coordinate j is built in column j + 1 of u

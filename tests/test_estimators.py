@@ -14,6 +14,7 @@ from tailfactor.errors import (
     TooFewPointsError,
 )
 from tailfactor.estimators import (
+    BLOCK_ROWS,
     R_HAT,
     ConvConfig,
     TwoStepConfig,
@@ -101,6 +102,47 @@ def test_magnitude_stage_counts_overflowing_products_exactly():
     assert counts == [6, 3]
     thetas = [solve_theta(c, batch.n, R_HAT, tau, 2.0) for c in counts]
     assert np.array_equal(a_hat, a_dir * thetas)
+
+
+def test_magnitude_stage_rescales_an_entry_whose_terms_overflow():
+    # a_inv = [[3, -2], [-2, 3]]: both terms of (1.7e308, 1.5e308) . a_inv[k]
+    # overflow, with opposite signs, so the entry reads nan.  Scaled by the
+    # row's largest entry it is 2.1e308 and 1.1e308, above tau; a row of
+    # ones gives 1, below tau (about 7.9).
+    batch = _rows_batch([[1.0, 1.0]] * 1000 + [[1.7e308, 1.5e308]] * 3)
+    a_dir = np.array([[0.6, 0.4], [0.4, 0.6]])
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    tau = tail_threshold(batch.n, 2.0, 0.2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_hat, _ = two_step_from_directions(batch, cfg, a_dir)
+    thetas = [solve_theta(3, batch.n, R_HAT, tau, 2.0)] * 2
+    assert np.array_equal(a_hat, a_dir * thetas)
+
+
+@pytest.mark.parametrize(
+    "a_dir",
+    [
+        [[0.8, 0.3], [0.2, 0.7]],  # an inverse with negative entries
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.6, 0.1, 0.2], [0.3, 0.7, 0.2], [0.1, 0.2, 0.6]],
+    ],
+    ids=["2x2-negative-inverse", "identity", "3x3"],
+)
+def test_magnitude_stage_counts_match_the_matrix_product(a_dir):
+    # the per-column counts of x . a_inv[k] > tau, against the whole product,
+    # over two whole blocks of rows and part of a third
+    a_dir = np.array(a_dir)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    spec = ModelSpec(A=a_dir * 2.0, alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    a_inv = invert_square_matrix(a_dir)
+    for seed in range(6):
+        batch = generate_dataset(spec, 2 * BLOCK_ROWS + 123, seed=seed)
+        tau = tail_threshold(batch.n, 2.0, 0.2, 1.0)
+        counts = (batch.xs @ a_inv.T > tau).sum(axis=0).tolist()
+        thetas = [solve_theta(c, batch.n, R_HAT, tau, 2.0) for c in counts]
+        a_hat, _ = two_step_from_directions(batch, cfg, a_dir)
+        assert np.array_equal(a_hat, a_dir * thetas), (seed, counts)
 
 
 def test_conventional_threshold_regimes():

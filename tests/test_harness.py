@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -317,7 +318,7 @@ def test_staged_sweep_matches_default_rows_for_any_thread_count():
         assert all(len(pair) == 2 for pair in stages[n])
 
 
-def test_diagnose_tool_imports_and_parses_arguments():
+def test_diagnose_tool_imports_and_parses_arguments(capsys):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     tool = ROOT / "tools" / "diagnose_rate_cells.py"
     proc = subprocess.run(
@@ -325,6 +326,16 @@ def test_diagnose_tool_imports_and_parses_arguments():
     )
     assert proc.returncode == 0, proc.stderr
     assert "--kmax" in proc.stdout
+    # each fitted slope is labelled by the grid it used
+    spec = importlib.util.spec_from_file_location("diagnose_rate_cells", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cases = [(13, ["2^11..2^13"]), (17, ["2^11..2^17"]), (19, ["2^11..2^17", "2^11..2^19"])]
+    for kmax, spans in cases:
+        ns = [2**k for k in range(11, kmax + 1)]
+        module._fits(ns, [("rate", [n**-0.5 for n in ns])])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"  fitted slope over {span}: rate -0.500" for span in spans]
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from tailfactor.sampling import (
     check_sample_size,
     generate_dataset,
     pareto_draw,
-    pareto_quantile,
     read_batch,
     sample_conditional_pareto,
     sample_pareto,
@@ -34,14 +33,18 @@ from tailfactor.sampling import (
     worst_case_tilts,
     write_batch,
     _latent_in_place,
+    _pareto_in_place,
     _skip_draws,
 )
 
 
 def test_pareto_quantile_examples():
     # u = 0.75, alpha = 2: (1-u)^(-1/2) - 1 = 1
-    assert pareto_quantile(0.75, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert pareto_quantile(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    u = np.array([0.75, 0.0, 1.0])
+    assert _pareto_in_place(u, 2.0) is u
+    assert u[:2] == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert u[2] == math.inf  # beyond float64: inf, with no warning
+    assert _pareto_in_place(np.array([0.0]), 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -53,23 +56,12 @@ def test_pareto_sampler_matches_cdf(alpha):
     assert stat < 0.01
 
 
-def test_pareto_quantile_leaves_its_argument_unchanged():
-    u = np.array([0.0, 0.25, 0.75, 0.999])
-    before = u.copy()
-    z = pareto_quantile(u, 2.0)
-    assert np.array_equal(u, before) and z is not u
-    u.flags.writeable = False  # a read-only array is copied, not written
-    assert np.array_equal(pareto_quantile(u, 2.0), z)
-    assert pareto_quantile([0.75], 2.0).tolist() == [1.0]
-    assert isinstance(pareto_quantile(0.75, 2.0), np.float64)
-
-
 def test_sample_pareto_without_size_draws_a_scalar():
     # gen.random() then gives a float, which no kernel can write in place.
     x = sample_pareto(2.0, RngStream(7, 0).generator())
     assert isinstance(x, np.float64) and x >= 0.0
     u = RngStream(7, 0).generator().random()
-    assert x == pareto_quantile(u, 2.0)
+    assert x == _pareto_in_place(np.array(u), 2.0)
     assert sample_pareto(2.0, RngStream(7, 0).generator(), 1)[0] == x
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
@@ -111,19 +103,18 @@ def test_conditional_sampler_against_quadrature():
 
 
 def test_conditional_sampler_max_trials_budget():
-    # One proposal per vector cannot fill 1,000 vectors at an acceptance
-    # rate near 1/4 (t = 1e12).
-    with pytest.raises(MaxTrialsExceededError):
-        sample_conditional_pareto(1000, 2, 2.0, 1e12, RngStream(1, 0).generator(), max_trials=1)
+    # m^(alpha+1) overflows float64 at alpha = 1e300: no floor sizes a
+    # budget, so one missing vector raises before anything is drawn.
+    gen = RngStream(1, 0).generator()
+    with pytest.raises(MaxTrialsExceededError, match="accepted 0 of 1 vectors after 0"):
+        sample_conditional_pareto(1, 2, 1e300, 1.0, gen)
+    assert gen.random() == RngStream(1, 0).generator().random()
     # At the edge of the float range (t = inf, 1e308) part of the law lies
     # beyond float64 (about 31 % above 1.8e308 at t = 1e308), so a proposal
-    # overflows: the sampler raises rather than return a truncated law,
-    # whatever the budget.
-    for t in (math.inf, 1e308):
+    # overflows: the sampler raises rather than return a truncated law.
+    for count, t in ((1000, math.inf), (1000, 1e308), (10, 1e308)):
         with pytest.raises(SampleOverflowError):
-            sample_conditional_pareto(1000, 2, 2.0, t, RngStream(1, 0).generator(), max_trials=1)
-    with pytest.raises(SampleOverflowError):
-        sample_conditional_pareto(10, 2, 2.0, 1e308, RngStream(1, 0).generator())
+            sample_conditional_pareto(count, 2, 2.0, t, RngStream(1, 0).generator())
 
 
 def test_rejection_cost_scales_with_acceptance_probability():
@@ -182,10 +173,6 @@ def test_extreme_alpha_raises_typed_errors():
     # the public Pareto samplers raise it too, with no warning first
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         sample_pareto(1e-3, RngStream(1, 0).generator(), 6)
-    with pytest.raises(SampleOverflowError, match="1 of 2 Pareto draws"):
-        pareto_quantile([0.5, 1.0 - 1e-10], 1e-3)
-    with pytest.raises(SampleOverflowError):
-        pareto_quantile(1.0, 2.0)  # the quantile at u = 1 is +inf
     # the worst case redraws a row whose i.i.d. draw overflows: that row is
     # above the threshold, so the batch is drawn from the law it defines
     n = 2**17
@@ -202,8 +189,6 @@ def test_extreme_alpha_raises_typed_errors():
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
             sample_pareto(alpha, RngStream(1, 0).generator(), 8)
-        with pytest.raises(InvalidAlphaError):
-            pareto_quantile(0.5, alpha)  # -0.5 at alpha = -1, ZeroDivisionError at 0
         with pytest.raises(InvalidAlphaError):
             tail_threshold(256, alpha, 0.4)
     with pytest.raises(InvalidAlphaError):
@@ -459,25 +444,6 @@ class _RecordingGen(np.random.Generator):
     def random(self, size=None):
         self.sizes.append(size)
         return super().random(size)
-
-
-@pytest.mark.parametrize(
-    "m, alpha, t, max_trials, digest",
-    [
-        (3, 2.0, 10.0, 6, "e4dfebbf02a963af"),  # the pin above, uncapped
-        (5, 4.0, 3.0, 10, "0b2f89456dea65ae"),
-    ],
-)
-def test_conditional_sampler_budget_capped_first_round_keeps_its_bytes(
-    m, alpha, t, max_trials, digest
-):
-    # The first round would be the count over a lower bound on the
-    # acceptance rate, more than the budget of 300 * max_trials proposals:
-    # it draws the budget, and the vectors stay the stream's first accepted.
-    gen = _RecordingGen(RngStream(m, int(t)).generator().bit_generator)
-    out = sample_conditional_pareto(300, m, alpha, t, gen, max_trials=max_trials)
-    assert gen.sizes == [(300 * max_trials, m + 1)]
-    assert _digest(out) == digest
 
 
 def test_conditional_sampler_first_round_is_sized_by_the_acceptance_bound():

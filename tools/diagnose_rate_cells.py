@@ -12,9 +12,10 @@ latent law, 30 replicates, median aggregation) and prints, per sample size:
   magnitude stage (true directions) and the direction stage (true
   magnitudes) next to the full error.
 
-Each section ends with the fitted slopes over 2^11 .. 2^17 and, when --kmax
-is above 17, over the extended grid.  The sweeps use one thread per CPU; the
-numbers do not depend on the thread count.
+Each section ends with the fitted slopes over 2^11 .. 2^17 (2^11 .. 2^kmax
+when --kmax is below 17) and, when --kmax is above 17, over the extended
+grid.  The sweeps use one thread per CPU; the numbers do not depend on the
+thread count.
 
 The stage decomposition is `tailfactor.harness.run_staged_experiment`, the
 sweep the acceptance suite's criterion 2 runs.
@@ -76,11 +77,10 @@ def _fmt_slope(x):
 
 
 def _fits(ns, series):
-    """Fitted slopes over the acceptance grid and, if longer, the full grid."""
-    spans = [(f"2^{KMIN}..2^{KGRID}", KGRID - KMIN + 1)]
-    if len(ns) > spans[0][1]:
-        spans.append((f"2^{KMIN}..2^{KMIN + len(ns) - 1}", len(ns)))
-    for span, size in spans:
+    """Fitted slopes over the acceptance grid, or the shorter grid ``ns``,
+    and over ``ns`` if it is longer; each labelled by the grid it used."""
+    for size in sorted({min(len(ns), KGRID - KMIN + 1), len(ns)}):
+        span = f"2^{KMIN}..2^{KMIN + size - 1}"
         parts = [
             f"{name} {fit_loglog_slope(ns[:size], values[:size])[0]:+.3f}"
             for name, values in series

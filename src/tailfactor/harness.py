@@ -6,10 +6,7 @@ ground truth, aggregates per grid point and fits log-log slopes.  Results
 are bit-identical for any worker count.
 """
 
-import ctypes
-import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,73 +223,6 @@ def run_staged_experiment(cfg: ExperimentConfig, threads: int = 1):
     }
 
 
-@functools.cache
-def _openblas_controls():
-    """(get_num_threads, set_num_threads) of each OpenBLAS mapped into this
-    process, found once; () where none is or /proc/self/maps is unreadable."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh if "openblas" in line.lower()]
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (
-            ("scipy_openblas_", "64_"),
-            ("scipy_openblas_", ""),
-            ("openblas_", "64_"),
-            ("openblas_", ""),
-        ):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
-
-
-class _OneBlasThread:
-    """Context manager that runs OpenBLAS at one thread, process-wide.
-
-    The sweep's only BLAS product is X = A Z for a non-diagonal A, an
-    (n x 2)(2 x 2) product; at two BLAS threads its workers spin on the
-    cores the sweep's pool needs.  The first of overlapping entries saves
-    each library's count and sets 1; the last exit restores it, also when
-    the body raises.  gemm splits rows between its threads and runs every
-    entry through the same kernel, so no output byte depends on the count.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                controls = _openblas_controls()
-                self._saved = tuple((set_, get()) for get, set_ in controls)
-                for _, set_ in controls:
-                    set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for set_, count in self._saved:
-                    set_(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
 def run_convergence_experiment(
     cfg: ExperimentConfig, threads: int = 1, runner=None
 ) -> ExperimentResult:
@@ -308,13 +238,13 @@ def run_convergence_experiment(
     estimator) order, and an exception from a task is raised where its grid
     point falls in that order.  Each grid point's spec and true measure
     are built once, before the pool starts, and its replicates share them.
-    While the replicates run, OpenBLAS runs at one thread in the whole
-    process, also for BLAS calls on other Python threads; the count it had
-    before returns when the last overlapping sweep ends."""
+    No product in a sweep calls BLAS, so it runs on the pool's threads
+    alone: its LAPACK calls, the two-step estimator's d x d determinant and
+    inverse, are far too small for OpenBLAS to split over threads."""
     if runner is None:
         runner = _default_runner(cfg)
     models = {n: _model_at(cfg, n) for n in cfg.n_grid}
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         per_rep = list(
             pool.map(lambda rep: _replicate_task(cfg, models, rep, runner), range(cfg.replicates))
         )

@@ -1,8 +1,9 @@
 """Latent-factor samplers and dataset generation for X = A Z.
 
 All randomness flows through counter-based Philox streams keyed by
-(seed, stream_id), so replicates are independent, order-free and
-bit-reproducible across platforms.
+(seed, stream_id), so replicates are independent and order-free.  X = A Z
+is summed column by column in a fixed order, with no BLAS call, so a
+batch's bytes do not depend on which BLAS kernel the CPU selects.
 """
 
 import json
@@ -242,14 +243,23 @@ def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
 
 
 def _times_A(z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """X = A Z for the latent rows ``z``.  A diagonal A scales z's columns
-    in place, with the bytes of the product ``z @ A.T``: there each entry
-    is z_j a_jj plus products z_k * 0 = +0, which change no float."""
+    """X = A Z for the latent rows ``z``, with no BLAS call.  Column i of X
+    is z[:, 0] * A[i, 0], then + z[:, j] * A[i, j] for j = 1, 2, ... in that
+    order: each entry is rounded after every product and every sum, with no
+    fused multiply-add, so its bytes do not depend on the CPU.  A diagonal
+    A scales z's columns in place with the same bytes: there each other
+    term is z_k * 0 = +0, which changes no float."""
     if A.shape[0] == A.shape[1] and np.array_equal(A, np.diag(np.diagonal(A))):
         for j, a in enumerate(np.diagonal(A)):
             z[:, j] *= a
         return z
-    return z @ A.T
+    x = np.empty((len(z), A.shape[0]))
+    for i, row in enumerate(A):
+        col = x[:, i]
+        np.multiply(z[:, 0], row[0], out=col)
+        for j in range(1, len(row)):
+            col += z[:, j] * row[j]
+    return x
 
 
 def check_sample_size(n: int, width: int) -> None:
@@ -278,7 +288,8 @@ def generate_dataset(
     n rows and is writeable, the batch is built in it: it is overwritten
     and made read-only, as the batch may share its memory.  Otherwise it is
     left as it was.  A draw of another shape raises DimensionMismatchError.
-    A diagonal A scales the latent columns in place instead of forming a
+    X is summed in column order with no BLAS call (``_times_A``); a
+    diagonal A scales the latent columns in place instead of forming a
     second n x m array.
     """
     check_sample_size(n, max(spec.A.shape))

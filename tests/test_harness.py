@@ -3,8 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +19,6 @@ from tailfactor.harness import (
     run_convergence_experiment,
     run_staged_experiment,
 )
-from tailfactor.measures import ModelSpec
-from tailfactor.numerics import invert_square_matrix
-from tailfactor.sampling import generate_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -336,119 +331,3 @@ def test_diagnose_tool_imports_and_parses_arguments(capsys):
         module._fits(ns, [("rate", [n**-0.5 for n in ns])])
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"  fitted slope over {span}: rate -0.500" for span in spans]
-
-
-@pytest.fixture
-def blas():
-    """The OpenBLAS thread-count getters, with every count set to 2 for the
-    test and put back after it."""
-    controls = harness._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS is mapped into this process")
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    yield lambda: [get() for get, _ in controls]
-    for (_, set_), count in zip(controls, before):
-        set_(count)
-
-
-def test_sweep_runs_openblas_at_one_thread_and_restores_its_count(blas):
-    seen = []
-
-    def runner(tag, batch, truth):
-        seen.append(blas())
-        return 1.0 / batch.n, 1, None
-
-    for threads in (1, 2):
-        seen.clear()
-        run_convergence_experiment(_cfg(), threads, runner)
-        assert len(seen) == 9
-        assert all(c == [1] * len(c) for c in seen)
-        assert all(c == 2 for c in blas())
-
-
-def test_sweep_that_raises_restores_the_blas_count(blas):
-    def fails(tag, batch, truth):
-        raise TooFewPointsError("always")
-
-    with pytest.raises(ExperimentAbortedError):
-        run_convergence_experiment(_cfg(replicates=2), runner=fails)
-    assert all(c == 2 for c in blas())
-
-    def breaks(tag, batch, truth):
-        raise RuntimeError("an untyped error leaves the pool")
-
-    with pytest.raises(RuntimeError, match="untyped"):
-        run_convergence_experiment(_cfg(replicates=2), threads=2, runner=breaks)
-    assert all(c == 2 for c in blas())
-
-
-def test_overlapping_sweeps_restore_the_blas_count_once(blas):
-    # Both sweeps enter the cap; the first ends while the second still runs.
-    both_in = threading.Barrier(2, timeout=60)
-    first_done = threading.Event()
-    seen_after_first = []
-
-    def runner(second):
-        def run(tag, batch, truth):
-            if (batch.n, batch.stream_id) == (256, 0):
-                both_in.wait()
-                if second:
-                    assert first_done.wait(60)
-                    seen_after_first.append(blas())
-            return 1.0 / batch.n, 1, None
-
-        return run
-
-    cfg = _cfg(replicates=1)
-    with ThreadPoolExecutor(max_workers=2) as outer:
-        first = outer.submit(run_convergence_experiment, cfg, 1, runner(False))
-        first.add_done_callback(lambda _: first_done.set())
-        second = outer.submit(run_convergence_experiment, cfg, 1, runner(True))
-        first.result(timeout=60)
-        second.result(timeout=60)
-    assert seen_after_first == [[1] * len(blas())]
-    assert all(c == 2 for c in blas())
-
-
-def test_blas_products_keep_their_bytes_inside_the_cap(blas):
-    # n = 2^17 rows are enough for OpenBLAS to split X = A Z across threads
-    spec = ModelSpec(A=np.array([[1.3, 0.4], [0.2, 0.9]]), alpha=2.0, s=0.4)
-    a_inv = invert_square_matrix(spec.A / spec.A.sum(axis=0))
-
-    def products():
-        xs = generate_dataset(spec, 2**17, seed=5).xs
-        return xs.tobytes(), (xs @ a_inv.T).tobytes()
-
-    at_two = products()
-    with harness._ONE_BLAS_THREAD:
-        assert all(c == 1 for c in blas())
-        capped = products()
-    assert capped == at_two
-
-
-def test_sweep_without_openblas_leaves_the_count_and_the_bytes(blas, monkeypatch, tmp_path):
-    def unreadable(*args, **kwargs):
-        raise PermissionError("/proc/self/maps")
-
-    with monkeypatch.context() as m:
-        m.setattr(harness, "open", unreadable, raising=False)
-        assert harness._openblas_controls.__wrapped__() == ()
-
-    cfg = _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))
-    capped, bare = tmp_path / "capped", tmp_path / "bare"
-    capped.mkdir()
-    bare.mkdir()
-    emit_outputs(run_convergence_experiment(cfg, threads=2), capped)
-    monkeypatch.setattr(harness, "_openblas_controls", lambda: ())
-    default = harness._default_runner(cfg)
-    seen = []
-
-    def run(tag, batch, truth):
-        seen.append(blas())
-        return default(tag, batch, truth)
-
-    emit_outputs(run_convergence_experiment(cfg, 2, run), bare)
-    assert len(seen) == 18 and all(c == [2] * len(c) for c in seen)
-    assert (bare / "rows.csv").read_bytes() == (capped / "rows.csv").read_bytes()

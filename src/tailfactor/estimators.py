@@ -22,6 +22,7 @@ from .errors import (
 from .measures import (
     SampleBatch,
     _onto_simplex,
+    column_dot,
     make_measure,
     row_sums,
     spectral_measure_of,
@@ -136,7 +137,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     except NoExceedancesError:
         raise TooFewPointsError(f"n_tau_tilde=0 below m={batch.spec.m}") from None
     km = kmeans(points, batch.spec.m)
-    centers = km.centers / km.centers.sum(axis=1, keepdims=True)
+    centers = _onto_simplex(km.centers, row_sums(km.centers))
     return centers.T.copy(), n_tt
 
 
@@ -167,10 +168,10 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
 
     Decouples coordinates with the inverse of ``a_dir``, then solves the
     tail-frequency equation per coordinate.  Coordinate k counts the rows x
-    with x . a_inv[k] > tau, BLOCK_ROWS rows at a time, summing the product
-    in column order with no BLAS call.  An entry that overflows float64 is
-    compared after scaling its row by its largest entry, tau scaled the
-    same way, as ``_onto_simplex`` keeps such a row.  Returns (A_hat, measure).
+    with x . a_inv[k] > tau, BLOCK_ROWS rows at a time, the product summed
+    by ``column_dot``.  An entry that overflows float64 is compared after
+    scaling its row by its largest entry, tau scaled the same way, as
+    ``_onto_simplex`` keeps such a row.  Returns (A_hat, measure).
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
@@ -182,15 +183,13 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
         for lo in range(0, n, BLOCK_ROWS):
             rows = batch.xs[lo : lo + BLOCK_ROWS]
             with np.errstate(over="ignore", invalid="ignore"):
-                dot = rows[:, 0] * w[0]
-                for j in range(1, len(w)):
-                    dot += rows[:, j] * w[j]
+                dot = column_dot(rows, w)
             above = dot > tau
             if not np.isfinite(dot).all():  # one pass; a per-entry test costs more
                 bad = ~np.isfinite(dot)
                 big = rows[bad]
                 scale = big.max(axis=1)
-                above[bad] = np.einsum("ij,j->i", big / scale[:, None], w) > tau / scale
+                above[bad] = column_dot(big / scale[:, None], w) > tau / scale
             count += int(np.count_nonzero(above))
         counts.append(count)
     thetas = np.array([solve_theta(c, n, R_HAT, tau, cfg.alpha) for c in counts])

@@ -28,7 +28,7 @@ from .estimators import (
     estimate_two_step,
     two_step_from_directions,
 )
-from .measures import ModelSpec, spectral_measure_of, _fmt
+from .measures import ModelSpec, _as_int, _fmt, spectral_measure_of
 from .numerics import fit_loglog_slope
 from .sampling import check_sample_size, generate_dataset, pareto_draw, worst_case_tilts
 from .svg import line_chart
@@ -51,7 +51,12 @@ class ExperimentConfig:
     fixed_A: Optional[np.ndarray] = None  # None => worst-case diagonal per n
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
+        try:
+            grid = tuple(_as_int("n_grid", n) for n in self.n_grid)
+            for name in ("replicates", "base_seed"):
+                object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "n_grid", grid)
         if len(grid) < 3 or grid[0] < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")

@@ -6,6 +6,7 @@ the normalized columns of A, weighted by the alpha-th power of the column
 norms.  ``spectral_measure_of`` builds that measure in canonical form.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -132,6 +133,21 @@ def row_sums(xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def column_dot(xs: np.ndarray, w, out=None) -> np.ndarray:
+    """``xs @ w`` for an (n, d) array and d weights, with no BLAS call.
+
+    ``xs[:, 0] * w[0]``, then ``+= xs[:, j] * w[j]`` for j = 1, 2, ... in
+    that order: each product and each sum is rounded on its own, with no
+    fused multiply-add, so the bytes do not depend on the CPU.  Written
+    into ``out`` (n,) when given.  An overflowing entry gives inf under the
+    caller's errstate.
+    """
+    out = np.multiply(xs[:, 0], w[0], out=out)
+    for j in range(1, len(w)):
+        out += xs[:, j] * w[j]
+    return out
+
+
 def _onto_simplex(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """``rows`` divided by their l1-norms ``norms`` (> 0, from ``row_sums``).
 
@@ -169,18 +185,15 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
 
 def validate_measure(mu: DiscreteMeasure) -> bool:
     """Check the invariants construction leaves open: atoms on the simplex,
-    unit mass and no two atoms within MERGE_TOL."""
-    atoms, weights, k = mu.atoms, mu.weights, mu.n_atoms
-    if np.any(np.abs(atoms.sum(axis=1) - 1.0) > SIMPLEX_TOL):
+    unit mass and no two atoms within MERGE_TOL in l1-distance, found by
+    the search ``make_measure`` merges by."""
+    atoms = mu.atoms
+    if np.any(np.abs(row_sums(atoms) - 1.0) > SIMPLEX_TOL):
         return False
-    if abs(weights.sum() - 1.0) > MASS_TOL:
+    if abs(mu.weights.sum() - 1.0) > MASS_TOL:
         return False
-    if k > 1:
-        dist = np.abs(atoms[:, None, :] - atoms[None, :, :]).sum(axis=2)
-        dist[np.diag_indices(k)] = np.inf
-        if dist.min() < MERGE_TOL:
-            return False
-    return True
+    close, _ = _close_pairs(atoms[_lex_order(atoms)])
+    return close.size == 0
 
 
 def check_alpha(alpha: float) -> None:
@@ -261,11 +274,23 @@ def validate_model_spec(spec: ModelSpec) -> None:
         raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int, numpy integers included; TypeError naming
+    ``name`` for a bool or a value with no exact integer meaning (a float)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """n observations X = A Z plus the spec and seed that generated them;
-    ``seed`` and ``stream_id`` are ints, not booleans, and ``xs`` is a
-    read-only float64 (n, spec.d) array, finite and >= 0."""
+    ``seed`` and ``stream_id`` are integers, not booleans, stored as Python
+    ints, and ``xs`` is a read-only float64 (n, spec.d) array, finite and
+    >= 0."""
 
     spec: ModelSpec
     seed: int
@@ -274,9 +299,7 @@ class SampleBatch:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         xs = _frozen(self.xs)
         if xs.ndim != 2 or xs.shape[1] != self.spec.d:
             raise DimensionMismatchError(f"need {self.spec.d} columns, got {xs.shape}")

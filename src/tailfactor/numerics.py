@@ -12,7 +12,7 @@ from .errors import (
     NearSingularError,
     TooFewPointsError,
 )
-from .measures import row_sums
+from .measures import _lex_order, row_sums
 
 
 # Lloyd's algorithm off the line: starts, iteration cap, l1 center-move stop.
@@ -243,7 +243,7 @@ def kmeans(points, k: int) -> KMeansResult:
         sums, counts = _center_update(points, labels, k)
         centers = sums / counts[:, None]
         inertia = float(row_sums((points - centers[labels]) ** 2).sum())
-        order = np.lexsort(centers.T[::-1])
+        order = _lex_order(centers)
         centers, counts, history = centers[order], counts[order], ()
     else:
         # with fewer distinct points than k, Lloyd leaves clusters empty
@@ -255,7 +255,7 @@ def kmeans(points, k: int) -> KMeansResult:
             gen = np.random.Generator(np.random.Philox(key=[0, r]))
             centers0 = _kmeans_pp_seed(points, k, gen)
             centers, counts, inertia, history = _lloyd(points, centers0)
-            order = np.lexsort(centers.T[::-1])
+            order = _lex_order(centers)
             key = (inertia, centers[order].tobytes())
             if best is None or key < best[0]:
                 best = (key, centers[order], counts[order], inertia, tuple(history))

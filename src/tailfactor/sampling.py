@@ -8,6 +8,7 @@ batch's bytes do not depend on which BLAS kernel the CPU selects.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .errors import (
     TooFewPointsError,
     ZeroColumnError,
 )
-from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, row_sums
+from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, column_dot, row_sums
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         # A uint64 key: numpy reads a list holding a value >= 2^63 through
         # float64, which maps distinct seeds (-1 and 0, say) to one stream.
-        key = [self.seed & (2**64 - 1), self.stream_id & (2**64 - 1)]
+        # Masked as Python ints: np.int64(3) & (2**64 - 1) overflows.
+        key = [operator.index(v) & (2**64 - 1) for v in (self.seed, self.stream_id)]
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
@@ -243,22 +245,17 @@ def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
 
 
 def _times_A(z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """X = A Z for the latent rows ``z``, with no BLAS call.  Column i of X
-    is z[:, 0] * A[i, 0], then + z[:, j] * A[i, j] for j = 1, 2, ... in that
-    order: each entry is rounded after every product and every sum, with no
-    fused multiply-add, so its bytes do not depend on the CPU.  A diagonal
-    A scales z's columns in place with the same bytes: there each other
-    term is z_k * 0 = +0, which changes no float."""
+    """X = A Z for the latent rows ``z``, with no BLAS call: column i of X
+    is ``column_dot(z, A[i])``, so its bytes do not depend on the CPU.  A
+    diagonal A scales z's columns in place with the same bytes: there each
+    other term is z_k * 0 = +0, which changes no float."""
     if A.shape[0] == A.shape[1] and np.array_equal(A, np.diag(np.diagonal(A))):
         for j, a in enumerate(np.diagonal(A)):
             z[:, j] *= a
         return z
     x = np.empty((len(z), A.shape[0]))
     for i, row in enumerate(A):
-        col = x[:, i]
-        np.multiply(z[:, 0], row[0], out=col)
-        for j in range(1, len(row)):
-            col += z[:, j] * row[j]
+        column_dot(z, row, out=x[:, i])
     return x
 
 

@@ -440,6 +440,10 @@ MALFORMED = {
         _wasserstein_file([[-1e-13, 1.0 + 1e-13], [1.0, 0.0]]),
         "cannot load measure: atom 0 is",
     ),
+    "wasserstein-near-duplicate-atoms": (
+        _wasserstein_file([[0.5, 0.5], [0.5 + 2.5e-10, 0.5 - 2.5e-10]]),
+        "input measure violates simplex-measure invariants",
+    ),
     # Only simulate draws one sample of size model.n from (seed, stream_id).
     "experiment-model-n": (
         _experiment(lambda d: d["model"].update(n=7)),

@@ -180,6 +180,20 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="square A, but the model has d=2, m=3"):
         _cfg(fixed_A=A, latent_kind="iid-pareto", two_step=two_step)
     _cfg(fixed_A=A, latent_kind="iid-pareto")  # the POT estimator takes any A
+    # integer fields refuse a float or a bool and read a numpy integer as an int
+    for bad in (
+        dict(replicates=2.5),
+        dict(replicates=True),
+        dict(base_seed=1.5),
+        dict(n_grid=(256.7, 512, 1024)),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            _cfg(**bad)
+    cfg = _cfg(n_grid=np.array([256, 512, 1024]), replicates=np.int64(3), base_seed=np.int64(3))
+    assert (cfg.n_grid, cfg.replicates, cfg.base_seed) == ((256, 512, 1024), 3, 3)
+    assert {type(v) for v in (*cfg.n_grid, cfg.replicates, cfg.base_seed)} == {int}
+    same = _cfg(base_seed=3)
+    assert run_convergence_experiment(cfg).rows == run_convergence_experiment(same).rows
 
 
 def test_planted_power_law_recovers_exact_slope():

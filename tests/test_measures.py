@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +106,26 @@ def test_validate_measure_rejects_mass_deficit():
 def test_validate_measure_rejects_off_simplex_atom():
     mu = DiscreteMeasure(atoms=np.array([[0.6, 0.5]]), weights=np.array([1.0]))
     assert not validate_measure(mu)
+
+
+def test_validate_measure_rejects_atoms_the_merge_would_join():
+    # make_measure's rule: no two atoms within MERGE_TOL = 1e-9 in l1-distance
+    for gap, valid in ((5e-10, False), (2e-9, True)):
+        atoms = np.array([[0.9, 0.1], [0.3 + gap / 2, 0.7 - gap / 2], [0.3, 0.7]])
+        mu = DiscreteMeasure(atoms=atoms, weights=np.full(3, 1 / 3))
+        assert validate_measure(mu) == valid
+
+
+def test_validate_measure_of_many_atoms_builds_no_pairwise_array():
+    x = np.random.default_rng(0).random(2000)
+    mu = DiscreteMeasure(atoms=np.column_stack([x, 1.0 - x]), weights=np.full(2000, 1 / 2000))
+    tracemalloc.start()
+    try:
+        assert validate_measure(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a 2000 x 2000 x 2 float64 array alone takes 64 MB
 
 
 def test_discrete_measure_checks_its_entries_when_built():

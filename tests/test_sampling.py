@@ -225,6 +225,12 @@ def test_negative_and_large_seeds_draw_distinct_streams():
     }
     assert len(set(draws.values())) == len(draws)
     assert draws[-1] == RngStream(2**64 - 1, 0).generator().random()
+    # a numpy integer keys the stream of the same Python int
+    assert draws[-1] == RngStream(np.int64(-1), np.uint64(0)).generator().random()
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2)
+    batch = generate_dataset(spec, 10, np.int64(3), stream_id=np.int64(1))
+    assert (batch.seed, batch.stream_id) == (3, 1) and type(batch.seed) is int
+    assert batch.xs.tobytes() == generate_dataset(spec, 10, 3, stream_id=1).xs.tobytes()
 
 
 def test_conditional_sampler_rare_event_costs_few_rounds():

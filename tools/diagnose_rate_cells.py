@@ -33,14 +33,14 @@ import numpy as np
 from tailfactor import (
     ConvConfig,
     ExperimentConfig,
-    RngStream,
+    ModelSpec,
     TwoStepConfig,
     conventional_threshold,
     fit_loglog_slope,
+    generate_dataset,
     kmeans,
     make_measure,
     run_convergence_experiment,
-    sample_pareto,
     spectral_measure_of,
     wasserstein_p,
 )
@@ -56,8 +56,10 @@ S = 0.4
 CONV_ALPHA, KAPPA_BAR = 1.0, 1.0
 TWO_STEP_ALPHAS = (0.5, 1.0, 2.0)
 POP_POINTS = 400_000
+POP_BLOCK = 1 << 20  # rows per population batch
 # Stream ids above any replicate index, so the population draws share no
-# entropy with the replicates.
+# entropy with the replicates: batch b at sample size n reads the stream
+# POP_STREAM + (n << 32) + b.
 POP_STREAM = 1_000_000
 
 
@@ -94,17 +96,20 @@ def population_bias(n, cfg: ConvConfig):
     Above tau the worst-case model is X = A Z with Z i.i.d. Pareto(alpha)
     conditioned on ||A Z||_1 > tau, provided tau clears the latent tail
     threshold scaled by the largest column norm.  Draws by plain rejection
-    from the unconditioned Pareto sampler.
+    from batches of the unconditioned model: `generate_dataset` on the
+    i.i.d. Pareto law at the worst-case A.
     """
     A = np.diag(worst_case_tilts(n, cfg.s))
+    spec = ModelSpec(A=A, alpha=cfg.alpha, s=cfg.s, latent_kind="iid-pareto")
     truth = spectral_measure_of(A, cfg.alpha)
     tau = conventional_threshold(n, cfg)
     if tau < A.sum(axis=0).max() * tail_threshold(n, cfg.alpha, cfg.s):
         raise ValueError(f"tau={tau:.4g} reaches below the latent tail threshold")
-    gen = RngStream(BASE_SEED, POP_STREAM + n).generator()
-    kept, total = [], 0
+    kept, total, block = [], 0, 0
     while total < POP_POINTS:
-        x = sample_pareto(cfg.alpha, gen, size=(1 << 20, 2)) @ A.T
+        stream = POP_STREAM + (n << 32) + block
+        x = generate_dataset(spec, POP_BLOCK, BASE_SEED, stream_id=stream).xs
+        block += 1
         try:
             above, _ = _thresholded_points(x, tau)
         except NoExceedancesError:

@@ -28,7 +28,7 @@ from .estimators import (
     estimate_two_step,
     two_step_from_directions,
 )
-from .measures import ModelSpec, _as_int, _fmt, spectral_measure_of
+from .measures import ModelSpec, _as_int, _fmt, _is_bool, spectral_measure_of
 from .numerics import fit_loglog_slope
 from .sampling import check_sample_size, generate_dataset, pareto_draw, worst_case_tilts
 from .svg import line_chart
@@ -62,7 +62,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not 1 <= self.p < math.inf:
+        if _is_bool(self.p) or not 1 <= self.p < math.inf:
             raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:
             raise ConfigError("at least one estimator must be configured")

@@ -148,18 +148,31 @@ def column_dot(xs: np.ndarray, w, out=None) -> np.ndarray:
     return out
 
 
+def divide_rows(rows: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """``rows / divisors[:, None]`` for an (n, d) array and n divisors, one
+    ``np.divide`` per column into one new C-order array: the broadcast runs
+    numpy's inner loop once per row, as ``row_sums`` explains."""
+    out = np.empty(rows.shape)
+    for j in range(rows.shape[1]):
+        np.divide(rows[:, j], divisors, out=out[:, j])
+    return out
+
+
 def _onto_simplex(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """``rows`` divided by their l1-norms ``norms`` (> 0, from ``row_sums``).
+    """``rows`` divided by their l1-norms ``norms`` (> 0, from ``row_sums``),
+    column by column (``divide_rows``).
 
     A row whose norm overflowed to inf is scaled by its largest entry first
     and summed again, so it keeps its direction; other rows are divided as
     they are."""
-    big = np.isinf(norms)
-    if big.any():
+    if np.isinf(norms).any():
+        big = np.flatnonzero(np.isinf(norms))
         rows, norms = rows.copy(), norms.copy()
-        rows[big] /= rows[big].max(axis=1, keepdims=True)
-        norms[big] = row_sums(rows[big])
-    return rows / norms[:, None]
+        scaled = np.take(rows, big, axis=0)
+        scaled = divide_rows(scaled, scaled.max(axis=1))
+        rows[big] = scaled
+        norms[big] = row_sums(scaled)
+    return divide_rows(rows, norms)
 
 
 def make_measure(atoms, weights) -> DiscreteMeasure:
@@ -196,9 +209,15 @@ def validate_measure(mu: DiscreteMeasure) -> bool:
     return close.size == 0
 
 
+def _is_bool(value) -> bool:
+    """True for a Python or numpy bool, which compares as the number 0 or 1."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def check_alpha(alpha: float) -> None:
-    """Raise InvalidAlphaError unless the tail index is in (0, inf)."""
-    if not 0 < alpha < np.inf:
+    """Raise InvalidAlphaError unless the tail index is a number, not a
+    bool, in (0, inf)."""
+    if _is_bool(alpha) or not 0 < alpha < np.inf:
         raise InvalidAlphaError(f"alpha must be finite and > 0, got {alpha}")
 
 

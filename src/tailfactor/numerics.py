@@ -31,13 +31,37 @@ class KMeansResult:
     history: tuple = field(default=(), compare=False)
 
 
+def _squared_distances(points, center):
+    """Squared l2 distance of each row of ``points`` (n, d) to its center,
+    with the bytes of ``row_sums((points - center) ** 2)``.  ``center[c]``
+    is one number, or one per row: column c of the centers taken by label.
+
+    The differences are formed column by column into one (n, d) array:
+    broadcasting a (d,) center against (n, d) points runs numpy's inner
+    loop once per row, as ``row_sums`` explains."""
+    sq = np.empty(points.shape)
+    for c in range(points.shape[1]):
+        np.subtract(points[:, c], center[c], out=sq[:, c])
+    sq *= sq
+    return row_sums(sq)
+
+
+def _by_label(centers, labels):
+    """Column c of ``centers`` taken by ``labels``, for each column c."""
+    return [np.take(col, labels) for col in centers.T]
+
+
 def _assign_points(points, centers):
-    d2 = np.empty((points.shape[0], centers.shape[0]))
-    for c, center in enumerate(centers):
-        d2[:, c] = row_sums((points - center) ** 2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, inertia
+    """Label of each point's nearest center (the first of equal distances)
+    and the inertia, one (n,) distance array per center: an argmin along
+    the rows of an (n, k) matrix runs once per row."""
+    best = _squared_distances(points, centers[0])
+    labels = np.zeros(points.shape[0], dtype=np.intp)
+    for c in range(1, centers.shape[0]):
+        d2 = _squared_distances(points, centers[c])
+        labels[d2 < best] = c
+        np.minimum(best, d2, out=best)
+    return labels, float(best.sum())
 
 
 def _center_update(points, labels, k):
@@ -54,7 +78,7 @@ def _kmeans_pp_seed(points, k, gen):
     centers = np.empty((k, points.shape[1]))
     idx = int(gen.integers(n))
     centers[0] = points[idx]
-    d2 = row_sums((points - centers[0]) ** 2)
+    d2 = _squared_distances(points, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -64,7 +88,7 @@ def _kmeans_pp_seed(points, k, gen):
             idx = int(np.searchsorted(np.cumsum(d2), r))
             idx = min(idx, n - 1)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, row_sums((points - centers[c]) ** 2))
+        d2 = np.minimum(d2, _squared_distances(points, centers[c]))
     return centers
 
 
@@ -82,7 +106,7 @@ def _lloyd(points, centers):
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
             # Reseed each empty cluster at the point farthest from its center.
-            d2 = row_sums((points - new_centers[labels]) ** 2)
+            d2 = _squared_distances(points, _by_label(new_centers, labels))
             for c in np.nonzero(~nonempty)[0]:
                 far = int(np.argmax(d2))
                 new_centers[c] = points[far]
@@ -104,20 +128,31 @@ def _lloyd(points, centers):
 def _line_order(points):
     """Order of the points along the line they span, or None if they span more.
 
-    The line runs through the extreme points of the widest coordinate j.
-    The points count as collinear when each lies within 2^10 machine
-    epsilons (relative to the largest coordinate) of it, i.e. off the line
-    by rounding only.  Returns (argsort along j, j).
+    The line runs through the extreme points of the widest coordinate j,
+    the first of equal widths.  The points count as collinear when each
+    lies within 2^10 machine epsilons (relative to the largest coordinate
+    magnitude) of it, i.e. off the line by rounding only: coordinate c of
+    a point's offset is (x_c - lo_c) - t span_c, t = (x_j - lo_j) / span_j.
+    Returns (argsort along j, j).  Every step takes one column at a time:
+    a reduction along axis 0 of an (n, d) array, or a broadcast to one,
+    runs numpy's inner loop once per row.
     """
-    j = int(np.argmax(np.ptp(points, axis=0)))
-    lo = points[np.argmin(points[:, j])]
-    span = points[np.argmax(points[:, j])] - lo
+    cols = points.T
+    tops = np.array([col.max() for col in cols])
+    bottoms = np.array([col.min() for col in cols])
+    j = int(np.argmax(tops - bottoms))
+    lo = points[np.argmin(cols[j])]
+    span = points[np.argmax(cols[j])] - lo
     if span[j] > 0:
-        off = (points - lo) - np.outer((points[:, j] - lo[j]) / span[j], span)
-        tol = 2**10 * np.finfo(np.float64).eps * np.abs(points).max()
-        if not np.abs(off).max() <= tol:
-            return None
-    return np.argsort(points[:, j]), j
+        t = (cols[j] - lo[j]) / span[j]
+        top = max(np.abs(tops).max(), np.abs(bottoms).max())  # max |x|
+        tol = 2**10 * np.finfo(np.float64).eps * top
+        for c, col in enumerate(cols):
+            off = col - lo[c]
+            off -= t * span[c]
+            if not np.abs(off).max() <= tol:
+                return None
+    return np.argsort(cols[j]), j
 
 
 def _leftmost_argmin(vals, lens):
@@ -242,7 +277,7 @@ def kmeans(points, k: int) -> KMeansResult:
         labels = _exact_line_labels(points, *line, k)
         sums, counts = _center_update(points, labels, k)
         centers = sums / counts[:, None]
-        inertia = float(row_sums((points - centers[labels]) ** 2).sum())
+        inertia = float(_squared_distances(points, _by_label(centers, labels)).sum())
         order = _lex_order(centers)
         centers, counts, history = centers[order], counts[order], ()
     else:

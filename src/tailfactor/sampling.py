@@ -100,6 +100,17 @@ def _max_tail(x: float, m: int, alpha: float) -> float:
     return -math.expm1(m * math.log1p(-q)) if q < 1.0 else 1.0
 
 
+def _first_index(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The number of j < len(cdf) - 1 with x >= cdf[j], for each entry of
+    x: ``min(searchsorted(cdf, x, side="right"), len(cdf) - 1)`` for a
+    non-decreasing cdf, ties included, as one compare per entry of cdf
+    instead of a binary search per entry of x."""
+    first = np.zeros(x.shape, dtype=np.intp)
+    for c in cdf[:-1]:
+        first += x >= c
+    return first
+
+
 # Largest round of the conditional sampler, unless more vectors are missing.
 ROUND_ROWS = 2**16
 
@@ -130,7 +141,9 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
     however the rounds fall.  Each round's proposals are built in the
     array of uniforms it draws, one column at a time: a column of an
     (rows, m) array is one long vector op where a (rows, m) broadcast runs
-    numpy's inner loop once per row.  Raises MaxTrialsExceededError where
+    numpy's inner loop once per row.  J is read off its cumulative weights
+    by ``_first_index``, and the accepted rows are copied into the output by
+    index, column by column.  Raises MaxTrialsExceededError where
     vectors are still missing once the counted proposals reach the budget
     (checked before each round, so the last round may pass it), and
     SampleOverflowError as soon as a counted proposal has a coordinate
@@ -165,8 +178,7 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
         rate = max(filled / proposals, floor) if proposals else floor
         size = max(need, math.ceil(min(need / rate, ROUND_ROWS))) if rate else need
         u = gen.random((size, m + 1))
-        first = np.searchsorted(first_cdf, u[:, 0] * first_cdf[-1], side="right")
-        first = np.minimum(first, m - 1)
+        first = _first_index(np.multiply(u[:, 0], first_cdf[-1], out=u[:, 0]), first_cdf)
         z = u[:, 1:]  # coordinate j is built in column j + 1 of u
         with np.errstate(over="ignore"):  # overflow raises below
             for j in range(m):
@@ -183,7 +195,8 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
                 f"{bad} of {used} proposals overflowed "
                 f"float64 (t={t}, m={m}, alpha={alpha})"
             )
-        out[filled : filled + hits.size] = z[hits]
+        for j in range(m):  # np.take would copy the strided column first
+            out[filled : filled + hits.size, j] = z[hits, j]
         filled += hits.size
         proposals += used
     return out
@@ -346,9 +359,9 @@ def read_batch(csv_path) -> SampleBatch:
     try:
         xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         doc = json.loads(csv_path.with_suffix(".json").read_text())
-        spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
         if any(isinstance(doc[k], bool) for k in ("alpha", "s")):
             raise ValueError("alpha and s must be numbers, not booleans")
+        spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
         if doc.get("zeta", spec.zeta) != spec.zeta:  # older sidecars carry zeta = 1
             raise ValueError(f"zeta must be {spec.zeta}, got {doc['zeta']!r}")
         if (doc["n"], spec.d) != xs.shape:

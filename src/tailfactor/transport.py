@@ -43,7 +43,7 @@ from .errors import (
     InvalidAtomError,
     SolverFailureError,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, row_sums
 
 WEIGHT_DROP = 1e-15
 OPT_TOL = 1e-8
@@ -211,6 +211,18 @@ def solve_transport(a, b, cost):
     return flow, float((flow * cost).sum())
 
 
+def _l1_costs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """l1-distances between the rows of xa (ka, d) and xb (kb, d), with the
+    bytes of ``np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2)``: the
+    gaps are formed one coordinate at a time and summed by ``row_sums``,
+    as a (ka, kb, d) broadcast runs numpy's inner loop once per cell."""
+    gaps = np.empty((len(xa), len(xb), xa.shape[1]))
+    for c in range(xa.shape[1]):
+        gap = gaps[:, :, c]
+        np.abs(np.subtract(xa[:, c, None], xb[None, :, c], out=gap), out=gap)
+    return row_sums(gaps.reshape(-1, xa.shape[1])).reshape(len(xa), len(xb))
+
+
 def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Optimal plan for the l1 costs over ``scale``, to the power p.
 
@@ -230,8 +242,7 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     keep_b = np.nonzero(nu.weights >= WEIGHT_DROP)[0]
     if not (keep_a.size and keep_b.size):
         raise InvalidAtomError(f"a measure has no weight >= {WEIGHT_DROP}")
-    xa, xb = mu.atoms[keep_a], nu.atoms[keep_b]
-    dist = np.abs(xa[:, None, :] - xb[None, :, :]).sum(axis=2)
+    dist = _l1_costs(mu.atoms[keep_a], nu.atoms[keep_b])
     top = dist.max(initial=0.0)
     with np.errstate(over="ignore"):
         scale = float(top) if top > 0 and not TINY <= top**p < math.inf else 1.0

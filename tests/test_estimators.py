@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tailfactor.errors import (
     DimensionMismatchError,
+    InvalidAlphaError,
     InvalidAtomError,
     NoExceedancesError,
     NoSolutionError,
@@ -346,3 +347,13 @@ def test_config_validation():
                 TwoStepConfig(**{**two_step, key: bad})
     ConvConfig(**{**conv, "alpha": 1e300})
     TwoStepConfig(**{**two_step, "alpha": 1e300})
+    # a bool compares as 0 or 1, but it is not a number here
+    for flag in (True, np.True_):
+        for key in ("kappa_bar", "alpha"):
+            with pytest.raises(ValueError, match="invalid conventional config"):
+                ConvConfig(**{**conv, key: flag})
+        for key in ("kappa_tilde", "kappa", "alpha"):
+            with pytest.raises(ValueError, match="invalid two-step config"):
+                TwoStepConfig(**{**two_step, key: flag})
+        with pytest.raises(InvalidAlphaError, match="got True"):
+            ModelSpec(A=np.eye(2), alpha=flag, s=0.2)

@@ -164,6 +164,13 @@ def test_config_validation():
         _cfg(n_grid=(2, 512, 1024))  # direction threshold needs n >= 3
     with pytest.raises(ConfigError):
         _cfg(p=0.5)  # Wasserstein order below 1
+    # a bool compares as 0 or 1, but it is not a number here
+    for flag in (True, np.True_):
+        with pytest.raises(ConfigError, match="need 1 <= p < inf, got True"):
+            _cfg(p=flag)
+        conv = ConvConfig(kappa_bar=1.0, alpha=1.0, s=0.4)
+        with pytest.raises(ConfigError, match="alpha must be finite and > 0, got True"):
+            _cfg(alpha=flag, conv=conv)
     # the model is checked before the sweep, not inside a worker
     with pytest.raises(ConfigError, match="n=256"):
         _cfg(latent_kind="custom")  # not a latent kind

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,6 +14,8 @@ from tailfactor.errors import (
     NearSingularError,
     TooFewPointsError,
 )
+from tailfactor.estimators import ConvConfig, TwoStepConfig
+from tailfactor.harness import ExperimentConfig, emit_outputs, run_convergence_experiment
 from tailfactor.numerics import (
     LLOYD_RESTARTS,
     _assign_points,
@@ -271,6 +274,56 @@ def test_kmeans_property_collinear_no_worse_than_lloyd(pts, k):
         gen = np.random.Generator(np.random.Philox(key=[0, r]))
         _, _, inertia, _ = _lloyd(pts, _kmeans_pp_seed(pts, k, gen))
         assert res.inertia <= inertia + tol
+
+
+
+def _simplex_cloud(seed, n, d=3):
+    """n l1-normalized Pareto(2) vectors in R^d, shaped like the estimators' input."""
+    z = np.random.default_rng(seed).pareto(2.0, size=(n, d))
+    return z / z.sum(axis=1, keepdims=True)
+
+
+# sha256 prefixes of kmeans' centers, weights, inertia and history on three
+# d = 3 simplex clouds: Lloyd's path, which no d = 2 cloud takes.
+@pytest.mark.parametrize(
+    "seed, n, k, iters, digest",
+    [
+        (0, 300, 2, 8, "816868339e06cac8"),
+        (0, 300, 3, 5, "045aa638ae9585d9"),
+        (0, 300, 4, 15, "b012cb8887adcaab"),
+        (1, 700, 2, 14, "5791c5aae03a8f2c"),
+        (1, 700, 3, 7, "9ed0b5a0c53555a1"),
+        (1, 700, 4, 8, "df9efe08d65c040d"),
+        (2, 1500, 2, 9, "dc978ad4b961bd95"),
+        (2, 1500, 3, 11, "0fb3627e087f2909"),
+        (2, 1500, 4, 11, "5dcfd66a2bd15e31"),
+    ],
+)
+def test_lloyd_kmeans_pins_its_bytes(seed, n, k, iters, digest):
+    res = kmeans(_simplex_cloud(seed, n), k)
+    assert len(res.history) == iters
+    raw = res.centers.tobytes() + res.weights.tobytes()
+    raw += np.array([res.inertia, *res.history]).tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+
+def test_d3_sweep_pins_its_bytes(tmp_path):
+    # Both estimators on a non-diagonal 3 x 3 model run Lloyd at k = 3.
+    A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]])
+    cfg = ExperimentConfig(
+        alpha=2.0,
+        s=0.2,
+        n_grid=(1024, 2048, 4096),
+        replicates=2,
+        base_seed=20240601,
+        conv=ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2),
+        latent_kind="iid-pareto",
+        fixed_A=A,
+    )
+    emit_outputs(run_convergence_experiment(cfg), tmp_path)
+    digest = hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()
+    assert digest == "f652b092d085c5a3d05854ce73c282e8c8466dcded2a6e6644c803dbdda52fe0"
 
 
 def test_invert_identity_and_known_matrix():

@@ -39,7 +39,6 @@ from .sampling import (
     RngStream,
     generate_dataset,
     sample_conditional_pareto,
-    sample_pareto,
 )
 from .transport import wasserstein_p, wasserstein_pp
 
@@ -72,7 +71,6 @@ __all__ = [
     "measure_to_json",
     "run_convergence_experiment",
     "sample_conditional_pareto",
-    "sample_pareto",
     "solve_theta",
     "spectral_measure_of",
     "two_step_from_directions",

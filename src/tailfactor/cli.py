@@ -26,8 +26,6 @@ from .harness import (
     run_convergence_experiment,
 )
 from .measures import (
-    LATENT_KINDS,
-    ModelSpec,
     measure_from_json,
     measure_to_json,
     spectral_measure_of,
@@ -37,8 +35,8 @@ from .measures import (
 from .sampling import (
     check_sample_size,
     generate_dataset,
+    model_at,
     read_batch,
-    worst_case_tilts,
     write_batch,
 )
 from .transport import wasserstein_p
@@ -48,9 +46,8 @@ MODEL_KEYS = {"A", "alpha", "s", "latent"}
 # The sample's size and stream: only simulate draws one sample, so only it
 # takes these keys; experiment takes its sizes and seeds from its own section.
 SAMPLE_KEYS = {"n", "seed", "stream_id"}
-# The model's numbers.  alpha, s and n are range-checked here, before ModelSpec
-# sees them: the estimator configs take alpha and s, and n and s size the
-# worst-case matrix.
+# The model's numbers.  alpha and s are range-checked here, before ModelSpec
+# sees them: the estimator configs, built before the model, take them too.
 MODEL_NUMBERS = {
     "alpha": dict(lo=0),
     "s": dict(lo=0, hi=0.5),
@@ -105,15 +102,12 @@ def _number(doc, key, path, integer=False, default=MISSING, lo=None, hi=None):
 
 
 def _array(v, path: str) -> np.ndarray:
-    """Nested lists of finite non-negative numbers, a 2-d array."""
+    """Nested lists of finite numbers, a 2-d array."""
     cells = np.array(v, dtype=object)
     numbers = all(_is_finite_number(c) for c in cells.flat)
     if cells.ndim != 2 or cells.size == 0 or not numbers:
         raise ConfigError(f"{path}: expected a 2-d array of finite numbers")
-    out = cells.astype(np.float64)
-    if np.any(out < 0):
-        raise ConfigError(f"{path}: entries must be non-negative")
-    return out
+    return cells.astype(np.float64)
 
 
 def _fields(doc, path: str, cls, extra=(), fixed=(), **given) -> dict:
@@ -153,8 +147,9 @@ def read_model(cfg: dict, required=("alpha", "s"), sample=False) -> dict:
     """The ``model`` section as ModelSpec keywords, plus n, seed and
     stream_id if ``sample`` (they are unknown keys otherwise).
 
-    ``A`` is None for "worst-case-diag", whose matrix depends on n.  Numbers
-    absent and not ``required`` are left out.
+    ``A`` is None for "worst-case-diag", whose matrix depends on n
+    (``model_at`` builds it).  Numbers absent and not ``required`` are left
+    out.
     """
     keys = MODEL_KEYS | SAMPLE_KEYS if sample else MODEL_KEYS
     model = _check_keys(_require(cfg, "model", "config"), keys, "model")
@@ -163,10 +158,7 @@ def read_model(cfg: dict, required=("alpha", "s"), sample=False) -> dict:
         for key, bounds in MODEL_NUMBERS.items()
         if key in model or key in required
     }
-    latent = model.get("latent", "tilted-worst-case")
-    if latent not in LATENT_KINDS:
-        raise ConfigError(f"model.latent: {latent!r} is not one of {list(LATENT_KINDS)}")
-    out["latent_kind"] = latent
+    out["latent_kind"] = model.get("latent", "tilted-worst-case")
     A = model.get("A", "worst-case-diag")
     out["A"] = None if A == "worst-case-diag" else _array(A, "model.A")
     return out
@@ -186,18 +178,6 @@ def estimator_config(cfg: dict, key: str, alpha: float, s: float, m: int):
     return _build(path, cls, alpha=alpha, s=s, **kw)
 
 
-def _check_tilts(model: dict, n: int):
-    """Both worst-case tilts at size n are positive, if the model uses them."""
-    if model["A"] is None or model["latent_kind"] == "tilted-worst-case":
-        _build("model.n" if n < 2 else "model.s", worst_case_tilts, n, model["s"])
-
-
-def _check_size(model: dict, n: int, path: str):
-    """numpy can index the n-row latent and observation arrays of the model."""
-    width = 2 if model["A"] is None else max(model["A"].shape)
-    _build(path, check_sample_size, n, width)
-
-
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     model = read_model(cfg)
     exp = _require(cfg, "experiment", "config")
@@ -206,10 +186,6 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         raise ConfigError("experiment.n_grid: expected a list of integers")
     grid = dict(enumerate(grid))
     n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
-    if n_grid and n_grid[0] >= 2:  # n^-s is largest at the first size
-        _check_tilts(model, n_grid[0])
-    if n_grid:
-        _check_size(model, max(n_grid), "experiment.n_grid")
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
@@ -242,13 +218,10 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"), sample=True)
     n = model["n"]
-    _check_tilts(model, n)
-    _check_size(model, n, "model.n")
-    if model["A"] is None:
-        model["A"] = np.diag(worst_case_tilts(n, model["s"]))
-    kw = {f.name: model[f.name] for f in fields(ModelSpec) if f.name in model}
+    at = (model[k] for k in ("A", "alpha", "s", "latent_kind"))
+    spec = _build("model", model_at, *at, n)
+    _build("model.n", check_sample_size, n, max(spec.A.shape))
     seed = model["seed"] if args.seed_override is None else args.seed_override
-    spec = _build("model", ModelSpec, **kw)
     write_batch(generate_dataset(spec, n, seed, model.get("stream_id", 0)), args.out)
     return 0
 

@@ -28,9 +28,9 @@ from .estimators import (
     estimate_two_step,
     two_step_from_directions,
 )
-from .measures import ModelSpec, _as_int, _fmt, _is_bool, spectral_measure_of
+from .measures import _as_int, _fmt, _is_bool, spectral_measure_of
 from .numerics import fit_loglog_slope
-from .sampling import check_sample_size, generate_dataset, pareto_draw, worst_case_tilts
+from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw
 from .svg import line_chart
 from .transport import wasserstein_p
 
@@ -114,8 +114,7 @@ class ExperimentResult:
 
 def _model_at(cfg: ExperimentConfig, n: int):
     """The ModelSpec replicates at sample size n draw from, and its true measure."""
-    A = np.diag(worst_case_tilts(n, cfg.s)) if cfg.fixed_A is None else cfg.fixed_A
-    spec = ModelSpec(A=A, alpha=cfg.alpha, s=cfg.s, latent_kind=cfg.latent_kind)
+    spec = model_at(cfg.fixed_A, cfg.alpha, cfg.s, cfg.latent_kind, n)
     return spec, spectral_measure_of(spec.A, spec.alpha)
 
 

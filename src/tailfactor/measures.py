@@ -288,7 +288,8 @@ def validate_model_spec(spec: ModelSpec) -> None:
     if not (0 < spec.s < 0.5):
         raise ValueError(f"s must be in (0, 0.5), got {spec.s}")
     if spec.latent_kind not in LATENT_KINDS:
-        raise ValueError(f"unknown latent kind {spec.latent_kind!r}")
+        kinds = list(LATENT_KINDS)
+        raise ValueError(f"latent kind {spec.latent_kind!r} is not one of {kinds}")
     if spec.latent_kind == "tilted-worst-case" and m != 2:
         raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
 

@@ -9,6 +9,7 @@ batch's bytes do not depend on which BLAS kernel the CPU selects.
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,31 +50,12 @@ def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
     written over the float64 array of uniforms ``u``: one pass each for
     1 - u, the power and the - 1, and no temporary.  A quantile beyond the
     float64 range (u = 1, or alpha near 0) reads inf, with no warning.
-    Raises InvalidAlphaError unless 0 < alpha < inf."""
-    check_alpha(alpha)
+    Its callers check alpha."""
     with np.errstate(over="ignore", divide="ignore"):
         np.subtract(1.0, u, out=u)
         u **= -1.0 / alpha
         u -= 1.0
     return u
-
-
-def sample_pareto(alpha: float, gen: np.random.Generator, size=None):
-    """Draw from the Pareto law with density alpha*(1+x)^-(alpha+1) with the
-    numpy Generator ``gen`` (``RngStream(...).generator()`` makes one).
-
-    The quantile is applied in place to the array of uniforms ``gen``
-    draws; without ``size`` that is one float, and a scalar is returned.
-    Raises InvalidAlphaError unless 0 < alpha < inf, and
-    SampleOverflowError where a draw is beyond the float64 range (alpha
-    near 0): dropping it would truncate the law."""
-    x = _pareto_in_place(np.asarray(gen.random(size)), alpha)
-    if np.isinf(x).any():
-        raise SampleOverflowError(
-            f"{int(np.isinf(x).sum())} of {x.size} Pareto draws overflowed "
-            f"float64 at alpha={alpha}"
-        )
-    return x[()]
 
 
 def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
@@ -217,6 +199,19 @@ def worst_case_tilts(n: int, s: float):
     return 1.0 + eps, 1.0 - eps
 
 
+def model_at(A, alpha: float, s: float, latent_kind: str, n: int) -> ModelSpec:
+    """The model at sample size n: the loading matrix ``A``, or the worst
+    case diag(worst_case_tilts(n, s)) where ``A`` is None.
+
+    The tilts at n are checked wherever the matrix or the tilted latent law
+    uses them (TooFewPointsError, ZeroColumnError); ModelSpec checks the
+    rest."""
+    if A is None or latent_kind == "tilted-worst-case":
+        tilts = worst_case_tilts(n, s)
+        A = np.diag(tilts) if A is None else A
+    return ModelSpec(A=A, alpha=alpha, s=s, latent_kind=latent_kind)
+
+
 def scaled_power(scale: float, base: float, exponent: float) -> float:
     """scale * base^exponent, every threshold's form; InvalidAlphaError where
     it overflows float64, as exponents ~ 1/alpha do for alpha near 0."""
@@ -350,14 +345,18 @@ def write_batch(batch: SampleBatch, csv_path) -> None:
 def read_batch(csv_path) -> SampleBatch:
     """Load a batch written by ``write_batch``.
 
-    A CSV value that is not a finite number >= 0, or a sidecar that lacks a
-    key, holds an invalid model, a boolean alpha or s, a seed or stream_id
-    that is not an integer, a zeta other than 1 or disagrees with the CSV on
-    n or d, raises ConfigError naming the file.
+    A CSV with no rows or with a value that is not a finite number >= 0, or
+    a sidecar that lacks a key, holds an invalid model, a boolean alpha or
+    s, a seed or stream_id that is not an integer, a zeta other than 1 or
+    disagrees with the CSV on n or d, raises ConfigError naming the file.
     """
     csv_path = Path(csv_path)
     try:
-        xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows raises below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            xs = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if not xs.size:
+            raise ValueError("the CSV holds no rows")
         doc = json.loads(csv_path.with_suffix(".json").read_text())
         if any(isinstance(doc[k], bool) for k in ("alpha", "s")):
             raise ValueError("alpha and s must be numbers, not booleans")

@@ -335,6 +335,10 @@ def _cell(value):
     return spoil
 
 
+def _header_only(csv):
+    csv.write_text(csv.read_text().splitlines()[0] + "\n")
+
+
 def _wasserstein_file(atoms):
     def argv(tmp_path):
         mu = tmp_path / "mu.json"
@@ -359,9 +363,12 @@ MALFORMED = {
     # (argv builder, fragment the one-line ConfigError must contain)
     "fixed-A-negative": (
         _experiment(lambda d: d["model"].update(A=[[1.0, 0.5], [-0.1, 1.0]], latent="iid-pareto")),
-        "model.A",
+        "model at n=256: loading matrix must be finite and entry-wise non-negative",
     ),
-    "latent-custom": (_experiment(lambda d: d["model"].update(latent="custom")), "model.latent"),
+    "latent-custom": (
+        _experiment(lambda d: d["model"].update(latent="custom")),
+        "latent kind 'custom' is not one of",
+    ),
     "worst-case-law-on-3x3-A": (
         _experiment(lambda d: d["model"].update(A=np.eye(3).tolist())),
         "worst-case latent law needs m=2",
@@ -403,10 +410,13 @@ MALFORMED = {
         _estimate("two-step", edit=lambda d: d["estimator"]["two_step"].update(det_tol=1e-8)),
         "estimator.two_step: unknown key(s) ['det_tol']",
     ),
-    "simulate-n-1-fixed-A": (_simulate(n=1, latent="tilted-worst-case"), "model.n"),
+    "simulate-n-1-fixed-A": (
+        _simulate(n=1, latent="tilted-worst-case"),
+        "model: the worst-case model needs n >= 2, got 1",
+    ),
     "simulate-n-1-worst-case-diag": (
         _simulate(n=1, A="worst-case-diag", latent="tilted-worst-case"),
-        "model.n",
+        "model: the worst-case model needs n >= 2, got 1",
     ),
     "wasserstein-p-half": (_wasserstein("0.5"), "--p"),
     "wasserstein-p-nan": (_wasserstein("nan"), "--p"),
@@ -431,11 +441,18 @@ MALFORMED = {
         _experiment(lambda d: d["model"].update(A=A_2X3, latent="iid-pareto")),
         "two-step needs a square A, but the model has d=2, m=3",
     ),
-    "simulate-latent-custom": (_simulate(latent={"custom": [1.0, 4.0]}), "model.latent"),
+    "simulate-latent-custom": (
+        _simulate(latent={"custom": [1.0, 4.0]}),
+        "latent kind {'custom': [1.0, 4.0]} is not one of",
+    ),
     "simulate-A-nan": (_simulate(A=[[1.0, NAN], [0.0, 1.0]]), "model.A"),
     "batch-csv-nan": (_estimate(spoil_batch=_cell("nan")), "batch.csv"),
     # X = A Z >= 0, so a negative entry is a defect of the file
     "batch-csv-negative": (_estimate(spoil_batch=_cell("-0.5")), "batch.csv"),
+    "batch-csv-header-only": (
+        _estimate(spoil_batch=_header_only),
+        "batch.csv: the CSV holds no rows",
+    ),
     "wasserstein-coordinate-minus-1e-13": (
         _wasserstein_file([[-1e-13, 1.0 + 1e-13], [1.0, 0.0]]),
         "cannot load measure: atom 0 is",
@@ -478,9 +495,18 @@ MALFORMED = {
     ),
     "threads-0": (_threads("0"), "--threads"),
     "threads-minus-1": (_threads("-1"), "--threads"),
-    "experiment-s-tiny": (_experiment(lambda d: d["model"].update(s=1e-20)), "model.s"),
-    "simulate-s-tiny": (_simulate(s=1e-20, A="worst-case-diag"), "model.s"),
-    "simulate-s-tiny-fixed-A": (_simulate(s=1e-20, latent="tilted-worst-case"), "model.s"),
+    "experiment-s-tiny": (
+        _experiment(lambda d: d["model"].update(s=1e-20)),
+        "model at n=256: s=1e-20 is too small at n=256",
+    ),
+    "simulate-s-tiny": (
+        _simulate(s=1e-20, A="worst-case-diag"),
+        "model: s=1e-20 is too small at n=64",
+    ),
+    "simulate-s-tiny-fixed-A": (
+        _simulate(s=1e-20, latent="tilted-worst-case"),
+        "model: s=1e-20 is too small at n=64",
+    ),
     "n-grid-bool": (
         _experiment(lambda d: d["experiment"].update(n_grid=[True, 2, 3])),
         "experiment.n_grid.0",
@@ -494,11 +520,11 @@ MALFORMED = {
     "simulate-n-2-62": (_simulate(n=2**62, A="worst-case-diag"), "model.n"),
     "n-grid-1e300": (
         _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 1e300])),
-        "experiment.n_grid",
+        "n_grid: an n x 2 float64 array is too large to index",
     ),
     "n-grid-2-62": (
         _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 2**62])),
-        "experiment.n_grid",
+        "n_grid: an n x 2 float64 array is too large to index",
     ),
 }
 

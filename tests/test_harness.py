@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from tailfactor.errors import ConfigError, ExperimentAbortedError, IoError
-from tailfactor.errors import TooFewPointsError
+from tailfactor.errors import NearSingularError, TooFewPointsError
 from tailfactor import harness
 from tailfactor.estimators import ConvConfig, TwoStepConfig
 from tailfactor.harness import (
@@ -19,6 +20,7 @@ from tailfactor.harness import (
     run_convergence_experiment,
     run_staged_experiment,
 )
+from tailfactor.svg import line_chart
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,6 +189,13 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="square A, but the model has d=2, m=3"):
         _cfg(fixed_A=A, latent_kind="iid-pareto", two_step=two_step)
     _cfg(fixed_A=A, latent_kind="iid-pareto")  # the POT estimator takes any A
+    # a fixed A under the tilted law still needs both tilts at the first size
+    tiny = ConvConfig(kappa_bar=1.0, alpha=2.0, s=1e-20)
+    with pytest.raises(ConfigError, match="s=1e-20 is too small at n=256"):
+        _cfg(fixed_A=np.eye(2), latent_kind="tilted-worst-case", s=1e-20, conv=tiny)
+    # numpy cannot index the largest size's arrays
+    with pytest.raises(ConfigError, match="n_grid: an n x 2 float64 array is too large"):
+        _cfg(n_grid=(256, 512, 2**62))
     # integer fields refuse a float or a bool and read a numpy integer as an int
     for bad in (
         dict(replicates=2.5),
@@ -241,6 +250,12 @@ def test_failed_replicates_counted_not_fatal():
     assert len(failed) == 3  # one per grid point
     assert all(r.failure_kind == "TooFewPointsError" for r in failed)
     assert all(np.isnan(r.error) for r in failed)
+    # a failed row gives no diagnostic count, even one that carries a count
+    rows = tuple(dataclasses.replace(r, n_tau=7) if r.failed else r for r in res.rows)
+    diag = diagnostic_counts(dataclasses.replace(res, rows=rows))
+    assert [(n, rep) for n, rep, _, _ in diag] == [
+        (r.n, r.replicate) for r in res.rows if not r.failed
+    ]
 
 
 def test_all_replicates_failing_aborts():
@@ -320,7 +335,7 @@ def test_fixed_loading_matrix_used_as_ground_truth():
         assert np.allclose(sorted(truth.weights), [0.2, 0.8])
 
 
-def test_staged_sweep_matches_default_rows_for_any_thread_count():
+def test_staged_sweep_matches_default_rows_for_any_thread_count(monkeypatch):
     cfg = _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))
     res, stages = run_staged_experiment(cfg)
     assert res.rows == run_convergence_experiment(cfg).rows
@@ -332,6 +347,24 @@ def test_staged_sweep_matches_default_rows_for_any_thread_count():
         done = [r for r in res.rows if r.n == n and r.estimator == "two-step"]
         assert len(stages[n]) == sum(not r.failed for r in done)
         assert all(len(pair) == 2 for pair in stages[n])
+
+    # a magnitude stage that raises a typed error reads nan; the rest stands
+    def singular(*args):
+        raise NearSingularError("synthetic")
+
+    monkeypatch.setattr(harness, "two_step_from_directions", singular)
+    res3, stages3 = run_staged_experiment(cfg)
+    assert res3.rows == res.rows
+    for n in cfg.n_grid:
+        assert [d for _, d in stages3[n]] == [d for _, d in stages[n]]
+        assert all(math.isnan(m) for m, _ in stages3[n])
+
+
+def test_line_chart_widens_a_flat_range():
+    # one point: both ranges are widened by 0.5 each way, so it sits centred
+    svg = line_chart([("a", [2.0], [5.0])], "t", "x", "y")
+    assert '<circle cx="425.00" cy="295.00" r="3"' in svg
+    assert ">1.5</text>" in svg and ">5.5</text>" in svg
 
 
 def test_diagnose_tool_imports_and_parses_arguments(capsys):

@@ -259,6 +259,12 @@ def test_model_spec_validation():
         ModelSpec(A=np.eye(2), alpha=1.0, s=0.7)  # s out of range
     with pytest.raises(Exception):
         ModelSpec(A=np.ones((3, 2)), alpha=1.0, s=0.2)  # m < d
+    with pytest.raises(DimensionMismatchError, match="need d >= 2, got d=1"):
+        ModelSpec(A=[[1.0, 2.0]], alpha=1.0, s=0.2)
+    with pytest.raises(ZeroColumnError, match="zero column"):
+        ModelSpec(A=[[1.0, 0.0], [2.0, 0.0]], alpha=1.0, s=0.2)
+    with pytest.raises(ValueError, match=r"'custom' is not one of \['iid-pareto', 'tilted"):
+        ModelSpec(A=np.eye(2), alpha=1.0, s=0.2, latent_kind="custom")
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidAlphaError):
             ModelSpec(A=np.eye(2), alpha=alpha, s=0.2)

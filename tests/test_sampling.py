@@ -28,7 +28,6 @@ from tailfactor.sampling import (
     pareto_draw,
     read_batch,
     sample_conditional_pareto,
-    sample_pareto,
     tail_threshold,
     worst_case_tilts,
     write_batch,
@@ -50,23 +49,10 @@ def test_pareto_quantile_examples():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_pareto_sampler_matches_cdf(alpha):
-    gen = RngStream(7, 0).generator()
-    x = sample_pareto(alpha, gen, size=200_000)
+    x = pareto_draw(ModelSpec(np.eye(2), alpha, 0.2), 100_000, 7).ravel()
     # CDF of the shifted Pareto: F(x) = 1 - (1+x)^(-alpha)
     stat, _ = stats.kstest(x, lambda t: 1.0 - (1.0 + t) ** (-alpha))
     assert stat < 0.01
-
-
-def test_sample_pareto_without_size_draws_a_scalar():
-    # gen.random() then gives a float, which no kernel can write in place.
-    x = sample_pareto(2.0, RngStream(7, 0).generator())
-    assert isinstance(x, np.float64) and x >= 0.0
-    u = RngStream(7, 0).generator().random()
-    assert x == _pareto_in_place(np.array(u), 2.0)
-    assert sample_pareto(2.0, RngStream(7, 0).generator(), 1)[0] == x
-    for alpha in (-1.0, 0.0):
-        with pytest.raises(InvalidAlphaError):
-            sample_pareto(alpha, RngStream(1, 0).generator())
 
 
 def test_tilted_sampler_matches_cdf():
@@ -171,9 +157,6 @@ def test_extreme_alpha_raises_typed_errors():
     spec = ModelSpec(A=np.eye(2), alpha=1e-3, s=0.2, latent_kind="iid-pareto")
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         generate_dataset(spec, 64, seed=1)
-    # the public Pareto samplers raise it too, with no warning first
-    with pytest.raises(SampleOverflowError, match="alpha=0.001"):
-        sample_pareto(1e-3, RngStream(1, 0).generator(), 6)
     # the worst case redraws a row whose i.i.d. draw overflows: that row is
     # above the threshold, so the batch is drawn from the law it defines
     n = 2**17
@@ -181,15 +164,13 @@ def test_extreme_alpha_raises_typed_errors():
     spec = ModelSpec(A=A, alpha=0.02, s=0.4, latent_kind="tilted-worst-case")
     assert np.isinf(pareto_draw(spec, n, 1, 5)).any()
     assert np.isfinite(generate_dataset(spec, n, 1, 5).xs).all()
-    with pytest.raises(SampleOverflowError):
-        sample_pareto(0.02, RngStream(1, 5).generator(), (n, 2))
     # the conditional sampler's power overflows too: a typed error, no warning
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
         sample_conditional_pareto(5, 2, 1e-3, 1.0, RngStream(1, 0).generator())
     # alpha <= 0 is no tail index; m = 0 is no vector
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
-            sample_pareto(alpha, RngStream(1, 0).generator(), 8)
+            ModelSpec(A=np.eye(2), alpha=alpha, s=0.2)  # so no draw gets it
         with pytest.raises(InvalidAlphaError):
             tail_threshold(256, alpha, 0.4)
     with pytest.raises(InvalidAlphaError):
@@ -335,8 +316,7 @@ def test_shared_draw_prefix_gives_the_batch_bytes():
     for n, spec in _models():
         own = generate_dataset(spec, n, 20240601, stream_id=5).xs
         draw = pareto_draw(spec, 1000, 20240601, 5)
-        sampled = sample_pareto(spec.alpha, RngStream(20240601, 5).generator(), (1000, spec.m))
-        assert np.array_equal(draw, sampled)
+        assert np.array_equal(pareto_draw(spec, n, 20240601, 5), draw[:n])
         before = draw.copy()
         shared = generate_dataset(spec, n, 20240601, stream_id=5, draw=draw).xs
         assert shared.tobytes() == own.tobytes(), (n, spec.latent_kind)
@@ -370,7 +350,7 @@ def test_diagonal_A_scales_in_place_with_the_product_bytes():
     ):
         spec = ModelSpec(A=A, alpha=1.5, s=0.2, latent_kind=kind)
         gen = RngStream(9, 2).generator()
-        z = _latent_in_place(spec, sample_pareto(spec.alpha, gen, (4096, spec.m)), gen)
+        z = _latent_in_place(spec, _pareto_in_place(gen.random((4096, spec.m)), 1.5), gen)
         xs = generate_dataset(spec, 4096, 9, 2).xs
         assert xs.tobytes() == (z @ A.T).tobytes()
     # an entry of the scaled batch beyond the float64 range still raises
@@ -411,7 +391,7 @@ def _left_to_right(z, A):
 )
 def test_times_A_sums_each_entry_left_to_right(A):
     A = np.array(A)
-    z = sample_pareto(1.5, RngStream(3, A.size).generator(), (2000, A.shape[1]))
+    z = _pareto_in_place(RngStream(3, A.size).generator().random((2000, A.shape[1])), 1.5)
     xs = _times_A(z.copy(), A)
     assert xs.shape == (2000, A.shape[0])
     assert xs.tobytes() == _left_to_right(z, A).tobytes()

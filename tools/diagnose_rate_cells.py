@@ -33,7 +33,6 @@ import numpy as np
 from tailfactor import (
     ConvConfig,
     ExperimentConfig,
-    ModelSpec,
     TwoStepConfig,
     conventional_threshold,
     fit_loglog_slope,
@@ -47,7 +46,7 @@ from tailfactor import (
 from tailfactor.errors import NoExceedancesError
 from tailfactor.estimators import _thresholded_points
 from tailfactor.harness import run_staged_experiment
-from tailfactor.sampling import tail_threshold, worst_case_tilts
+from tailfactor.sampling import model_at, tail_threshold
 
 BASE_SEED = 20240601
 REPLICATES = 30
@@ -99,8 +98,8 @@ def population_bias(n, cfg: ConvConfig):
     from batches of the unconditioned model: `generate_dataset` on the
     i.i.d. Pareto law at the worst-case A.
     """
-    A = np.diag(worst_case_tilts(n, cfg.s))
-    spec = ModelSpec(A=A, alpha=cfg.alpha, s=cfg.s, latent_kind="iid-pareto")
+    spec = model_at(None, cfg.alpha, cfg.s, "iid-pareto", n)
+    A = spec.A
     truth = spectral_measure_of(A, cfg.alpha)
     tau = conventional_threshold(n, cfg)
     if tau < A.sum(axis=0).max() * tail_threshold(n, cfg.alpha, cfg.s):

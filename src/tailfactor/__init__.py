@@ -31,12 +31,12 @@ from .measures import (
 )
 from .numerics import (
     KMeansResult,
+    RngStream,
     fit_loglog_slope,
     invert_square_matrix,
     kmeans,
 )
 from .sampling import (
-    RngStream,
     generate_dataset,
     sample_conditional_pareto,
 )

@@ -22,10 +22,12 @@ from .estimators import (
 from .harness import (
     ESTIMATOR_TAGS,
     ExperimentConfig,
+    check_n_grid,
     emit_outputs,
     run_convergence_experiment,
 )
 from .measures import (
+    ModelSpec,
     measure_from_json,
     measure_to_json,
     spectral_measure_of,
@@ -45,16 +47,7 @@ TOP_KEYS = {"model", "estimator", "experiment"}
 MODEL_KEYS = {"A", "alpha", "s", "latent"}
 # The sample's size and stream: only simulate draws one sample, so only it
 # takes these keys; experiment takes its sizes and seeds from its own section.
-SAMPLE_KEYS = {"n", "seed", "stream_id"}
-# The model's numbers.  alpha and s are range-checked here, before ModelSpec
-# sees them: the estimator configs, built before the model, take them too.
-MODEL_NUMBERS = {
-    "alpha": dict(lo=0),
-    "s": dict(lo=0, hi=0.5),
-    "n": dict(integer=True, lo=0),
-    "seed": dict(integer=True),
-    "stream_id": dict(integer=True),
-}
+SAMPLE_KEYS = {"n": MISSING, "seed": MISSING, "stream_id": 0}  # key -> default
 ESTIMATORS = {"conv": ConvConfig, "two_step": TwoStepConfig}
 # The factor count each section may still name; older configs send it, and
 # it must be the model's m.
@@ -85,8 +78,8 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _number(doc, key, path, integer=False, default=MISSING, lo=None, hi=None):
-    """``doc[key]`` as a finite number in (lo, hi); ``default`` when absent."""
+def _number(doc, key, path, integer=False, default=MISSING):
+    """``doc[key]`` as a finite number, of any range; ``default`` when absent."""
     if key not in doc and default is not MISSING:
         return default
     v = _require(doc, key, path)
@@ -94,10 +87,6 @@ def _number(doc, key, path, integer=False, default=MISSING, lo=None, hi=None):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    if lo is not None and v <= lo:
-        raise ConfigError(f"{path}.{key}: must be > {lo}, got {v}")
-    if hi is not None and v >= hi:
-        raise ConfigError(f"{path}.{key}: must be < {hi}, got {v}")
     return int(v) if integer else float(v)
 
 
@@ -143,57 +132,56 @@ def load_config(path) -> dict:
     return _check_keys(doc, TOP_KEYS, "config")
 
 
-def read_model(cfg: dict, required=("alpha", "s"), sample=False) -> dict:
-    """The ``model`` section as ModelSpec keywords, plus n, seed and
-    stream_id if ``sample`` (they are unknown keys otherwise).
-
-    ``A`` is None for "worst-case-diag", whose matrix depends on n
-    (``model_at`` builds it).  Numbers absent and not ``required`` are left
-    out.
-    """
-    keys = MODEL_KEYS | SAMPLE_KEYS if sample else MODEL_KEYS
+def read_model(cfg: dict, sample=False) -> tuple:
+    """The ``model`` section as ``model_at``'s (A, alpha, s, latent_kind),
+    then n, seed and stream_id if ``sample`` (they are unknown keys
+    otherwise).  ``A`` is None for "worst-case-diag", whose matrix depends
+    on n."""
+    keys = MODEL_KEYS | SAMPLE_KEYS.keys() if sample else MODEL_KEYS
     model = _check_keys(_require(cfg, "model", "config"), keys, "model")
-    out = {
-        key: _number(model, key, "model", **bounds)
-        for key, bounds in MODEL_NUMBERS.items()
-        if key in model or key in required
-    }
-    out["latent_kind"] = model.get("latent", "tilted-worst-case")
     A = model.get("A", "worst-case-diag")
-    out["A"] = None if A == "worst-case-diag" else _array(A, "model.A")
+    out = (
+        None if A == "worst-case-diag" else _array(A, "model.A"),
+        _number(model, "alpha", "model"),
+        _number(model, "s", "model"),
+        model.get("latent", "tilted-worst-case"),
+    )
+    if sample:
+        out += tuple(_number(model, k, "model", True, v) for k, v in SAMPLE_KEYS.items())
     return out
 
 
-def estimator_config(cfg: dict, key: str, alpha: float, s: float, m: int):
-    """ConvConfig or TwoStepConfig of ``estimator.<key>`` at the model's
-    alpha and s; the section sets only the tuning constants, and names the
-    factor count only as the model's m."""
+def estimator_config(cfg: dict, key: str, spec: ModelSpec):
+    """ConvConfig or TwoStepConfig of ``estimator.<key>`` at the model
+    ``spec``'s alpha and s; the section sets only the tuning constants, and
+    names the factor count only as spec.m."""
     est = _check_keys(_require(cfg, "estimator", "config"), ESTIMATORS, "estimator")
     cls, path, factors = ESTIMATORS[key], f"estimator.{key}", FACTOR_KEYS[key]
     section = _require(est, key, "estimator")
     kw = _fields(section, path, cls, (factors,), ("alpha", "s"))
-    if section.get(factors, m) != m:
+    if section.get(factors, spec.m) != spec.m:
         got = section[factors]
-        raise ConfigError(f"{path}.{factors}: must be the model's m={m}, got {got!r}")
-    return _build(path, cls, alpha=alpha, s=s, **kw)
+        raise ConfigError(f"{path}.{factors}: must be the model's m={spec.m}, got {got!r}")
+    return _build(path, cls, alpha=spec.alpha, s=spec.s, **kw)
 
 
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
-    model = read_model(cfg)
+    A, alpha, s, latent_kind = read_model(cfg)
     exp = _require(cfg, "experiment", "config")
     grid = _require(exp, "n_grid", "experiment")
     if not isinstance(grid, list):
         raise ConfigError("experiment.n_grid: expected a list of integers")
     grid = dict(enumerate(grid))
     n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
+    _build("experiment", check_n_grid, n_grid)
+    # the estimator configs take the alpha, s and m of the model at n_grid[0]
+    spec = _build("model", model_at, A, alpha, s, latent_kind, n_grid[0])
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
     aggregate = exp.get("aggregate", "median")  # older configs name the only one
     if aggregate != "median":
         raise ConfigError(f"experiment.aggregate: only 'median', got {aggregate!r}")
-    m = 2 if model["A"] is None else model["A"].shape[1]  # worst-case-diag is 2x2
-    at = (model["alpha"], model["s"], m)
     kw = _fields(
         exp,
         "experiment",
@@ -201,10 +189,12 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         ("n_grid", "aggregate", "estimators"),
         ("alpha", "s"),
         n_grid=n_grid,
-        conv=estimator_config(cfg, "conv", *at) if "conv" in tags else None,
-        two_step=estimator_config(cfg, "two_step", *at) if "two-step" in tags else None,
-        fixed_A=model["A"],
-        **{k: model[k] for k in ("alpha", "s", "latent_kind") if k in model},
+        conv=estimator_config(cfg, "conv", spec) if "conv" in tags else None,
+        two_step=estimator_config(cfg, "two_step", spec) if "two-step" in tags else None,
+        fixed_A=A,
+        alpha=alpha,
+        s=s,
+        latent_kind=latent_kind,
     )
     if seed_override is not None:
         kw["base_seed"] = seed_override
@@ -216,13 +206,11 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    model = read_model(load_config(args.config), ("alpha", "s", "n", "seed"), sample=True)
-    n = model["n"]
-    at = (model[k] for k in ("A", "alpha", "s", "latent_kind"))
+    *at, n, seed, stream_id = read_model(load_config(args.config), sample=True)
     spec = _build("model", model_at, *at, n)
     _build("model.n", check_sample_size, n, max(spec.A.shape))
-    seed = model["seed"] if args.seed_override is None else args.seed_override
-    write_batch(generate_dataset(spec, n, seed, model.get("stream_id", 0)), args.out)
+    seed = seed if args.seed_override is None else args.seed_override
+    write_batch(generate_dataset(spec, n, seed, stream_id), args.out)
     return 0
 
 
@@ -232,8 +220,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError("model: estimate reads the model from the batch sidecar")
     batch = read_batch(args.batch)
     spec = batch.spec
-    key = args.kind.replace("-", "_")
-    est_cfg = estimator_config(cfg, key, spec.alpha, spec.s, spec.m)
+    est_cfg = estimator_config(cfg, args.kind.replace("-", "_"), spec)
     if args.kind == "conv":
         mu, _ = estimate_conventional(batch, est_cfg)
     else:

@@ -23,6 +23,7 @@ from .measures import (
     SampleBatch,
     _is_bool,
     _onto_simplex,
+    check_s,
     column_dot,
     divide_rows,
     make_measure,
@@ -43,11 +44,10 @@ BLOCK_ROWS = 2**15
 
 
 def _check_settings(cfg, kind: str, positive) -> None:
-    """ValueError unless each of ``positive`` is in (0, inf) and cfg.s in
-    (0, 1/2), none of them a bool (which compares as 0 or 1)."""
-    if any(_is_bool(x) for x in (*positive, cfg.s)) or not (
-        all(0 < x < math.inf for x in positive) and 0 < cfg.s < 0.5
-    ):
+    """ValueError unless cfg.s is in (0, 1/2) and each of ``positive`` in
+    (0, inf), none of them a bool (which compares as 0 or 1)."""
+    check_s(cfg.s)
+    if any(_is_bool(x) or not 0 < x < math.inf for x in positive):
         raise ValueError(f"invalid {kind} config {cfg}")
 
 

@@ -32,9 +32,16 @@ from .measures import _as_int, _fmt, _is_bool, spectral_measure_of
 from .numerics import fit_loglog_slope
 from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw
 from .svg import line_chart
-from .transport import wasserstein_p
+from .transport import _l1_costs, wasserstein_p
 
 ESTIMATOR_TAGS = ("conv", "two-step")
+
+
+def check_n_grid(n_grid) -> None:
+    """ConfigError unless the sizes ``n_grid`` are >= 3 strictly increasing
+    ones, all >= 3."""
+    if len(n_grid) < 3 or n_grid[0] < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,7 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "n_grid", grid)
-        if len(grid) < 3 or grid[0] < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
+        check_n_grid(grid)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if _is_bool(self.p) or not 1 <= self.p < math.inf:
@@ -84,12 +90,8 @@ class ExperimentConfig:
 
     @property
     def tags(self):
-        out = []
-        if self.conv is not None:
-            out.append("conv")
-        if self.two_step is not None:
-            out.append("two-step")
-        return tuple(out)
+        ests = (self.conv, self.two_step)
+        return tuple(tag for tag, est in zip(ESTIMATOR_TAGS, ests) if est is not None)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def stage_errors(batch, ts_cfg, truth, p):
     norms = batch.spec.A.sum(axis=0)
     true_dirs = batch.spec.A / norms
     a_dir, _ = estimate_directions(batch, ts_cfg)
-    gaps = np.abs(a_dir[:, :, None] - true_dirs[:, None, :]).sum(axis=0)
+    gaps = _l1_costs(a_dir.T, true_dirs.T)
     mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], ts_cfg.alpha)
     try:
         _, mu_mag = two_step_from_directions(batch, ts_cfg, true_dirs)

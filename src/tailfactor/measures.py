@@ -221,6 +221,12 @@ def check_alpha(alpha: float) -> None:
         raise InvalidAlphaError(f"alpha must be finite and > 0, got {alpha}")
 
 
+def check_s(s: float) -> None:
+    """Raise ValueError unless the deviation parameter is in (0, 1/2)."""
+    if not 0 < s < 0.5:
+        raise ValueError(f"s must be in (0, 0.5), got {s}")
+
+
 def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     """Closed-form limiting spectral measure of the factor model X = A Z.
 
@@ -285,8 +291,7 @@ def validate_model_spec(spec: ModelSpec) -> None:
     if np.any(spec.A.sum(axis=0) == 0):
         raise ZeroColumnError("loading matrix has a zero column")
     check_alpha(spec.alpha)
-    if not (0 < spec.s < 0.5):
-        raise ValueError(f"s must be in (0, 0.5), got {spec.s}")
+    check_s(spec.s)
     if spec.latent_kind not in LATENT_KINDS:
         kinds = list(LATENT_KINDS)
         raise ValueError(f"latent kind {spec.latent_kind!r} is not one of {kinds}")

@@ -1,6 +1,7 @@
-"""Shared numeric kernels: k-means (exact on a line, Lloyd otherwise), small
-dense inverse, log-log OLS."""
+"""Shared numeric kernels: counter-based random streams, k-means (exact on a
+line, Lloyd otherwise), small dense inverse, log-log OLS."""
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,21 @@ LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-9
 # Smallest determinant magnitude invert_square_matrix accepts.
 DET_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class RngStream:
+    """Named (seed, stream_id) pair; distinct ids give independent streams."""
+
+    seed: int
+    stream_id: int = 0
+
+    def generator(self) -> np.random.Generator:
+        # A uint64 key: numpy reads a list holding a value >= 2^63 through
+        # float64, which maps distinct seeds (-1 and 0, say) to one stream.
+        # Masked as Python ints: np.int64(3) & (2**64 - 1) overflows.
+        key = [operator.index(v) & (2**64 - 1) for v in (self.seed, self.stream_id)]
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -250,8 +266,8 @@ def kmeans(points, k: int) -> KMeansResult:
     Otherwise it runs Lloyd's algorithm with k-means++ seeding, best of
     LLOYD_RESTARTS runs of at most LLOYD_MAX_ITERS iterations, stopping once
     no center moves more than LLOYD_TOL (l1); ``history`` holds the best
-    run's inertia per iteration.  Deterministic: restart r uses the Philox
-    stream keyed by (0, r).
+    run's inertia per iteration.  Deterministic: restart r draws from
+    ``RngStream(0, r)``.
 
     Either way the centers are the means of the chosen clusters, summed in
     sample order, so both paths give the same bytes for the same partition.
@@ -281,13 +297,17 @@ def kmeans(points, k: int) -> KMeansResult:
         order = _lex_order(centers)
         centers, counts, history = centers[order], counts[order], ()
     else:
-        # with fewer distinct points than k, Lloyd leaves clusters empty
-        distinct = np.unique(points, axis=0).shape[0]
+        # Lloyd leaves clusters empty with fewer than k distinct points
+        rows, new = _lex_order(points), np.zeros(n - 1, dtype=bool)
+        for c in range(points.shape[1]):
+            column = points[rows, c]
+            new |= column[1:] != column[:-1]
+        distinct = 1 + np.count_nonzero(new)
         if distinct < k:
             raise TooFewPointsError(f"{distinct} distinct points for k={k}")
         best = None
         for r in range(LLOYD_RESTARTS):
-            gen = np.random.Generator(np.random.Philox(key=[0, r]))
+            gen = RngStream(0, r).generator()
             centers0 = _kmeans_pp_seed(points, k, gen)
             centers, counts, inertia, history = _lloyd(points, centers0)
             order = _lex_order(centers)

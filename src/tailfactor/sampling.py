@@ -8,9 +8,8 @@ batch's bytes do not depend on which BLAS kernel the CPU selects.
 
 import json
 import math
-import operator
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +26,8 @@ from .errors import (
     TooFewPointsError,
     ZeroColumnError,
 )
-from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, column_dot, row_sums
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Named (seed, stream_id) pair; distinct ids give independent streams."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        # A uint64 key: numpy reads a list holding a value >= 2^63 through
-        # float64, which maps distinct seeds (-1 and 0, say) to one stream.
-        # Masked as Python ints: np.int64(3) & (2**64 - 1) overflows.
-        key = [operator.index(v) & (2**64 - 1) for v in (self.seed, self.stream_id)]
-        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, check_s, column_dot, row_sums
+from .numerics import RngStream
 
 
 def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -203,9 +188,11 @@ def model_at(A, alpha: float, s: float, latent_kind: str, n: int) -> ModelSpec:
     """The model at sample size n: the loading matrix ``A``, or the worst
     case diag(worst_case_tilts(n, s)) where ``A`` is None.
 
-    The tilts at n are checked wherever the matrix or the tilted latent law
-    uses them (TooFewPointsError, ZeroColumnError); ModelSpec checks the
-    rest."""
+    alpha and s are checked first (InvalidAlphaError, ValueError), then the
+    tilts at n wherever the matrix or the tilted latent law uses them
+    (TooFewPointsError, ZeroColumnError); ModelSpec checks the rest."""
+    check_alpha(alpha)
+    check_s(s)
     if A is None or latent_kind == "tilted-worst-case":
         tilts = worst_case_tilts(n, s)
         A = np.diag(tilts) if A is None else A
@@ -346,9 +333,9 @@ def read_batch(csv_path) -> SampleBatch:
     """Load a batch written by ``write_batch``.
 
     A CSV with no rows or with a value that is not a finite number >= 0, or
-    a sidecar that lacks a key, holds an invalid model, a boolean alpha or
-    s, a seed or stream_id that is not an integer, a zeta other than 1 or
-    disagrees with the CSV on n or d, raises ConfigError naming the file.
+    a sidecar that lacks a key, holds an invalid model, a seed or stream_id
+    that is not an integer, a zeta other than 1 or disagrees with the CSV
+    on n or d, raises ConfigError naming the file.
     """
     csv_path = Path(csv_path)
     try:
@@ -358,8 +345,6 @@ def read_batch(csv_path) -> SampleBatch:
         if not xs.size:
             raise ValueError("the CSV holds no rows")
         doc = json.loads(csv_path.with_suffix(".json").read_text())
-        if any(isinstance(doc[k], bool) for k in ("alpha", "s")):
-            raise ValueError("alpha and s must be numbers, not booleans")
         spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
         if doc.get("zeta", spec.zeta) != spec.zeta:  # older sidecars carry zeta = 1
             raise ValueError(f"zeta must be {spec.zeta}, got {doc['zeta']!r}")

@@ -233,13 +233,18 @@ def test_memory_error_is_one_line_exit_one(tmp_path, capsys, monkeypatch):
 
 
 def test_shipped_configs_load():
+    # every configs/*.json, read as `experiment` reads it
     paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
-    assert len(paths) >= 2
+    assert {"smoke.json", "table2_a2_s02.json"} <= {path.name for path in paths}
     for path in paths:
         doc = load_config(path)
         cfg = experiment_config_from(doc)
         assert set(cfg.tags) == set(doc["experiment"]["estimators"])
         assert cfg.n_grid == tuple(doc["experiment"]["n_grid"])
+        model = doc["model"]
+        assert (cfg.alpha, cfg.s, cfg.latent_kind) == (model["alpha"], model["s"], model["latent"])
+        for est in (cfg.conv, cfg.two_step):
+            assert est is None or (est.alpha, est.s) == (cfg.alpha, cfg.s)
 
 
 def test_smoke_outputs_pin_golden_bytes(tmp_path):
@@ -363,7 +368,7 @@ MALFORMED = {
     # (argv builder, fragment the one-line ConfigError must contain)
     "fixed-A-negative": (
         _experiment(lambda d: d["model"].update(A=[[1.0, 0.5], [-0.1, 1.0]], latent="iid-pareto")),
-        "model at n=256: loading matrix must be finite and entry-wise non-negative",
+        "model: loading matrix must be finite and entry-wise non-negative",
     ),
     "latent-custom": (
         _experiment(lambda d: d["model"].update(latent="custom")),
@@ -375,6 +380,24 @@ MALFORMED = {
     ),
     "alpha-nan": (_experiment(lambda d: d["model"].update(alpha=NAN)), "model.alpha"),
     "s-nan": (_experiment(lambda d: d["model"].update(s=NAN)), "model.s"),
+    # The model's ranges are the library's: the CLI checks only the types.
+    "alpha-minus-1": (
+        _experiment(lambda d: d["model"].update(alpha=-1)),
+        "model: alpha must be finite and > 0, got -1.0",
+    ),
+    "s-0.7": (
+        _experiment(lambda d: d["model"].update(s=0.7)),
+        "model: s must be in (0, 0.5), got 0.7",
+    ),
+    "s-minus-0.1": (
+        _experiment(lambda d: d["model"].update(s=-0.1)),
+        "model: s must be in (0, 0.5), got -0.1",
+    ),
+    "simulate-n-0-fixed-A": (_simulate(n=0), "model.n: need n >= 1, got 0"),
+    "simulate-n-0-worst-case-diag": (
+        _simulate(n=0, A="worst-case-diag", latent="tilted-worst-case"),
+        "model: the worst-case model needs n >= 2, got 0",
+    ),
     "kmeans-k-string": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": "abc"})),
         "estimator.conv: unknown key(s) ['kmeans']",
@@ -497,7 +520,7 @@ MALFORMED = {
     "threads-minus-1": (_threads("-1"), "--threads"),
     "experiment-s-tiny": (
         _experiment(lambda d: d["model"].update(s=1e-20)),
-        "model at n=256: s=1e-20 is too small at n=256",
+        "model: s=1e-20 is too small at n=256",
     ),
     "simulate-s-tiny": (
         _simulate(s=1e-20, A="worst-case-diag"),
@@ -711,6 +734,9 @@ def _edited(doc, path, value):
 @example(("wasserstein", ("atoms",), {}))
 @example(("wasserstein", ("atoms",), 10**400))
 @example(("experiment", ("experiment",), 0))
+@example(("simulate-worst-case", ("model", "s"), -171))
+@example(("experiment", ("model", "s"), 0.5))
+@example(("experiment", ("model", "alpha"), 0))
 def test_cli_property_exit_code_and_one_line(property_batch, edit):
     """Any single-key edit of a small valid input exits 0, 1 or 2 with at
     most one line on stderr and no warning or traceback."""

@@ -25,6 +25,7 @@ from tailfactor.sampling import (
     RngStream,
     check_sample_size,
     generate_dataset,
+    model_at,
     pareto_draw,
     read_batch,
     sample_conditional_pareto,
@@ -251,6 +252,20 @@ def test_worst_case_tilts_and_threshold_formulas():
     # scale * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)
+
+
+def test_model_at_checks_alpha_and_s_before_the_tilts():
+    # unchecked, s = -171 overflows n^-s, s = -0.1 and NaN read as a zero
+    # tilt and s = 0.7 gives valid tilts: each is reported out of (0, 1/2)
+    for s in (-0.1, -171.0, math.nan, 0.7):
+        for A, kind in ((None, "tilted-worst-case"), (np.eye(2), "iid-pareto")):
+            with pytest.raises(ValueError, match=r"s must be in \(0, 0.5\), got"):
+                model_at(A, 2.0, s, kind, 64)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidAlphaError):
+            model_at(None, alpha, 0.2, "tilted-worst-case", 64)
+    spec = model_at(None, 2.0, 0.2, "tilted-worst-case", 64)
+    assert np.array_equal(spec.A, np.diag(worst_case_tilts(64, 0.2)))
 
 
 def test_worst_case_latent_needs_two_factors():
@@ -543,7 +558,10 @@ def _edit_csv(edit):
         (_edit_sidecar(lambda doc: doc.pop("latent_kind")), "sidecar lacks key 'latent_kind'"),
         (_edit_sidecar(lambda doc: doc.update(A=np.eye(3).tolist())), "d = 3, CSV (64, 2)"),
         (_edit_sidecar(lambda doc: doc.update(s=0.7)), "s must be in"),
-        (_edit_sidecar(lambda doc: doc.update(alpha=True)), "must be numbers, not booleans"),
+        (
+            _edit_sidecar(lambda doc: doc.update(alpha=True)),
+            "alpha must be finite and > 0, got True",
+        ),
         (_edit_sidecar(lambda doc: doc.update(alpha=float("inf"))), "alpha must be finite"),
         (_edit_sidecar(lambda doc: doc.update(alpha=float("nan"))), "alpha must be finite"),
         (_edit_sidecar(lambda doc: doc.update(zeta=2)), "zeta must be 1.0, got 2"),

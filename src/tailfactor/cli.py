@@ -23,6 +23,7 @@ from .harness import (
     ESTIMATOR_TAGS,
     ExperimentConfig,
     check_n_grid,
+    check_replicates,
     emit_outputs,
     run_convergence_experiment,
 )
@@ -173,9 +174,10 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         raise ConfigError("experiment.n_grid: expected a list of integers")
     grid = dict(enumerate(grid))
     n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
-    _build("experiment", check_n_grid, n_grid)
+    _build("experiment.n_grid", check_n_grid, n_grid)
     # the estimator configs take the alpha, s and m of the model at n_grid[0]
     spec = _build("model", model_at, A, alpha, s, latent_kind, n_grid[0])
+    _build("experiment.n_grid", check_sample_size, n_grid[-1], max(spec.A.shape))
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
@@ -196,6 +198,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         s=s,
         latent_kind=latent_kind,
     )
+    _build("experiment.replicates", check_replicates, kw["replicates"])
     if seed_override is not None:
         kw["base_seed"] = seed_override
     return _build("experiment", ExperimentConfig, **kw)

@@ -44,6 +44,12 @@ def check_n_grid(n_grid) -> None:
         raise ConfigError("n_grid needs >= 3 strictly increasing sizes, all >= 3")
 
 
+def check_replicates(replicates) -> None:
+    """ConfigError unless at least one replicate runs."""
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float
@@ -66,8 +72,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "n_grid", grid)
         check_n_grid(grid)
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        check_replicates(self.replicates)
         if _is_bool(self.p) or not 1 <= self.p < math.inf:
             raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:

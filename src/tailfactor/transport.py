@@ -1,18 +1,21 @@
 """Exact p-Wasserstein distance between discrete measures, l1 ground cost.
 
 Solves the transportation linear program with a dense transportation
-simplex: northwest-corner start, Dantzig pricing over the full
-reduced-cost matrix, cycle pivots.  The basis is one spanning tree over the
-row and column nodes, kept as a cell mask for pricing and as adjacency
-lists that each pivot updates in place.  One breadth-first walk of the
-whole tree at the start yields the MODI duals and each node's parent and
-depth; after each pivot only the subtree that the leaving cell cut off is
-walked again, re-hung from the entering cell.  Each dual is still set along
-its tree path from row 0, so the duals are byte-identical to a full walk's.
-The entering cell's cycle is the tree path from its row and its column up
-to their lowest common ancestor, the apex.  Supports here stay in the low
-hundreds of atoms, so no approximation is needed; the returned optimum is
-certified against the dual solution.
+simplex: northwest-corner start, Dantzig pricing over the full reduced-cost
+matrix, cycle pivots.  Each pivot prices into one reduced-cost buffer
+allocated per solve.  The basis is one spanning tree over the row and
+column nodes, kept as the basic cells' flat indices, whose reduced costs
+pricing zeroes, and as adjacency lists; each pivot updates both in place.
+The flow stays in nested lists of Python floats, the same float64
+arithmetic as an array's, until the certification.  One breadth-first walk
+of the whole tree at the start yields the MODI duals and each node's parent
+and depth; after each pivot only the subtree that the leaving cell cut off
+is walked again, re-hung from the entering cell.  Each dual is still set
+along its tree path from row 0, so the duals are byte-identical to a full
+walk's.  The entering cell's cycle is the tree path from its row and its
+column up to their lowest common ancestor, the apex.  Supports here stay in
+the low hundreds of atoms, so no approximation is needed; the returned
+optimum is certified against the dual solution.
 
 Termination follows from a rule, not from a pivot count (Cunningham, Math.
 Programming 1976; Ahuja, Magnanti & Orlin, Network Flows, ch. 11).  The
@@ -53,22 +56,23 @@ TINY = np.finfo(np.float64).tiny
 def _northwest_corner(a, b):
     """Initial basic feasible solution with exactly m+n-1 basic cells.
 
-    Returns the flow, the basic-cell mask and the basis tree's adjacency
-    lists (nodes 0..m-1 are rows, m.. columns).  The cells form one path
-    from row 0: a row hangs below the column of its first cell, a column
-    below the row of its first cell.
+    Returns the flow as nested lists of Python floats, the basic cells'
+    flat indices i*n + j and the basis tree's adjacency lists (nodes
+    0..m-1 are rows, m.. columns).  The cells form one path from row 0: a
+    row hangs below the column of its first cell, a column below the row
+    of its first cell.
     """
     m, n = len(a), len(b)
-    flow = np.zeros((m, n))
-    basic = np.zeros((m, n), dtype=bool)
+    flow = [[0.0] * n for _ in range(m)]
+    basic = []
     adj = [[] for _ in range(m + n)]
-    ra = a.copy()
-    rb = b.copy()
+    ra = a.tolist()
+    rb = b.tolist()
     i = j = 0
     while i < m and j < n:
         q = min(ra[i], rb[j])
-        flow[i, j] = q
-        basic[i, j] = True
+        flow[i][j] = q
+        basic.append(i * n + j)
         adj[i].append(m + j)
         adj[m + j].append(i)
         ra[i] -= q
@@ -80,7 +84,7 @@ def _northwest_corner(a, b):
             i += 1
         else:
             j += 1
-    return flow, basic, adj
+    return flow, np.array(basic), adj
 
 
 def _walk(m, cost, adj, tree, start):
@@ -96,17 +100,21 @@ def _walk(m, cost, adj, tree, start):
     pot, parent, depth = tree
     order = [start]
     for node in islice(order, len(adj)):  # grows as the walk goes: a FIFO queue
-        up, below = parent[node], depth[node] + 1
-        for nxt in adj[node]:
-            if nxt == up:
-                continue
-            depth[nxt] = below
-            parent[nxt] = node
-            if node < m:  # row -> col
-                pot[nxt] = cost[node][nxt - m] - pot[node]
-            else:  # col -> row
-                pot[nxt] = cost[nxt][node - m] - pot[node]
-            order.append(nxt)
+        up, below, here = parent[node], depth[node] + 1, pot[node]
+        if node < m:  # row -> cols
+            row = cost[node]
+            for nxt in adj[node]:
+                if nxt != up:
+                    pot[nxt] = row[nxt - m] - here
+                    parent[nxt], depth[nxt] = node, below
+                    order.append(nxt)
+        else:  # col -> rows
+            col = node - m
+            for nxt in adj[node]:
+                if nxt != up:
+                    pot[nxt] = cost[nxt][col] - here
+                    parent[nxt], depth[nxt] = node, below
+                    order.append(nxt)
     return len(order)
 
 
@@ -158,30 +166,34 @@ def solve_transport(a, b, cost):
     pot, parent, depth = tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
     if _walk(m, cost_rows, adj, tree, 0) != m + n:
         raise SolverFailureError("basis graph is not a spanning tree")
+    slot = {cell: k for k, cell in enumerate(basic.tolist())}  # cell -> index in basic
+    duals = np.empty(m + n)
+    u, v = duals[:m, None], duals[m:]  # views: set by each copy of pot
+    reduced = np.empty((m, n))
     cap = 100 * (m + n) ** 2 + 1000  # a bug guard from a strongly feasible start
     for _ in range(cap):
-        u, v = np.array(pot[:m]), np.array(pot[m:])
-        reduced = cost - u[:, None] - v[None, :]
-        reduced[basic] = 0.0
-        i0, j0 = divmod(int(np.argmin(reduced)), n)
+        duals[:] = pot
+        np.subtract(np.subtract(cost, u, out=reduced), v, out=reduced)  # (cost - u) - v
+        reduced.put(basic, 0.0)
+        i0, j0 = divmod(int(reduced.argmin()), n)
         if reduced[i0, j0] >= -1e-12:
             break
         cycle, row_side = _cycle(m, parent, depth, i0, j0)
         # Entering cell gets +theta; path cells alternate starting with -.
-        minus = cycle[0::2]
+        minus = [flow[i][j] for i, j in cycle[0::2]]  # the - cells' flows
         # Leave at the last blocking cell met walking the cycle from the apex
         # down to row i0, across the entering cell and up from column j0:
         # the first least flow in the order column j0's side from the apex
         # down, then row i0's side from i0 up.
         side = (row_side + 1) // 2  # minus[side:] lie on column j0's side
-        q = min([*range(side, len(minus)), *range(side)], key=lambda q: flow[minus[q]])
-        li, lj = minus[q]
-        theta = flow[li, lj]
-        flow[i0, j0] += theta
-        for k, e in enumerate(cycle):
-            flow[e] += theta if k % 2 == 1 else -theta
-        basic[li, lj] = False
-        basic[i0, j0] = True
+        q = min([*range(side, len(minus)), *range(side)], key=minus.__getitem__)
+        li, lj = cycle[2 * q]
+        theta = minus[q]
+        flow[i0][j0] += theta
+        for k, (i, j) in enumerate(cycle):
+            flow[i][j] += theta if k % 2 == 1 else -theta
+        at = slot[i0 * n + j0] = slot.pop(li * n + lj)
+        basic[at] = i0 * n + j0
         adj[li].remove(m + lj)
         adj[m + lj].remove(li)
         adj[i0].append(m + j0)
@@ -197,7 +209,8 @@ def solve_transport(a, b, cost):
 
     # Certify with the final basis's duals: dual feasibility and
     # complementary slackness.
-    reduced = cost - u[:, None] - v[None, :]
+    flow = np.array(flow)
+    reduced = cost - u - v
     if reduced.min() < -OPT_TOL:
         raise SolverFailureError(f"dual infeasibility {reduced.min():.3e}")
     if np.abs(reduced[flow > OPT_TOL]).max(initial=0.0) > OPT_TOL:

@@ -543,11 +543,15 @@ MALFORMED = {
     "simulate-n-2-62": (_simulate(n=2**62, A="worst-case-diag"), "model.n"),
     "n-grid-1e300": (
         _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 1e300])),
-        "n_grid: an n x 2 float64 array is too large to index",
+        "experiment.n_grid: an n x 2 float64 array is too large to index",
     ),
     "n-grid-2-62": (
         _experiment(lambda d: d["experiment"].update(n_grid=[256, 512, 2**62])),
-        "n_grid: an n x 2 float64 array is too large to index",
+        "experiment.n_grid: an n x 2 float64 array is too large to index",
+    ),
+    "replicates-0": (
+        _experiment(lambda d: d["experiment"].update(replicates=0)),
+        "experiment.replicates: replicates must be >= 1",
     ),
 }
 

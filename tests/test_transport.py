@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,22 @@ D3_PINNED = [
     ("0x1.73ab7f8de69cap-5", "0x1.566b653ea9496p-6"),
     ("0x1.40858be745995p-4", "0x1.bbde32f976e59p-5"),
 ]
+# sha256 of the optimal couplings' bytes (gamma.tobytes()) of the same
+# solves: a change to how the flow is stored or updated can move these.
+D3_COUPLINGS_PINNED = [
+    (
+        "24b2bd8d327b9f0cf2fdeb4ff7630d5e5c2734fe52248d9b0de390e97cb84a27",
+        "811ad9cf2abfb6c3530866adf2342662bf9d1e3bc34ba3fbc5ecda2acde43121",
+    ),
+    (
+        "21abdb7de6ed23c3a73f4066fb822410e36a4ea0b3e7499c1c5fc5d5fd325583",
+        "7630a17c2521c5c5dbc80ed20fc47c141f837718c3b77eb3411498308f785818",
+    ),
+    (
+        "9f961bf7f1bc79c7fdc8adbb18455d75e0ffb1ac22437d019a62ba69682c0e48",
+        "9c46ae7790b4cd972b2df49760081b7b7fd7a0a03a17ce292aeca8ca7f926535",
+    ),
+]
 
 
 def test_d3_pivoting_solves_are_pinned():
@@ -206,7 +223,7 @@ def test_d3_pivoting_solves_are_pinned():
     # sample's l1-norms, so 64 and 72 atoms.
     A = np.array([[1.0, 0.3, 0.2], [0.2, 1.0, 0.4], [0.1, 0.3, 1.0]])
     spec = ModelSpec(A=A, alpha=1.0, s=0.2, latent_kind="iid-pareto")
-    for j, pinned in enumerate(D3_PINNED):
+    for j, (pinned, couplings) in enumerate(zip(D3_PINNED, D3_COUPLINGS_PINNED)):
         pair = []
         for k, n in enumerate((4096, 4608)):
             batch = generate_dataset(spec, n, seed=7, stream_id=2 * j + k)
@@ -214,15 +231,22 @@ def test_d3_pivoting_solves_are_pinned():
             pair.append(empirical_angular_measure(batch, tau)[0])
         mu, nu = pair
         assert (mu.n_atoms, nu.n_atoms) == (64, 72)
-        for p, expected in zip((1.0, 2.0), pinned):
-            obj, _ = wasserstein_pp(mu, nu, p)
+        for p, expected, coupling in zip((1.0, 2.0), pinned, couplings):
+            obj, gamma = wasserstein_pp(mu, nu, p)
             assert obj.hex() == expected
+            assert hashlib.sha256(gamma.tobytes()).hexdigest() == coupling
             assert obj == pytest.approx(linprog_cost(mu, nu, p), rel=1e-8)
 
 
 def _strongly_feasible(m, flow, adj, parent):
     """Every basic cell of zero flow hangs its row below its column."""
-    return all(parent[i] == col for i in range(m) for col in adj[i] if flow[i, col - m] == 0)
+    return all(parent[i] == col for i in range(m) for col in adj[i] if flow[i][col - m] == 0)
+
+
+def _tree_cells(m, adj):
+    """The basis tree's edges as sorted flat cell indices i*n + j."""
+    n = len(adj) - m
+    return sorted(i * n + col - m for i in range(m) for col in adj[i])
 
 
 def _balanced(a, b):
@@ -264,19 +288,22 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
     # cell's end in the cut-off subtree; the duals, parents and depths it
     # leaves must equal those of a full walk from row 0.  A flow that the
     # pivot left unchanged marks a zero-theta pivot.  The tree must be
-    # strongly feasible after the start and after every pivot.
+    # strongly feasible after the start and after every pivot, and the
+    # basic index array must hold exactly its m+n-1 edges.
     seen = set()
     corner, walk = transport._northwest_corner, transport._walk
-    flows = []
+    flows, basics = [], []
 
     def spy_corner(a, b):
         flow, basic, adj = corner(a, b)
-        flows[:] = [flow, flow.copy()]
+        flows[:] = [flow, [row[:] for row in flow]]
+        basics[:] = [basic]
         return flow, basic, adj
 
     def spy_walk(m, cost, adj, tree, start):
         reached = walk(m, cost, adj, tree, start)
         assert _strongly_feasible(m, flows[0], adj, tree[1])
+        assert sorted(basics[0].tolist()) == _tree_cells(m, adj)
         if tree[1][start] >= 0:  # not the first walk, from row 0
             size = len(adj)
             full = ([0.0] * size, [-1] * size, [0] * size)
@@ -285,8 +312,8 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
             flow, before = flows
             seen.add("row end" if start < m else "column end")
             seen.update({"single leaf"} if reached == 1 else ())
-            seen.update({"zero theta"} if np.array_equal(flow, before) else ())
-            flows[1] = flow.copy()
+            seen.update({"zero theta"} if flow == before else ())
+            flows[1] = [row[:] for row in flow]
         return reached
 
     monkeypatch.setattr(transport, "_northwest_corner", spy_corner)
@@ -314,7 +341,8 @@ def test_northwest_corner_start_is_strongly_feasible_where_documented():
         a, b = _balanced(*(rng.integers(0, 4, size=k).astype(float) for k in (m, n)))
         if not (a.sum() > 0 and b.sum() > 0):
             continue
-        flow, _, adj = transport._northwest_corner(a, b)
+        flow, basic, adj = transport._northwest_corner(a, b)
+        assert sorted(basic.tolist()) == _tree_cells(m, adj)
         tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
         assert transport._walk(m, np.zeros((m, n)).tolist(), adj, tree, 0) == m + n
         documented = bool(a[0] > 0 and b.min() > 0)

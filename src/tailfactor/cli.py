@@ -42,7 +42,7 @@ from .sampling import (
     read_batch,
     write_batch,
 )
-from .transport import wasserstein_p
+from .transport import check_p, wasserstein_p
 
 TOP_KEYS = {"model", "estimator", "experiment"}
 MODEL_KEYS = {"A", "alpha", "s", "latent"}
@@ -199,6 +199,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         latent_kind=latent_kind,
     )
     _build("experiment.replicates", check_replicates, kw["replicates"])
+    _build("experiment.p", check_p, kw["p"])
     if seed_override is not None:
         kw["base_seed"] = seed_override
     return _build("experiment", ExperimentConfig, **kw)
@@ -255,11 +256,8 @@ def cmd_wasserstein(args) -> int:
         raise ConfigError(f"cannot load measure: {exc}") from exc
     if not validate_measure(mu) or not validate_measure(nu):
         raise ConfigError("input measure violates simplex-measure invariants")
-    try:
-        w = wasserstein_p(mu, nu, args.p)
-    except ValueError as exc:  # p outside [1, inf)
-        raise ConfigError(f"--p: {exc}") from exc
-    print(_fmt(w))
+    _build("--p", check_p, args.p)
+    print(_fmt(wasserstein_p(mu, nu, args.p)))
     return 0
 
 

@@ -28,11 +28,11 @@ from .estimators import (
     estimate_two_step,
     two_step_from_directions,
 )
-from .measures import _as_int, _fmt, _is_bool, spectral_measure_of
+from .measures import _as_int, _fmt, spectral_measure_of
 from .numerics import fit_loglog_slope
 from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw
 from .svg import line_chart
-from .transport import _l1_costs, wasserstein_p
+from .transport import _l1_costs, check_p, wasserstein_p
 
 ESTIMATOR_TAGS = ("conv", "two-step")
 
@@ -68,13 +68,12 @@ class ExperimentConfig:
             grid = tuple(_as_int("n_grid", n) for n in self.n_grid)
             for name in ("replicates", "base_seed"):
                 object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        except TypeError as exc:
+            check_p(self.p)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "n_grid", grid)
         check_n_grid(grid)
         check_replicates(self.replicates)
-        if _is_bool(self.p) or not 1 <= self.p < math.inf:
-            raise ConfigError(f"need 1 <= p < inf, got {self.p}")
         if self.conv is None and self.two_step is None:
             raise ConfigError("at least one estimator must be configured")
         for est in (self.conv, self.two_step):
@@ -105,10 +104,12 @@ class ResultRow:
     replicate: int
     estimator: str
     error: float  # nan when failed
-    n_tau: Optional[int]
-    n_tau_tilde: Optional[int]
-    failed: bool
-    failure_kind: str = ""
+    count: Optional[int]  # the estimator's n_tau or n_tau_tilde; None when failed
+    failure_kind: str = ""  # the typed error's class name when failed
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure_kind)
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,10 @@ def _model_at(cfg: ExperimentConfig, n: int):
 def _default_runner(cfg: ExperimentConfig):
     def run(tag, batch, truth):
         if tag == "conv":
-            mu, n_tau = estimate_conventional(batch, cfg.conv)
-            return wasserstein_p(mu, truth, cfg.p), n_tau, None
-        _, mu, n_tt = estimate_two_step(batch, cfg.two_step)
-        return wasserstein_p(mu, truth, cfg.p), None, n_tt
+            mu, count = estimate_conventional(batch, cfg.conv)
+        else:
+            _, mu, count = estimate_two_step(batch, cfg.two_step)
+        return wasserstein_p(mu, truth, cfg.p), count
 
     return run
 
@@ -145,18 +146,16 @@ def _grid_point_rows(cfg: ExperimentConfig, model, n: int, rep: int, draw, runne
     rows = []
     for tag in cfg.tags:
         try:
-            error, n_tau, n_tt = runner(tag, batch, truth)
-            rows.append(ResultRow(n, rep, tag, float(error), n_tau, n_tt, False))
+            error, count = runner(tag, batch, truth)
+            rows.append(ResultRow(n, rep, tag, float(error), count))
         except TailFactorError as exc:
-            rows.append(
-                ResultRow(n, rep, tag, float("nan"), None, None, True, type(exc).__name__)
-            )
+            rows.append(ResultRow(n, rep, tag, float("nan"), None, type(exc).__name__))
     return rows
 
 
 def _replicate_task(cfg: ExperimentConfig, models, rep: int, runner):
     """The result rows of replicate ``rep``, one list per grid point n,
-    drawn from ``models[n]``.
+    drawn from ``models[n]``, each from ``runner``'s (error, count).
 
     The replicate's i.i.d. Pareto draw is taken once, at the largest n, and
     each grid point's batch reads its first n rows (see
@@ -238,7 +237,9 @@ def run_convergence_experiment(
     cfg: ExperimentConfig, threads: int = 1, runner=None
 ) -> ExperimentResult:
     """Full grid sweep on ``threads`` >= 1 worker threads; deterministic given
-    cfg.base_seed for any thread count.
+    cfg.base_seed for any thread count.  ``runner(tag, batch, truth)`` gives
+    the estimator ``tag``'s W_p error and exceedance count (n_tau for conv,
+    n_tau_tilde for two-step); a TailFactorError it raises fails the row.
 
     Replicate r draws from the stream (cfg.base_seed, r) at every grid
     point, and the i.i.d. Pareto draw at n is the first n rows of the one
@@ -299,14 +300,11 @@ def diagnostic_counts(result: ExperimentResult):
     Returns rows (n, replicate, estimator, count); conventional counts are
     meant to be plotted as ln(count) vs ln(n), two-step counts vs ln(n).
     """
-    out = []
-    for r in result.rows:
-        if r.failed:
-            continue
-        count = r.n_tau if r.estimator == "conv" else r.n_tau_tilde
-        if count is not None:
-            out.append((r.n, r.replicate, r.estimator, count))
-    return out
+    return [
+        (r.n, r.replicate, r.estimator, r.count)
+        for r in result.rows
+        if not r.failed and r.count is not None
+    ]
 
 
 def _write_text(path: Path, text: str):
@@ -325,11 +323,9 @@ def emit_outputs(result: ExperimentResult, out_dir) -> None:
     lines = ["n,replicate,estimator,error,n_tau,n_tau_tilde,failed"]
     for r in result.rows:
         err = "" if r.failed else _fmt(r.error)
-        nt = "" if r.n_tau is None else str(r.n_tau)
-        ntt = "" if r.n_tau_tilde is None else str(r.n_tau_tilde)
-        lines.append(
-            f"{r.n},{r.replicate},{r.estimator},{err},{nt},{ntt},{int(r.failed)}"
-        )
+        count = "" if r.count is None else str(r.count)
+        counts = f"{count}," if r.estimator == "conv" else f",{count}"  # n_tau, n_tau_tilde
+        lines.append(f"{r.n},{r.replicate},{r.estimator},{err},{counts},{int(r.failed)}")
     _write_text(out_dir / "rows.csv", "\n".join(lines) + "\n")
 
     lines = ["estimator,slope,intercept,r2,n_points"]

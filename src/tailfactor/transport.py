@@ -8,9 +8,10 @@ column nodes, kept as the basic cells' flat indices, whose reduced costs
 pricing zeroes, and as adjacency lists; each pivot updates both in place.
 The flow stays in nested lists of Python floats, the same float64
 arithmetic as an array's, until the certification.  One breadth-first walk
-of the whole tree at the start yields the MODI duals and each node's parent
-and depth; after each pivot only the subtree that the leaving cell cut off
-is walked again, re-hung from the entering cell.  Each dual is still set
+of the whole tree at the start yields the MODI duals, in one ``array('d')``
+that pricing reads through a numpy view, and each node's parent and depth;
+after each pivot only the subtree that the leaving cell cut off is walked
+again, re-hung from the entering cell.  Each dual is still set
 along its tree path from row 0, so the duals are byte-identical to a full
 walk's.  The entering cell's cycle is the tree path from its row and its
 column up to their lowest common ancestor, the apex.  Supports here stay in
@@ -36,6 +37,7 @@ power and the scale is multiplied back after the p-th root.
 """
 
 import math
+from array import array
 from itertools import islice
 
 import numpy as np
@@ -46,7 +48,7 @@ from .errors import (
     InvalidAtomError,
     SolverFailureError,
 )
-from .measures import DiscreteMeasure, row_sums
+from .measures import DiscreteMeasure, _is_bool, row_sums
 
 WEIGHT_DROP = 1e-15
 OPT_TOL = 1e-8
@@ -90,7 +92,7 @@ def _northwest_corner(a, b):
 def _walk(m, cost, adj, tree, start):
     """Breadth-first walk of the basis tree from ``start``, away from its parent.
 
-    ``cost`` is a nested list and ``tree`` the lists (pot, parent, depth)
+    ``cost`` is a nested list and ``tree`` the sequences (pot, parent, depth)
     over the nodes, with ``start``'s entries set.  Sets each node's entries
     below ``start`` from its parent's: its dual along the unique tree path
     from row 0 (u[0] = 0), its parent and its depth.  Returns the number of
@@ -163,16 +165,15 @@ def solve_transport(a, b, cost):
     flow, basic, adj = _northwest_corner(a, b)
     # Python floats: cheaper scalar reads in the walk, same float64 arithmetic.
     cost_rows = cost.tolist()
-    pot, parent, depth = tree = ([0.0] * (m + n), [-1] * (m + n), [0] * (m + n))
+    pot, parent, depth = tree = (array("d", [0.0]) * (m + n), [-1] * (m + n), [0] * (m + n))
     if _walk(m, cost_rows, adj, tree, 0) != m + n:
         raise SolverFailureError("basis graph is not a spanning tree")
     slot = {cell: k for k, cell in enumerate(basic.tolist())}  # cell -> index in basic
-    duals = np.empty(m + n)
-    u, v = duals[:m, None], duals[m:]  # views: set by each copy of pot
+    duals = np.frombuffer(pot)  # pot's own memory: every walk updates u and v
+    u, v = duals[:m, None], duals[m:]
     reduced = np.empty((m, n))
     cap = 100 * (m + n) ** 2 + 1000  # a bug guard from a strongly feasible start
     for _ in range(cap):
-        duals[:] = pot
         np.subtract(np.subtract(cost, u, out=reduced), v, out=reduced)  # (cost - u) - v
         reduced.put(basic, 0.0)
         i0, j0 = divmod(int(reduced.argmin()), n)
@@ -236,6 +237,12 @@ def _l1_costs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return row_sums(gaps.reshape(-1, xa.shape[1])).reshape(len(xa), len(xb))
 
 
+def check_p(p: float) -> None:
+    """Raise ValueError unless the Wasserstein order p is a number in [1, inf), not a bool."""
+    if _is_bool(p) or not 1 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf, got {p}")
+
+
 def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Optimal plan for the l1 costs over ``scale``, to the power p.
 
@@ -248,8 +255,7 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dims {mu.dim} vs {nu.dim}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need 1 <= p < inf, got {p}")
+    check_p(p)
     p = float(p)
     keep_a = np.nonzero(mu.weights >= WEIGHT_DROP)[0]
     keep_b = np.nonzero(nu.weights >= WEIGHT_DROP)[0]

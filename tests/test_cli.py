@@ -553,6 +553,10 @@ MALFORMED = {
         _experiment(lambda d: d["experiment"].update(replicates=0)),
         "experiment.replicates: replicates must be >= 1",
     ),
+    "p-0.5": (
+        _experiment(lambda d: d["experiment"].update(p=0.5)),
+        "experiment.p: need 1 <= p < inf, got 0.5",
+    ),
 }
 
 

@@ -44,7 +44,7 @@ def test_ground_truth_weights():
 
     def runner(tag, batch, truth):
         seen[batch.n] = batch.spec, truth
-        return 1.0 / batch.n, 1, None
+        return 1.0 / batch.n, 1
 
     cfg = _cfg(n_grid=(2_500, 5_000, 10_000), replicates=1)
     run_convergence_experiment(cfg, runner=runner)
@@ -68,7 +68,7 @@ def test_replicates_share_the_model_built_once_per_grid_point(monkeypatch):
 
     def runner(tag, batch, truth):
         seen.setdefault(batch.n, []).append((batch.spec, truth))
-        return 1.0 / batch.n, 1, None
+        return 1.0 / batch.n, 1
 
     run_convergence_experiment(cfg, threads=2, runner=runner)
     assert calls == list(cfg.n_grid)
@@ -117,7 +117,7 @@ def test_sweep_raises_the_first_error_in_grid_order():
             raise RuntimeError("late")
         if (batch.n, batch.stream_id) == (512, 2):
             raise KeyError("first")
-        return 1.0 / batch.n, 1, None
+        return 1.0 / batch.n, 1
 
     for threads in (1, 2):
         with pytest.raises(KeyError, match="first"):
@@ -216,7 +216,7 @@ def test_planted_power_law_recovers_exact_slope():
     cfg = _cfg(n_grid=(100, 1000, 10_000, 100_000), replicates=2)
 
     def runner(tag, batch, truth):
-        return float(batch.n) ** -0.3, 1, None
+        return float(batch.n) ** -0.3, 1
 
     res = run_convergence_experiment(cfg, runner=runner)
     slope, intercept, r2, n_points = res.slope_fits["conv"]
@@ -234,28 +234,38 @@ def test_serial_and_threaded_runs_identical():
     assert r1.slope_fits == r8.slope_fits
 
 
-def test_failed_replicates_counted_not_fatal():
-    cfg = _cfg(replicates=4)
+def test_failed_replicates_counted_not_fatal(tmp_path):
+    cfg = _cfg(replicates=4, two_step=TWO_STEP)
     calls = {"i": 0}
 
     def runner(tag, batch, truth):
         calls["i"] += 1
-        if batch.stream_id == 0:
+        if batch.stream_id == 0 and tag == "conv":
             raise TooFewPointsError("synthetic failure")
-        return float(batch.n) ** -0.5, 1, None
+        return float(batch.n) ** -0.5, batch.n // 4 + (tag == "two-step")
 
     res = run_convergence_experiment(cfg, runner=runner)
     assert res.failure_rate["conv"] == pytest.approx(0.25)
+    assert res.failure_rate["two-step"] == 0.0
     failed = [r for r in res.rows if r.failed]
     assert len(failed) == 3  # one per grid point
     assert all(r.failure_kind == "TooFewPointsError" for r in failed)
     assert all(np.isnan(r.error) for r in failed)
     # a failed row gives no diagnostic count, even one that carries a count
-    rows = tuple(dataclasses.replace(r, n_tau=7) if r.failed else r for r in res.rows)
+    rows = tuple(dataclasses.replace(r, count=7) if r.failed else r for r in res.rows)
     diag = diagnostic_counts(dataclasses.replace(res, rows=rows))
     assert [(n, rep) for n, rep, _, _ in diag] == [
         (r.n, r.replicate) for r in res.rows if not r.failed
     ]
+    # rows.csv: each estimator's count under its own column, and a failed
+    # row with empty error and count cells
+    emit_outputs(res, tmp_path)
+    header, *lines = (tmp_path / "rows.csv").read_text().splitlines()
+    assert header == "n,replicate,estimator,error,n_tau,n_tau_tilde,failed"
+    cells = {tuple(line.split(",")[:3]): line.split(",")[3:] for line in lines}
+    assert cells["256", "0", "conv"] == ["", "", "", "1"]
+    assert cells["256", "0", "two-step"][1:] == ["", "65", "0"]
+    assert cells["256", "1", "conv"][1:] == ["64", "", "0"]
 
 
 def test_all_replicates_failing_aborts():
@@ -326,7 +336,7 @@ def test_fixed_loading_matrix_used_as_ground_truth():
 
     def runner(tag, batch, truth):
         seen.append((batch.spec.A.copy(), truth))
-        return 1.0 / batch.n, 1, None
+        return 1.0 / batch.n, 1
 
     run_convergence_experiment(cfg, runner=runner)
     for A_used, truth in seen:

@@ -29,12 +29,14 @@ def _random_measure(k, d):
     return make_measure(pts, w / w.sum())
 
 
-@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), True])
 def test_order_outside_one_to_inf_rejected(p):
+    # a bool compares as 0 or 1, but it is not an order
     mu = _random_measure(10, 3)
     nu = _random_measure(12, 3)
-    with pytest.raises(ValueError, match="1 <= p < inf"):
-        wasserstein_pp(mu, nu, p)
+    for distance in (wasserstein_pp, wasserstein_p):
+        with pytest.raises(ValueError, match=f"1 <= p < inf, got {p}"):
+            distance(mu, nu, p)
 
 
 def test_w1_two_atom_example():
@@ -308,7 +310,7 @@ def test_subtree_rehang_matches_the_lp_oracle(monkeypatch):
             size = len(adj)
             full = ([0.0] * size, [-1] * size, [0] * size)
             assert walk(m, cost, adj, full, 0) == size
-            assert tree == full
+            assert (list(tree[0]), tree[1], tree[2]) == full
             flow, before = flows
             seen.add("row end" if start < m else "column end")
             seen.update({"single leaf"} if reached == 1 else ())

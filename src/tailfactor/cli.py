@@ -22,6 +22,7 @@ from .estimators import (
 from .harness import (
     ESTIMATOR_TAGS,
     ExperimentConfig,
+    check_estimators,
     check_n_grid,
     check_replicates,
     emit_outputs,
@@ -181,6 +182,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
     if not isinstance(tags, list) or any(t not in ESTIMATOR_TAGS for t in tags):
         raise ConfigError(f"experiment.estimators: {tags!r} is not a list of tags")
+    _build("experiment.estimators", check_estimators, tags)
     aggregate = exp.get("aggregate", "median")  # older configs name the only one
     if aggregate != "median":
         raise ConfigError(f"experiment.aggregate: only 'median', got {aggregate!r}")

@@ -50,6 +50,12 @@ def check_replicates(replicates) -> None:
         raise ConfigError("replicates must be >= 1")
 
 
+def check_estimators(tags) -> None:
+    """ConfigError unless at least one estimator tag is given."""
+    if not tags:
+        raise ConfigError("at least one estimator must be configured")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float
@@ -74,8 +80,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         check_n_grid(grid)
         check_replicates(self.replicates)
-        if self.conv is None and self.two_step is None:
-            raise ConfigError("at least one estimator must be configured")
+        check_estimators(self.tags)
         for est in (self.conv, self.two_step):
             if est is not None and (est.alpha, est.s) != (self.alpha, self.s):
                 got = f"{type(est).__name__} has alpha={est.alpha}, s={est.s}"
@@ -333,9 +338,6 @@ def emit_outputs(result: ExperimentResult, out_dir) -> None:
         slope, intercept, r2, n_points = result.slope_fits[tag]
         lines.append(f"{tag},{_fmt(slope)},{_fmt(intercept)},{_fmt(r2)},{n_points}")
     _write_text(out_dir / "slopes.csv", "\n".join(lines) + "\n")
-
-    if not result.rows:
-        return
 
     # Error vs n, both axes in natural log.
     series = []

@@ -8,7 +8,7 @@ norms.  ``spectral_measure_of`` builds that measure in canonical form.
 
 import operator
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidAlphaError,
     InvalidAtomError,
+    SampleSizeError,
+    TooFewPointsError,
     WorstCaseDimensionError,
     ZeroColumnError,
 )
@@ -249,6 +251,21 @@ def spectral_measure_of(A, alpha: float) -> DiscreteMeasure:
     return make_measure(atoms, weights)
 
 
+def worst_case_tilts(n: int, s: float):
+    """Per-coordinate tilts (1 + n^-s, 1 - n^-s) of the two-factor worst case.
+
+    Raises TooFewPointsError for n < 2, where the second tilt vanishes, and
+    ZeroColumnError when s is so small that n^-s rounds to 1: the second
+    tilt, a column of the worst-case matrix, is then 0.
+    """
+    if n < 2:
+        raise TooFewPointsError(f"the worst-case model needs n >= 2, got {n}")
+    eps = float(n) ** (-s)
+    if not eps < 1.0:
+        raise ZeroColumnError(f"s={s} is too small at n={n}: the tilt 1 - n^-s is 0")
+    return 1.0 + eps, 1.0 - eps
+
+
 LATENT_KINDS = ("iid-pareto", "tilted-worst-case")
 
 
@@ -258,17 +275,22 @@ class ModelSpec:
 
     ``A`` is a non-negative d-by-m loading matrix, ``alpha`` the tail index,
     ``s`` the deviation parameter in (0, 1/2) and ``latent_kind`` selects the
-    latent-factor law, one of LATENT_KINDS.
+    latent-factor law, one of LATENT_KINDS.  ``law_n`` is the sample size
+    of a law that depends on it: "tilted-worst-case" requires it and takes
+    its tilts and tail threshold at it; "iid-pareto" holds None.
     """
 
     A: np.ndarray
     alpha: float
     s: float
     latent_kind: str = "iid-pareto"
+    law_n: Optional[int] = None
     zeta: ClassVar[float] = 1.0  # tail-threshold scale; perfbench's tracer reads it too
 
     def __post_init__(self):
         object.__setattr__(self, "A", _frozen(np.atleast_2d(self.A)))
+        law_n = self.law_n if self.latent_kind == "tilted-worst-case" else None
+        object.__setattr__(self, "law_n", law_n if law_n is None else _as_int("law_n", law_n))
         validate_model_spec(self)
 
     @property
@@ -295,8 +317,12 @@ def validate_model_spec(spec: ModelSpec) -> None:
     if spec.latent_kind not in LATENT_KINDS:
         kinds = list(LATENT_KINDS)
         raise ValueError(f"latent kind {spec.latent_kind!r} is not one of {kinds}")
-    if spec.latent_kind == "tilted-worst-case" and m != 2:
-        raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
+    if spec.latent_kind == "tilted-worst-case":
+        if m != 2:
+            raise WorstCaseDimensionError(f"worst-case latent law needs m=2, got m={m}")
+        if spec.law_n is None:
+            raise SampleSizeError("the worst-case latent law needs its sample size law_n")
+        worst_case_tilts(spec.law_n, spec.s)
 
 
 def _as_int(name: str, value) -> int:

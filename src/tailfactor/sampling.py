@@ -23,10 +23,9 @@ from .errors import (
     SampleOverflowError,
     SampleSizeError,
     TailFactorError,
-    TooFewPointsError,
-    ZeroColumnError,
 )
 from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, check_s, column_dot, row_sums
+from .measures import worst_case_tilts
 from .numerics import RngStream
 
 
@@ -169,34 +168,17 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
     return out
 
 
-def worst_case_tilts(n: int, s: float):
-    """Per-coordinate tilts (1 + n^-s, 1 - n^-s) of the two-factor worst case.
-
-    Raises TooFewPointsError for n < 2, where the second tilt vanishes, and
-    ZeroColumnError when s is so small that n^-s rounds to 1: the second
-    tilt, a column of the worst-case matrix, is then 0.
-    """
-    if n < 2:
-        raise TooFewPointsError(f"the worst-case model needs n >= 2, got {n}")
-    eps = float(n) ** (-s)
-    if not eps < 1.0:
-        raise ZeroColumnError(f"s={s} is too small at n={n}: the tilt 1 - n^-s is 0")
-    return 1.0 + eps, 1.0 - eps
-
-
 def model_at(A, alpha: float, s: float, latent_kind: str, n: int) -> ModelSpec:
-    """The model at sample size n: the loading matrix ``A``, or the worst
-    case diag(worst_case_tilts(n, s)) where ``A`` is None.
+    """The model at sample size n, its law stated at n (``ModelSpec.law_n``):
+    the loading matrix ``A``, or diag(worst_case_tilts(n, s)) where ``A`` is None.
 
     alpha and s are checked first (InvalidAlphaError, ValueError), then the
-    tilts at n wherever the matrix or the tilted latent law uses them
-    (TooFewPointsError, ZeroColumnError); ModelSpec checks the rest."""
+    tilts at n (TooFewPointsError, ZeroColumnError); ModelSpec checks the rest."""
     check_alpha(alpha)
     check_s(s)
-    if A is None or latent_kind == "tilted-worst-case":
-        tilts = worst_case_tilts(n, s)
-        A = np.diag(tilts) if A is None else A
-    return ModelSpec(A=A, alpha=alpha, s=s, latent_kind=latent_kind)
+    if A is None:
+        A = np.diag(worst_case_tilts(n, s))
+    return ModelSpec(A=A, alpha=alpha, s=s, latent_kind=latent_kind, law_n=n)
 
 
 def scaled_power(scale: float, base: float, exponent: float) -> float:
@@ -218,20 +200,20 @@ def tail_threshold(n: int, alpha: float, s: float, scale: float = 1.0) -> float:
 
 
 def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
-    """The n latent vectors in R^m_+ of the spec's latent kind, built in
-    their i.i.d. Pareto(alpha) draw ``z`` (n, m), one column at a time;
-    ``gen`` stands just past z's uniforms.
+    """The latent vectors in R^m_+ of the spec's latent law, one per row of
+    their i.i.d. Pareto(alpha) draw ``z`` (N, m), built in it one column at
+    a time; ``gen`` stands just past z's uniforms.
 
     That draw is the latent batch for "iid-pareto".  The worst case divides
     coordinate j by its tilt and redraws the rows with l1-norm at or above
     the tail threshold from the untilted law above it, a row whose i.i.d.
-    draw overflowed among them; its tilts and threshold depend on n.
+    draw overflowed among them.  Its tilts and threshold are those at the
+    spec's n, ``spec.law_n``, whatever the row count N.
     """
-    if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2
-        n = len(z)
-        for j, tilt in enumerate(worst_case_tilts(n, spec.s)):
+    if spec.latent_kind == "tilted-worst-case":  # ModelSpec ensures m = 2 and law_n
+        for j, tilt in enumerate(worst_case_tilts(spec.law_n, spec.s)):
             z[:, j] /= tilt
-        t = tail_threshold(n, spec.alpha, spec.s, spec.zeta)
+        t = tail_threshold(spec.law_n, spec.alpha, spec.s, spec.zeta)
         rows = np.flatnonzero(row_sums(z) >= t)
         redrawn = sample_conditional_pareto(rows.size, 2, spec.alpha, t, gen)
         for j in range(2):
@@ -266,7 +248,8 @@ def check_sample_size(n: int, width: int) -> None:
 def generate_dataset(
     spec: ModelSpec, n: int, seed: int, stream_id: int = 0, *, draw=None
 ) -> SampleBatch:
-    """n observations X = A Z, bit-reproducible given (seed, stream_id);
+    """n observations X = A Z of the spec's law (for the worst case, the law
+    at spec.law_n, whatever n is), bit-reproducible given (seed, stream_id);
     SampleOverflowError if one leaves the float64 range (alpha near 0).
 
     The latent batch starts from ``pareto_draw(spec, n, seed, stream_id)``.
@@ -321,7 +304,7 @@ def write_batch(batch: SampleBatch, csv_path) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     csv_path.write_text("\n".join(lines) + "\n")
 
-    # The sidecar holds the ModelSpec fields, which read_batch rebuilds it from.
+    # The sidecar holds the ModelSpec fields, law_n among them, and n, the row count.
     spec = batch.spec
     sidecar = {f.name: getattr(spec, f.name) for f in fields(ModelSpec)}
     sidecar["A"] = spec.A.tolist()
@@ -335,7 +318,8 @@ def read_batch(csv_path) -> SampleBatch:
     A CSV with no rows or with a value that is not a finite number >= 0, or
     a sidecar that lacks a key, holds an invalid model, a seed or stream_id
     that is not an integer, a zeta other than 1 or disagrees with the CSV
-    on n or d, raises ConfigError naming the file.
+    on n or d, raises ConfigError naming the file.  A sidecar with no law_n
+    predates it, and its batch is the law at its own n, as simulate drew it.
     """
     csv_path = Path(csv_path)
     try:
@@ -345,6 +329,7 @@ def read_batch(csv_path) -> SampleBatch:
         if not xs.size:
             raise ValueError("the CSV holds no rows")
         doc = json.loads(csv_path.with_suffix(".json").read_text())
+        doc = {"law_n": doc["n"], **doc}
         spec = ModelSpec(**{f.name: doc[f.name] for f in fields(ModelSpec)})
         if doc.get("zeta", spec.zeta) != spec.zeta:  # older sidecars carry zeta = 1
             raise ValueError(f"zeta must be {spec.zeta}, got {doc['zeta']!r}")

@@ -425,6 +425,10 @@ MALFORMED = {
         _experiment(lambda d: d["experiment"].update(estimators=["conv", "twostep"])),
         "experiment.estimators",
     ),
+    "no-estimator-tag": (
+        _experiment(lambda d: d["experiment"].update(estimators=[])),
+        "experiment.estimators: at least one estimator must be configured",
+    ),
     "kmeans-k-7": (
         _estimate(edit=lambda d: d["estimator"]["conv"].update(kmeans={"k": 7})),
         "estimator.conv: unknown key(s) ['kmeans']",

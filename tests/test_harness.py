@@ -329,6 +329,14 @@ def test_emit_outputs_missing_directory_raises(tmp_path):
         emit_outputs(res, tmp_path / "does-not-exist")
 
 
+def test_emit_outputs_of_an_empty_result_writes_only_the_tables(tmp_path):
+    emit_outputs(harness.ExperimentResult((), {}, {}, {}), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "slopes.csv"]
+    rows = "n,replicate,estimator,error,n_tau,n_tau_tilde,failed\n"
+    assert (tmp_path / "rows.csv").read_text() == rows
+    assert (tmp_path / "slopes.csv").read_text() == "estimator,slope,intercept,r2,n_points\n"
+
+
 def test_fixed_loading_matrix_used_as_ground_truth():
     A = np.diag([2.0, 1.0])
     cfg = _cfg(fixed_A=A, latent_kind="iid-pareto")

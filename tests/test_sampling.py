@@ -20,7 +20,7 @@ from tailfactor.errors import (
     WorstCaseDimensionError,
     ZeroColumnError,
 )
-from tailfactor.measures import ModelSpec, SampleBatch
+from tailfactor.measures import ModelSpec, SampleBatch, row_sums
 from tailfactor.sampling import (
     RngStream,
     check_sample_size,
@@ -162,7 +162,7 @@ def test_extreme_alpha_raises_typed_errors():
     # above the threshold, so the batch is drawn from the law it defines
     n = 2**17
     A = np.diag(worst_case_tilts(n, 0.4))
-    spec = ModelSpec(A=A, alpha=0.02, s=0.4, latent_kind="tilted-worst-case")
+    spec = ModelSpec(A=A, alpha=0.02, s=0.4, latent_kind="tilted-worst-case", law_n=n)
     assert np.isinf(pareto_draw(spec, n, 1, 5)).any()
     assert np.isfinite(generate_dataset(spec, n, 1, 5).xs).all()
     # the conditional sampler's power overflows too: a typed error, no warning
@@ -241,14 +241,19 @@ def test_worst_case_tilts_and_threshold_formulas():
     c1, c2 = worst_case_tilts(10_000, 0.5)  # n^-0.5 = 0.01
     assert c1 == pytest.approx(1.01)
     assert c2 == pytest.approx(0.99)
-    # at n = 1 the second tilt would vanish
-    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+    # The worst-case law is checked at its n when the spec is built.  At
+    # n = 1 the second tilt would vanish; at s = 1e-20 n^-s rounds to 1, and
+    # the second tilt is 0; with no n there are no tilts.
+    worst = {"A": np.eye(2), "alpha": 2.0, "latent_kind": "tilted-worst-case"}
     with pytest.raises(TooFewPointsError, match="n >= 2"):
-        generate_dataset(spec, 1, seed=1)
-    # at s = 1e-20 n^-s rounds to 1, and the second tilt is 0
-    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=1e-20, latent_kind="tilted-worst-case")
+        ModelSpec(**worst, s=0.4, law_n=1)
     with pytest.raises(ZeroColumnError, match="s=1e-20 is too small at n=256"):
-        generate_dataset(spec, 256, seed=1)
+        ModelSpec(**worst, s=1e-20, law_n=256)
+    with pytest.raises(SampleSizeError, match="needs its sample size law_n"):
+        ModelSpec(**worst, s=0.4)
+    with pytest.raises(TypeError, match="law_n must be an integer, got 1024.0"):
+        ModelSpec(**worst, s=0.4, law_n=1024.0)
+    assert type(ModelSpec(**worst, s=0.4, law_n=np.int64(1024)).law_n) is int
     # scale * n^((1-2s)/alpha): n=256, s=0.25, alpha=1 -> 256^0.5 = 16
     assert tail_threshold(256, 1.0, 0.25, 1.0) == pytest.approx(16.0)
     assert tail_threshold(256, 1.0, 0.25, 2.0) == pytest.approx(32.0)
@@ -273,11 +278,32 @@ def test_worst_case_latent_needs_two_factors():
         ModelSpec(A=np.eye(3), alpha=2.0, s=0.2, latent_kind="tilted-worst-case")
 
 
+def test_worst_case_law_is_the_one_at_the_specs_n():
+    # 4096 rows of the law at 1024: the tilts and the threshold are both
+    # taken at 1024, never at the row count.
+    spec = model_at(None, 2.0, 0.4, "tilted-worst-case", 1024)
+    assert spec.law_n == 1024
+    tilts = np.array(worst_case_tilts(1024, 0.4))
+    t = tail_threshold(1024, 2.0, 0.4)
+    draw = pareto_draw(spec, 4096, 1)
+    xs = generate_dataset(spec, 4096, 1).xs
+    kept = row_sums(draw / tilts) < t  # the latent rows left as drawn
+    assert 0 < kept.sum() < 4096
+    # A = diag(tilts) undoes the latent tilts: kept rows are the i.i.d. draw
+    assert np.allclose(xs[kept], draw[kept], rtol=1e-15, atol=0)
+    assert np.all(row_sums(xs[~kept] / tilts) >= t * (1 - 1e-15))
+    # the law at 4096 would keep rows that the law at 1024 redraws
+    tilts_4096 = np.array(worst_case_tilts(4096, 0.4))
+    assert (row_sums(draw / tilts_4096) < tail_threshold(4096, 2.0, 0.4))[~kept].any()
+    # a law that does not depend on n holds none
+    assert model_at(np.eye(2), 2.0, 0.4, "iid-pareto", 1024).law_n is None
+
+
 def test_worst_case_batch_is_pareto_above_threshold():
     # Above t the worst-case law coincides with the untilted product law
     # conditioned on the norm; check the tails of z1 look Pareto(alpha).
-    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
     n = 200_000
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.4, latent_kind="tilted-worst-case", law_n=n)
     z = generate_dataset(spec, n, 99).xs  # A = I: X is the latent batch
     assert z.shape == (n, 2)
     assert np.all(z >= 0)
@@ -321,7 +347,7 @@ def _models():
         yield n, ModelSpec(A=iid, alpha=1.3, s=0.25, latent_kind="iid-pareto")
         if n >= 2:
             A = np.diag(worst_case_tilts(n, 0.4))
-            yield n, ModelSpec(A=A, alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+            yield n, ModelSpec(A=A, alpha=2.0, s=0.4, latent_kind="tilted-worst-case", law_n=n)
 
 
 def test_shared_draw_prefix_gives_the_batch_bytes():
@@ -344,7 +370,7 @@ def test_shared_draw_prefix_gives_the_batch_bytes():
         assert generate_dataset(spec, n, 20240601, 5, draw=frozen).xs.tobytes() == own.tobytes()
         assert np.array_equal(frozen, before[:n])
     # n rows, writeable and a diagonal A: the batch is the draw itself
-    spec = ModelSpec(A=np.diag([2.0, 0.5]), alpha=2.0, s=0.4, latent_kind="tilted-worst-case")
+    spec = model_at(np.diag([2.0, 0.5]), 2.0, 0.4, "tilted-worst-case", 300)
     draw = pareto_draw(spec, 300, 3, 1)
     assert np.shares_memory(generate_dataset(spec, 300, 3, 1, draw=draw).xs, draw)
     assert not draw.flags.writeable  # the caller cannot change the batch
@@ -363,7 +389,7 @@ def test_diagonal_A_scales_in_place_with_the_product_bytes():
         ("tilted-worst-case", np.diag(worst_case_tilts(4096, 0.2))),
         ("iid-pareto", np.diag([3.0, 0.25, 1.0])),
     ):
-        spec = ModelSpec(A=A, alpha=1.5, s=0.2, latent_kind=kind)
+        spec = ModelSpec(A=A, alpha=1.5, s=0.2, latent_kind=kind, law_n=4096)
         gen = RngStream(9, 2).generator()
         z = _latent_in_place(spec, _pareto_in_place(gen.random((4096, spec.m)), 1.5), gen)
         xs = generate_dataset(spec, 4096, 9, 2).xs
@@ -450,7 +476,7 @@ def test_generate_dataset_pins_its_bytes(kind, alpha, s, n, stream_id, digest):
         A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]])
     else:
         A = np.diag(worst_case_tilts(n, s))
-    spec = ModelSpec(A=A, alpha=alpha, s=s, latent_kind=kind)
+    spec = ModelSpec(A=A, alpha=alpha, s=s, latent_kind=kind, law_n=n)
     assert _digest(generate_dataset(spec, n, 20240601, stream_id).xs) == digest
 
 
@@ -528,6 +554,16 @@ def test_batch_csv_round_trip(tmp_path):
     assert "zeta" not in doc
     side.write_text(json.dumps({**doc, "zeta": 1}))
     assert np.array_equal(read_batch(path).xs, batch.xs)
+    # The sidecar's n is the row count, law_n the n of the law; a sidecar
+    # written before law_n reads as the law at its own n.
+    spec = model_at(None, 2.0, 0.4, "tilted-worst-case", 1024)
+    write_batch(generate_dataset(spec, 300, seed=3), path)
+    back = read_batch(path)
+    assert (back.n, back.spec.law_n) == (300, 1024)
+    doc = json.loads(side.read_text())
+    del doc["law_n"]
+    side.write_text(json.dumps(doc))
+    assert (read_batch(path).n, read_batch(path).spec.law_n) == (300, 300)
 
 
 def _edit_sidecar(edit):

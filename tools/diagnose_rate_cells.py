@@ -46,7 +46,7 @@ from tailfactor import (
 from tailfactor.errors import NoExceedancesError
 from tailfactor.estimators import _thresholded_points
 from tailfactor.harness import run_staged_experiment
-from tailfactor.sampling import model_at, tail_threshold
+from tailfactor.sampling import model_at
 
 BASE_SEED = 20240601
 REPLICATES = 30
@@ -62,7 +62,9 @@ POP_BLOCK = 1 << 20  # rows per population batch
 POP_STREAM = 1_000_000
 
 
-def _spread(errors):
+def _spread(res, n):
+    """Median and replicate sd of the W_1 errors at n of the replicates that ran."""
+    errors = [r.error for r in res.rows if r.n == n and not r.failed]
     return float(np.median(errors)), float(np.std(errors, ddof=1))
 
 
@@ -92,18 +94,12 @@ def _fits(ns, series):
 def population_bias(n, cfg: ConvConfig):
     """W_1 to the truth of the k-means summary of the law above tau.
 
-    Above tau the worst-case model is X = A Z with Z i.i.d. Pareto(alpha)
-    conditioned on ||A Z||_1 > tau, provided tau clears the latent tail
-    threshold scaled by the largest column norm.  Draws by plain rejection
-    from batches of the unconditioned model: `generate_dataset` on the
-    i.i.d. Pareto law at the worst-case A.
+    Draws by plain rejection from batches of POP_BLOCK rows of the
+    worst-case law at n (`generate_dataset` on the spec `model_at` gives).
     """
-    spec = model_at(None, cfg.alpha, cfg.s, "iid-pareto", n)
-    A = spec.A
-    truth = spectral_measure_of(A, cfg.alpha)
+    spec = model_at(None, cfg.alpha, cfg.s, "tilted-worst-case", n)
+    truth = spectral_measure_of(spec.A, cfg.alpha)
     tau = conventional_threshold(n, cfg)
-    if tau < A.sum(axis=0).max() * tail_threshold(n, cfg.alpha, cfg.s):
-        raise ValueError(f"tau={tau:.4g} reaches below the latent tail threshold")
     kept, total, block = [], 0, 0
     while total < POP_POINTS:
         stream = POP_STREAM + (n << 32) + block
@@ -115,7 +111,7 @@ def population_bias(n, cfg: ConvConfig):
             continue
         kept.append(above)
         total += above.shape[0]
-    km = kmeans(np.concatenate(kept)[:POP_POINTS], A.shape[1])
+    km = kmeans(np.concatenate(kept)[:POP_POINTS], spec.m)
     return tau, wasserstein_p(make_measure(km.centers, km.weights), truth, 1.0)
 
 
@@ -135,10 +131,7 @@ def diagnose_conv(grid, threads):
         "         n  median W1     sd  sd/med   local  pop bias  "
         "bias*tau/ln tau  med*n^1/3  med*n^1/3/ln n"
     )
-    medians = []
-    for n in grid:
-        errs = [r.error for r in res.rows if r.n == n and not r.failed]
-        medians.append(_spread(errs))
+    medians = [_spread(res, n) for n in grid]
     local = _local_slopes(grid, [m for m, _ in medians])
     for n, (med, sd), slope in zip(grid, medians, local):
         tau, bias = population_bias(n, conv)
@@ -164,27 +157,18 @@ def diagnose_two_step(alpha, grid, threads):
     )
     res, stages = run_staged_experiment(cfg, threads=threads)
     print(f"two-step cell alpha={alpha:g} s={S} kappa_tilde=0.3 kappa=1")
-    print(
-        "         n  full W1     sd   local  magnitude   local  direction   local"
-    )
-    table = []
-    for n in grid:
-        full = [r.error for r in res.rows if r.n == n and not r.failed]
-        table.append((_spread(full), np.nanmedian(stages[n], axis=0)))
-    full = [row[0][0] for row in table]
-    magnitude = [row[1][0] for row in table]
-    direction = [row[1][1] for row in table]
-    local = [_local_slopes(grid, v) for v in (full, magnitude, direction)]
+    print("         n  full W1     sd   local  magnitude   local  direction   local")
+    full, sd = zip(*(_spread(res, n) for n in grid))
+    magnitude, direction = zip(*(np.nanmedian(stages[n], axis=0) for n in grid))
+    series = [("full", full), ("magnitude", magnitude), ("direction", direction)]
+    local = [_local_slopes(grid, v) for _, v in series]
     for i, n in enumerate(grid):
         print(
-            f"  {n:>8}  {full[i]:7.4f}  {table[i][0][1]:.4f}  {_fmt_slope(local[0][i])}"
+            f"  {n:>8}  {full[i]:7.4f}  {sd[i]:.4f}  {_fmt_slope(local[0][i])}"
             f"  {magnitude[i]:9.4f}  {_fmt_slope(local[1][i])}"
             f"  {direction[i]:9.4f}  {_fmt_slope(local[2][i])}"
         )
-    _fits(
-        grid,
-        [("full", full), ("magnitude", magnitude), ("direction", direction)],
-    )
+    _fits(grid, series)
     mag_failed = sum(np.isnan(m) for n in grid for m, _ in stages[n])
     print(
         f"  failed replicates: {res.failure_rate['two-step']:.1%}; "

@@ -101,15 +101,15 @@ def _array(v, path: str) -> np.ndarray:
     return cells.astype(np.float64)
 
 
-def _fields(doc, path: str, cls, extra=(), fixed=(), **given) -> dict:
+def _fields(doc, path: str, cls, extra=(), **given) -> dict:
     """Keyword arguments for ``cls`` read from the JSON object ``doc``.
 
-    ``doc`` may set the int and float fields of ``cls`` not in ``fixed``,
-    each read by ``_number``, and the keys in ``extra``, which the caller
-    reads.  ``given`` holds the caller's fields; other absent fields keep
-    the class default.
+    ``given`` holds the caller's fields, which ``doc`` may not set.  ``doc``
+    may set the other int and float fields of ``cls``, each read by
+    ``_number``, and the keys in ``extra``, which the caller reads.  Other
+    absent fields keep the class default.
     """
-    numbers = [f for f in fields(cls) if f.type in (int, float) and f.name not in fixed]
+    numbers = [f for f in fields(cls) if f.type in (int, float) and f.name not in given]
     _check_keys(doc, {*(f.name for f in numbers), *extra}, path)
     out = dict(given)
     for f in numbers:
@@ -154,17 +154,18 @@ def read_model(cfg: dict, sample=False) -> tuple:
 
 
 def estimator_config(cfg: dict, key: str, spec: ModelSpec):
-    """ConvConfig or TwoStepConfig of ``estimator.<key>`` at the model
-    ``spec``'s alpha and s; the section sets only the tuning constants, and
+    """ConvConfig (at the model ``spec``'s alpha and s) or TwoStepConfig of
+    ``estimator.<key>``; the section sets only the tuning constants, and
     names the factor count only as spec.m."""
     est = _check_keys(_require(cfg, "estimator", "config"), ESTIMATORS, "estimator")
     cls, path, factors = ESTIMATORS[key], f"estimator.{key}", FACTOR_KEYS[key]
     section = _require(est, key, "estimator")
-    kw = _fields(section, path, cls, (factors,), ("alpha", "s"))
+    model = {"alpha": spec.alpha, "s": spec.s} if cls is ConvConfig else {}
+    kw = _fields(section, path, cls, (factors,), **model)
     if section.get(factors, spec.m) != spec.m:
         got = section[factors]
         raise ConfigError(f"{path}.{factors}: must be the model's m={spec.m}, got {got!r}")
-    return _build(path, cls, alpha=spec.alpha, s=spec.s, **kw)
+    return _build(path, cls, **kw)
 
 
 def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
@@ -176,7 +177,7 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
     grid = dict(enumerate(grid))
     n_grid = tuple(_number(grid, i, "experiment.n_grid", integer=True) for i in grid)
     _build("experiment.n_grid", check_n_grid, n_grid)
-    # the estimator configs take the alpha, s and m of the model at n_grid[0]
+    # the estimator configs take the model's m (ConvConfig its alpha and s) at n_grid[0]
     spec = _build("model", model_at, A, alpha, s, latent_kind, n_grid[0])
     _build("experiment.n_grid", check_sample_size, n_grid[-1], max(spec.A.shape))
     tags = exp.get("estimators", list(ESTIMATOR_TAGS))
@@ -191,7 +192,6 @@ def experiment_config_from(cfg: dict, seed_override=None) -> ExperimentConfig:
         "experiment",
         ExperimentConfig,
         ("n_grid", "aggregate", "estimators"),
-        ("alpha", "s"),
         n_grid=n_grid,
         conv=estimator_config(cfg, "conv", spec) if "conv" in tags else None,
         two_step=estimator_config(cfg, "two_step", spec) if "two-step" in tags else None,

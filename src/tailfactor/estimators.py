@@ -23,6 +23,7 @@ from .measures import (
     SampleBatch,
     _is_bool,
     _onto_simplex,
+    check_alpha,
     check_s,
     column_dot,
     divide_rows,
@@ -44,9 +45,7 @@ BLOCK_ROWS = 2**15
 
 
 def _check_settings(cfg, kind: str, positive) -> None:
-    """ValueError unless cfg.s is in (0, 1/2) and each of ``positive`` in
-    (0, inf), none of them a bool (which compares as 0 or 1)."""
-    check_s(cfg.s)
+    """ValueError unless each of ``positive`` is in (0, inf) and not a bool."""
     if any(_is_bool(x) or not 0 < x < math.inf for x in positive):
         raise ValueError(f"invalid {kind} config {cfg}")
 
@@ -60,20 +59,25 @@ class ConvConfig:
     s: float
 
     def __post_init__(self):
+        check_s(self.s)
         _check_settings(self, "conventional", (self.kappa_bar, self.alpha))
 
 
 @dataclass(frozen=True)
 class TwoStepConfig:
-    """Two-step estimator settings; the model's A must be square (d = m)."""
+    """Two-step tuning constants; alpha and s are the batch model's."""
 
     kappa_tilde: float
     kappa: float
-    alpha: float
-    s: float
 
     def __post_init__(self):
-        _check_settings(self, "two-step", (self.kappa_tilde, self.kappa, self.alpha))
+        _check_settings(self, "two-step", (self.kappa_tilde, self.kappa))
+
+
+def check_square_model(spec) -> None:
+    """DimensionMismatchError unless the two-step model ``spec`` has d = m."""
+    if spec.d != spec.m:
+        raise DimensionMismatchError(f"two-step needs a square A, got d={spec.d}, m={spec.m}")
 
 
 def _thresholded_points(xs: np.ndarray, tau: float):
@@ -126,11 +130,12 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
     return make_measure(km.centers, km.weights), n_tau
 
 
-def direction_threshold(n: int, cfg: TwoStepConfig) -> float:
-    """Direction-recovery threshold, leaving only O(log n) exceedances."""
+def direction_threshold(n: int, alpha: float, kappa_tilde: float) -> float:
+    """kappa_tilde * (n / ln n)^(1/alpha), leaving O(log n) exceedances."""
     if n < 3:
         raise TooFewPointsError(f"need n >= 3, got {n}")
-    return scaled_power(cfg.kappa_tilde, n / math.log(n), 1.0 / cfg.alpha)
+    check_alpha(alpha)
+    return scaled_power(kappa_tilde, n / math.log(n), 1.0 / alpha)
 
 
 def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
@@ -139,7 +144,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
 
     Returns (matrix with unit-l1 columns sorted lexicographically, n_tau_tilde).
     """
-    tau_tilde = direction_threshold(batch.n, cfg)
+    tau_tilde = direction_threshold(batch.n, batch.spec.alpha, cfg.kappa_tilde)
     try:
         points, n_tt = _thresholded_points(batch.xs, tau_tilde)
     except NoExceedancesError:
@@ -183,8 +188,8 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
-    n = batch.n
-    tau = tail_threshold(n, cfg.alpha, cfg.s, cfg.kappa)
+    n, alpha = batch.n, batch.spec.alpha
+    tau = tail_threshold(n, alpha, batch.spec.s, cfg.kappa)
     counts = []
     for w in a_inv:
         count = 0
@@ -200,22 +205,18 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
                 above[bad] = column_dot(divide_rows(big, scale), w) > tau / scale
             count += int(np.count_nonzero(above))
         counts.append(count)
-    thetas = np.array([solve_theta(c, n, R_HAT, tau, cfg.alpha) for c in counts])
+    thetas = np.array([solve_theta(c, n, R_HAT, tau, alpha) for c in counts])
     a_hat = a_dir * thetas[None, :]
-    return a_hat, spectral_measure_of(a_hat, cfg.alpha)
+    return a_hat, spectral_measure_of(a_hat, alpha)
 
 
 def estimate_two_step(batch: SampleBatch, cfg: TwoStepConfig):
     """Two-step estimate of the spectral measure.
 
-    Returns (A_hat, measure, n_tau_tilde).  Any stage failure raises a typed
-    error; callers treat that as a failed replicate.  The batch's model must
-    have a square A (DimensionMismatchError).
+    Returns (A_hat, measure, n_tau_tilde).  Any stage failure, a non-square
+    A included, raises a typed error: callers treat it as a failed replicate.
     """
-    spec = batch.spec
-    if spec.d != spec.m:
-        shape = f"got d={spec.d}, m={spec.m}"
-        raise DimensionMismatchError(f"two-step needs a square A, {shape}")
+    check_square_model(batch.spec)
     a_dir, n_tt = estimate_directions(batch, cfg)
     a_hat, measure = two_step_from_directions(batch, cfg, a_dir)
     return a_hat, measure, n_tt

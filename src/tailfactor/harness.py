@@ -23,6 +23,7 @@ from .errors import (
 from .estimators import (
     ConvConfig,
     TwoStepConfig,
+    check_square_model,
     estimate_conventional,
     estimate_directions,
     estimate_two_step,
@@ -81,21 +82,19 @@ class ExperimentConfig:
         check_n_grid(grid)
         check_replicates(self.replicates)
         check_estimators(self.tags)
-        for est in (self.conv, self.two_step):
-            if est is not None and (est.alpha, est.s) != (self.alpha, self.s):
-                got = f"{type(est).__name__} has alpha={est.alpha}, s={est.s}"
-                raise ConfigError(f"{got}, but the model alpha={self.alpha}, s={self.s}")
+        if self.conv is not None and (self.conv.alpha, self.conv.s) != (self.alpha, self.s):
+            got = f"ConvConfig has alpha={self.conv.alpha}, s={self.conv.s}"
+            raise ConfigError(f"{got}, but the model alpha={self.alpha}, s={self.s}")
         try:
             spec, _ = _model_at(self, grid[0])
+            if self.two_step is not None:
+                check_square_model(spec)
         except (ValueError, TailFactorError) as exc:
             raise ConfigError(f"model at n={grid[0]}: {exc}") from exc
         try:
             check_sample_size(grid[-1], max(spec.A.shape))
         except TailFactorError as exc:
             raise ConfigError(f"n_grid: {exc}") from exc
-        if self.two_step is not None and spec.d != spec.m:
-            shape = f"the model has d={spec.d}, m={spec.m}"
-            raise ConfigError(f"two-step needs a square A, but {shape}")
 
     @property
     def tags(self):
@@ -203,7 +202,7 @@ def stage_errors(batch, ts_cfg, truth, p):
     true_dirs = batch.spec.A / norms
     a_dir, _ = estimate_directions(batch, ts_cfg)
     gaps = _l1_costs(a_dir.T, true_dirs.T)
-    mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], ts_cfg.alpha)
+    mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], batch.spec.alpha)
     try:
         _, mu_mag = two_step_from_directions(batch, ts_cfg, true_dirs)
         magnitude = wasserstein_p(mu_mag, truth, p)

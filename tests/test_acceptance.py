@@ -26,6 +26,7 @@ runs too.
 import hashlib
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from tailfactor import (
     wasserstein_p,
     wasserstein_pp,
 )
-from tailfactor.cli import main
+from tailfactor.cli import experiment_config_from, load_config, main
 from tailfactor.harness import run_staged_experiment
 from tailfactor.sampling import RngStream, pareto_draw, sample_conditional_pareto
 from transport_oracles import linprog_cost
@@ -91,9 +92,8 @@ def _conv_rate_target(alpha: float, s: float):
     return fit_loglog_slope(GRID, curve)[0], label
 
 
-@lru_cache(maxsize=32)
-def _run_conv_cell(alpha: float, s: float, kappa_bar: float):
-    cfg = ExperimentConfig(
+def _conv_cell_config(alpha: float, s: float, kappa_bar: float):
+    return ExperimentConfig(
         alpha=alpha,
         s=s,
         n_grid=GRID,
@@ -101,6 +101,11 @@ def _run_conv_cell(alpha: float, s: float, kappa_bar: float):
         base_seed=BASE_SEED,
         conv=ConvConfig(kappa_bar=kappa_bar, alpha=alpha, s=s),
     )
+
+
+@lru_cache(maxsize=32)
+def _run_conv_cell(alpha: float, s: float, kappa_bar: float):
+    cfg = _conv_cell_config(alpha, s, kappa_bar)
     res = run_convergence_experiment(cfg, threads=THREADS)
     return res.slope_fits["conv"][0], res
 
@@ -123,7 +128,7 @@ def _run_two_step_cell(alpha: float, with_conv: bool):
         conv=ConvConfig(kappa_bar=KAPPA_BAR[(alpha, s)], alpha=alpha, s=s)
         if with_conv
         else None,
-        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=alpha, s=s),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0),
     )
     res, stages = run_staged_experiment(cfg, threads=THREADS)
     medians = [np.nanmedian(stages[n], axis=0) for n in GRID]
@@ -185,6 +190,14 @@ def test_criterion_3_kappa_bar_sensitivity():
         ok,
         f"kappa_bar=1: {slope_big:.3f}, kappa_bar=0.1: {slope_small:.3f}",
     )
+
+
+def test_shipped_table2_config_is_criterion_3s_kappa_bar_1_arm():
+    # configs/table2_a2_s02.json runs the alpha = 2, s = 0.2 cell at
+    # kappa_bar = 1, criterion 3's kappa_bar = 1 arm; criterion 1 runs the
+    # same cell at KAPPA_BAR[(2.0, 0.2)] = 0.5
+    path = Path(__file__).parents[1] / "configs" / "table2_a2_s02.json"
+    assert experiment_config_from(load_config(path)) == _conv_cell_config(2.0, 0.2, 1.0)
 
 
 # sha256 of rows.csv and slopes.csv, written by emit_outputs, for each sweep

@@ -243,8 +243,7 @@ def test_shipped_configs_load():
         assert cfg.n_grid == tuple(doc["experiment"]["n_grid"])
         model = doc["model"]
         assert (cfg.alpha, cfg.s, cfg.latent_kind) == (model["alpha"], model["s"], model["latent"])
-        for est in (cfg.conv, cfg.two_step):
-            assert est is None or (est.alpha, est.s) == (cfg.alpha, cfg.s)
+        assert cfg.conv is None or (cfg.conv.alpha, cfg.conv.s) == (cfg.alpha, cfg.s)
 
 
 def test_smoke_outputs_pin_golden_bytes(tmp_path):
@@ -466,7 +465,7 @@ MALFORMED = {
     ),
     "two-step-on-2x3-A": (
         _experiment(lambda d: d["model"].update(A=A_2X3, latent="iid-pareto")),
-        "two-step needs a square A, but the model has d=2, m=3",
+        "two-step needs a square A, got d=2, m=3",
     ),
     "simulate-latent-custom": (
         _simulate(latent={"custom": [1.0, 4.0]}),
@@ -623,7 +622,7 @@ def test_estimate_two_step_on_overflowing_products_warns_nothing(tmp_path):
     assert not caught, [str(w.message) for w in caught]
     assert (rc, lines) == (0, []), lines
     # the measure the API estimates from the same file
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     _, mu, _ = estimate_two_step(read_batch(tmp_path / "batch.csv"), cfg)
     assert (tmp_path / "m.json").read_text() == measure_to_json(mu) + "\n"
 

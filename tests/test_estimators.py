@@ -1,5 +1,7 @@
+import hashlib
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ def test_row_with_overflowing_norm_keeps_its_direction():
         with pytest.raises(TooFewPointsError):
             estimate_conventional(batch, ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2))
         with pytest.raises(TooFewPointsError):
-            estimate_two_step(batch, TwoStepConfig(0.3, 1.0, alpha=2.0, s=0.2))
+            estimate_two_step(batch, TwoStepConfig(0.3, 1.0))
         # finite rows keep their arithmetic next to an overflowing one
         mu, n_tau = empirical_angular_measure(_rows_batch([[3.0, 1.0], [1.7e308, 0.4e308]]), 1.5)
     assert n_tau == 2 and mu.atoms[0].tolist() == [0.75, 0.25]
@@ -91,7 +93,7 @@ OVERFLOWING_PRODUCTS = [[1.0, 1.0]] * 1000 + [[1.5e308, 1.5e308]] * 3 + [[1.7e30
 )
 def test_magnitude_stage_counts_overflowing_products_exactly():
     batch = _rows_batch(OVERFLOWING_PRODUCTS)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a_hat, _, _ = estimate_two_step(batch, cfg)
@@ -112,7 +114,7 @@ def test_magnitude_stage_rescales_an_entry_whose_terms_overflow():
     # ones gives 1, below tau (about 7.9).
     batch = _rows_batch([[1.0, 1.0]] * 1000 + [[1.7e308, 1.5e308]] * 3)
     a_dir = np.array([[0.6, 0.4], [0.4, 0.6]])
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     tau = tail_threshold(batch.n, 2.0, 0.2, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -134,7 +136,7 @@ def test_magnitude_stage_counts_match_the_matrix_product(a_dir):
     # the per-column counts of x . a_inv[k] > tau, against the whole product,
     # over two whole blocks of rows and part of a third
     a_dir = np.array(a_dir)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     spec = ModelSpec(A=a_dir * 2.0, alpha=2.0, s=0.2, latent_kind="iid-pareto")
     a_inv = invert_square_matrix(a_dir)
     for seed in range(6):
@@ -169,13 +171,14 @@ def test_conventional_threshold_continuous_at_regime_boundary():
 
 
 def test_direction_threshold_formula():
-    cfg = TwoStepConfig(kappa_tilde=0.5, kappa=1.0, alpha=2.0, s=0.2)
     n = 1000
-    assert direction_threshold(n, cfg) == pytest.approx(
-        0.5 * (n / np.log(n)) ** 0.5
-    )
+    assert direction_threshold(n, 2.0, 0.5) == pytest.approx(0.5 * (n / np.log(n)) ** 0.5)
     with pytest.raises(TooFewPointsError):
-        direction_threshold(2, cfg)
+        direction_threshold(2, 2.0, 0.5)
+    # alpha arrives as a number here, not through a checked ModelSpec
+    for alpha in (0.0, -1.0, math.nan, math.inf, True):
+        with pytest.raises(InvalidAlphaError):
+            direction_threshold(n, alpha, 0.5)
 
 
 def test_solve_theta_closed_form_example():
@@ -273,7 +276,7 @@ def test_conventional_estimator_too_few_points():
 
 def test_estimate_directions_unit_columns():
     batch = _batch(2**14, A=np.diag([2.0, 1.0]))
-    cfg = TwoStepConfig(kappa_tilde=1.0, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=1.0, kappa=1.0)
     a_dir, n_tt = estimate_directions(batch, cfg)
     assert a_dir.shape == (2, 2)
     assert np.allclose(np.abs(a_dir).sum(axis=0), 1.0, atol=1e-12)
@@ -286,7 +289,7 @@ def test_estimate_directions_unit_columns():
 
 def test_estimate_directions_zero_exceedances_maps_to_too_few_points():
     batch = _batch(64)
-    cfg = TwoStepConfig(kappa_tilde=1e9, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=1e9, kappa=1.0)
     with pytest.raises(TooFewPointsError):
         estimate_directions(batch, cfg)
 
@@ -294,7 +297,7 @@ def test_estimate_directions_zero_exceedances_maps_to_too_few_points():
 def test_two_step_recovers_diagonal_model():
     A = np.diag([1.3, 0.8])
     batch = _batch(2**16, A=A, s=0.3)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.3)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     a_hat, mu, n_tt = estimate_two_step(batch, cfg)
     truth = spectral_measure_of(A, 2.0)
     assert wasserstein_p(mu, truth, 1.0) < 0.1
@@ -303,9 +306,23 @@ def test_two_step_recovers_diagonal_model():
     assert np.allclose(mags, [0.8, 1.3], atol=0.25)
 
 
+@pytest.mark.parametrize(
+    "alpha, s, n_tt, digest",
+    [(2.0, 0.3, 273, "4f803a2a74ea783b"), (3.0, 0.1, 757, "326b2a18630e9dbc")],
+)
+def test_two_step_at_the_batch_models_alpha_and_s_pins_its_bytes(alpha, s, n_tt, digest):
+    # one config of tuning constants for both models: each estimate is the
+    # one a config stating the batch model's alpha and s gave
+    spec = ModelSpec(A=np.diag([1.3, 0.8]), alpha=alpha, s=s)
+    batch = generate_dataset(spec, 2**16, seed=42)
+    a_hat, mu, got = estimate_two_step(batch, TwoStepConfig(kappa_tilde=0.3, kappa=1.0))
+    sha = hashlib.sha256(a_hat.tobytes() + mu.atoms.tobytes() + mu.weights.tobytes())
+    assert (got, sha.hexdigest()[:16]) == (n_tt, digest)
+
+
 def test_two_step_column_permutation_invariance():
     batch = _batch(2**13, A=np.diag([1.5, 0.7]), s=0.3)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.3)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     a_dir, _ = estimate_directions(batch, cfg)
     _, mu = two_step_from_directions(batch, cfg, a_dir)
     _, mu_p = two_step_from_directions(batch, cfg, a_dir[:, ::-1])
@@ -316,7 +333,7 @@ def test_two_step_column_permutation_invariance():
 def test_two_step_requires_square_model():
     spec = ModelSpec(A=np.ones((2, 3)), alpha=2.0, s=0.2)
     batch = generate_dataset(spec, 100, seed=0)
-    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     with pytest.raises(DimensionMismatchError, match="d=2, m=3"):
         estimate_two_step(batch, cfg)
     # n = 2 admits no direction threshold: a typed error, not a ValueError
@@ -329,30 +346,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ConvConfig(kappa_bar=0.0, alpha=2.0, s=0.2)
     with pytest.raises(ValueError):
-        TwoStepConfig(kappa_tilde=0.3, kappa=-1.0, alpha=2.0, s=0.2)
-    # alpha and s are checked where the configs are built
+        TwoStepConfig(kappa_tilde=0.3, kappa=-1.0)
+    # the two-step config holds its tuning constants only
+    assert [f.name for f in fields(TwoStepConfig)] == ["kappa_tilde", "kappa"]
+    # the ConvConfig's alpha and s are checked where it is built
     with pytest.raises(ValueError):
         ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.5)
-    with pytest.raises(ValueError):
-        TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=0.0, s=0.2)
     # NaN and inf fail the range checks too; an extreme finite alpha passes
     conv = dict(kappa_bar=1.0, alpha=2.0, s=0.2)
-    two_step = dict(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2)
+    two_step = dict(kappa_tilde=0.3, kappa=1.0)
     for bad in (math.nan, math.inf):
         for key in ("kappa_bar", "alpha"):
             with pytest.raises(ValueError):
                 ConvConfig(**{**conv, key: bad})
-        for key in ("kappa_tilde", "kappa", "alpha"):
+        for key in ("kappa_tilde", "kappa"):
             with pytest.raises(ValueError):
                 TwoStepConfig(**{**two_step, key: bad})
     ConvConfig(**{**conv, "alpha": 1e300})
-    TwoStepConfig(**{**two_step, "alpha": 1e300})
     # a bool compares as 0 or 1, but it is not a number here
     for flag in (True, np.True_):
         for key in ("kappa_bar", "alpha"):
             with pytest.raises(ValueError, match="invalid conventional config"):
                 ConvConfig(**{**conv, key: flag})
-        for key in ("kappa_tilde", "kappa", "alpha"):
+        for key in ("kappa_tilde", "kappa"):
             with pytest.raises(ValueError, match="invalid two-step config"):
                 TwoStepConfig(**{**two_step, key: flag})
         with pytest.raises(InvalidAlphaError, match="got True"):

@@ -77,7 +77,7 @@ def test_replicates_share_the_model_built_once_per_grid_point(monkeypatch):
         assert all(spec is models[0][0] and mu is models[0][1] for spec, mu in models)
 
 
-TWO_STEP = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4)
+TWO_STEP = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
 ODD_GRID = (257, 515, 1029)  # n * m is 2 or 3 mod 4 for m = 2 and 3
 
 
@@ -132,7 +132,7 @@ def test_sweep_imports_no_numpy_ma(tmp_path):
         "from tailfactor import emit_outputs, run_convergence_experiment\n"
         "cfg = ExperimentConfig(alpha=2.0, s=0.4, n_grid=(256, 512, 1024), replicates=3,\n"
         "    base_seed=11, conv=ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.4),\n"
-        "    two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))\n"
+        "    two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0))\n"
         f"emit_outputs(run_convergence_experiment(cfg, threads=2), {str(tmp_path)!r})\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
@@ -178,15 +178,13 @@ def test_config_validation():
         _cfg(latent_kind="custom")  # not a latent kind
     with pytest.raises(ConfigError, match="non-negative"):
         _cfg(fixed_A=np.array([[1.0, 0.5], [-0.1, 1.0]]))
-    # an estimator runs at the model's alpha and s
+    # the POT estimator runs at the model's alpha and s
     with pytest.raises(ConfigError, match="ConvConfig has alpha=0.5"):
         _cfg(conv=ConvConfig(kappa_bar=1.0, alpha=0.5, s=0.4))
-    with pytest.raises(ConfigError, match="TwoStepConfig has alpha=2.0, s=0.1"):
-        _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.1))
     # two-step needs a square A: two rows, three factors
     A = np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.2]])
-    two_step = TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4)
-    with pytest.raises(ConfigError, match="square A, but the model has d=2, m=3"):
+    two_step = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
+    with pytest.raises(ConfigError, match="square A, got d=2, m=3"):
         _cfg(fixed_A=A, latent_kind="iid-pareto", two_step=two_step)
     _cfg(fixed_A=A, latent_kind="iid-pareto")  # the POT estimator takes any A
     # a fixed A under the tilted law still needs both tilts at the first size
@@ -280,7 +278,7 @@ def test_all_replicates_failing_aborts():
 
 def test_both_estimators_run_and_diagnostics_split(tmp_path):
     cfg = _cfg(
-        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0),
     )
     res = run_convergence_experiment(cfg, threads=4)
     assert set(res.slope_fits) == {"conv", "two-step"}
@@ -294,7 +292,7 @@ def test_both_estimators_run_and_diagnostics_split(tmp_path):
 
 def test_emit_outputs_files_and_determinism(tmp_path):
     cfg = _cfg(
-        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0),
     )
     res = run_convergence_experiment(cfg)
     d1 = tmp_path / "a"
@@ -354,7 +352,7 @@ def test_fixed_loading_matrix_used_as_ground_truth():
 
 
 def test_staged_sweep_matches_default_rows_for_any_thread_count(monkeypatch):
-    cfg = _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.4))
+    cfg = _cfg(two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0))
     res, stages = run_staged_experiment(cfg)
     assert res.rows == run_convergence_experiment(cfg).rows
     res2, stages2 = run_staged_experiment(cfg, threads=2)

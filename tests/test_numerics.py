@@ -317,7 +317,7 @@ def test_d3_sweep_pins_its_bytes(tmp_path):
         replicates=2,
         base_seed=20240601,
         conv=ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.2),
-        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=2.0, s=0.2),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0),
         latent_kind="iid-pareto",
         fixed_A=A,
     )

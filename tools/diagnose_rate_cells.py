@@ -153,7 +153,7 @@ def diagnose_two_step(alpha, grid, threads):
         n_grid=grid,
         replicates=REPLICATES,
         base_seed=BASE_SEED,
-        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0, alpha=alpha, s=S),
+        two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0),
     )
     res, stages = run_staged_experiment(cfg, threads=threads)
     print(f"two-step cell alpha={alpha:g} s={S} kappa_tilde=0.3 kappa=1")

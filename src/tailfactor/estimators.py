@@ -39,9 +39,6 @@ R_HAT = 1.0
 # Below this, solve_theta takes ratio^(-1/alpha) - 1 from expm1: it cancels.
 CANCEL_GAP = 1e-3
 TINY = np.finfo(np.float64).tiny
-# Rows per block of the magnitude stage's counts: a block's columns stay in
-# cache, and no n x d product is formed.
-BLOCK_ROWS = 2**15
 
 
 def _check_settings(cfg, kind: str, positive) -> None:
@@ -80,20 +77,18 @@ def check_square_model(spec) -> None:
         raise DimensionMismatchError(f"two-step needs a square A, got d={spec.d}, m={spec.m}")
 
 
-def _thresholded_points(xs: np.ndarray, tau: float):
-    """Normalized samples with l1-norm strictly above tau, in sample order.
+def _thresholded_points(batch: SampleBatch, tau: float):
+    """Normalized samples with l1-norm ``batch.norms`` above tau, in sample order.
 
     The rows are taken by index (``np.flatnonzero``, then ``np.take``): a
     boolean row mask costs several times more on an (n, d) array.  A row
     whose l1-norm overflows float64 counts as above every tau and is
     normalized after scaling it by its largest entry, as ``make_measure``
     does, so it keeps its direction."""
-    with np.errstate(over="ignore"):
-        norms = row_sums(xs)
-    idx = np.flatnonzero(norms > tau)
+    idx = np.flatnonzero(batch.norms > tau)
     if idx.size == 0:
         raise NoExceedancesError(f"no sample above tau={tau}")
-    return _onto_simplex(np.take(xs, idx, axis=0), np.take(norms, idx)), idx.size
+    return _onto_simplex(np.take(batch.xs, idx, axis=0), np.take(batch.norms, idx)), idx.size
 
 
 def empirical_angular_measure(batch: SampleBatch, tau: float):
@@ -105,7 +100,7 @@ def empirical_angular_measure(batch: SampleBatch, tau: float):
     """
     if tau < 0:
         raise ValueError(f"need tau >= 0, got {tau}")
-    points, n_tau = _thresholded_points(batch.xs, tau)
+    points, n_tau = _thresholded_points(batch, tau)
     mu = make_measure(points, np.full(n_tau, 1.0 / n_tau))
     return mu, n_tau
 
@@ -125,7 +120,7 @@ def estimate_conventional(batch: SampleBatch, cfg: ConvConfig):
     Returns (measure, n_tau).
     """
     tau = conventional_threshold(batch.n, cfg)
-    points, n_tau = _thresholded_points(batch.xs, tau)
+    points, n_tau = _thresholded_points(batch, tau)
     km = kmeans(points, batch.spec.m)
     return make_measure(km.centers, km.weights), n_tau
 
@@ -146,7 +141,7 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     """
     tau_tilde = direction_threshold(batch.n, batch.spec.alpha, cfg.kappa_tilde)
     try:
-        points, n_tt = _thresholded_points(batch.xs, tau_tilde)
+        points, n_tt = _thresholded_points(batch, tau_tilde)
     except NoExceedancesError:
         raise TooFewPointsError(f"n_tau_tilde=0 below m={batch.spec.m}") from None
     km = kmeans(points, batch.spec.m)
@@ -181,30 +176,35 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
 
     Decouples coordinates with the inverse of ``a_dir``, then solves the
     tail-frequency equation per coordinate.  Coordinate k counts the rows x
-    with x . a_inv[k] > tau, BLOCK_ROWS rows at a time, the product summed
-    by ``column_dot``.  An entry that overflows float64 is compared after
-    scaling its row by its largest entry, tau scaled the same way, as
-    ``_onto_simplex`` keeps such a row.  Returns (A_hat, measure).
+    with x . w > tau, w = a_inv[k], summed by ``column_dot``, among the rows
+    their radius r = ``batch.norms`` admits: as x . w <= max(w, 0) ||x||_1
+    for x >= 0, a row is multiplied only if r (max(w, 0) + c max|w|) >
+    tau (1 - c), c = (d + 2) 2^-50 >= 2 gamma_d + 8u (u = 2^-53), which
+    covers the rounding of ``row_sums``, ``column_dot`` and this test while
+    tau and c max|w| are normal floats (else every row is).  An overflowing
+    entry is compared after scaling its row by its largest entry, tau scaled
+    the same way, as ``_onto_simplex`` keeps such a row.  Returns (A_hat,
+    measure).
     """
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
     n, alpha = batch.n, batch.spec.alpha
     tau = tail_threshold(n, alpha, batch.spec.s, cfg.kappa)
+    slack = (len(a_inv) + 2) * 2.0**-50
     counts = []
     for w in a_inv:
-        count = 0
-        for lo in range(0, n, BLOCK_ROWS):
-            rows = batch.xs[lo : lo + BLOCK_ROWS]
-            with np.errstate(over="ignore", invalid="ignore"):
-                dot = column_dot(rows, w)
-            above = dot > tau
-            if not np.isfinite(dot).all():  # one pass; a per-entry test costs more
-                bad = np.flatnonzero(~np.isfinite(dot))
-                big = np.take(rows, bad, axis=0)
-                scale = big.max(axis=1)
-                above[bad] = column_dot(divide_rows(big, scale), w) > tau / scale
-            count += int(np.count_nonzero(above))
-        counts.append(count)
+        spread = slack * np.abs(w).max()
+        floor = tau * (1.0 - slack) if min(tau, spread) >= TINY else -1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = np.flatnonzero(batch.norms * (max(w.max(), 0.0) + spread) > floor)
+            rows = np.take(batch.xs, kept, axis=0)
+            dot = column_dot(rows, w)
+        above = dot > tau
+        bad = np.flatnonzero(~np.isfinite(dot))
+        big = np.take(rows, bad, axis=0)
+        scale = big.max(axis=1)
+        above[bad] = column_dot(divide_rows(big, scale), w) > tau / scale
+        counts.append(int(np.count_nonzero(above)))
     thetas = np.array([solve_theta(c, n, R_HAT, tau, alpha) for c in counts])
     a_hat = a_dir * thetas[None, :]
     return a_hat, spectral_measure_of(a_hat, alpha)

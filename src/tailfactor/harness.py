@@ -7,6 +7,7 @@ are bit-identical for any worker count.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,19 +241,19 @@ def run_staged_experiment(cfg: ExperimentConfig, threads: int = 1):
 def run_convergence_experiment(
     cfg: ExperimentConfig, threads: int = 1, runner=None
 ) -> ExperimentResult:
-    """Full grid sweep on ``threads`` >= 1 worker threads; deterministic given
-    cfg.base_seed for any thread count.  ``runner(tag, batch, truth)`` gives
-    the estimator ``tag``'s W_p error and exceedance count (n_tau for conv,
-    n_tau_tilde for two-step); a TailFactorError it raises fails the row.
+    """Full grid sweep on at most ``threads`` >= 1 worker threads, the same
+    bytes for any count given cfg.base_seed.  ``runner(tag, batch, truth)``
+    gives the estimator ``tag``'s W_p error and exceedance count (n_tau for
+    conv, n_tau_tilde for two-step); a TailFactorError it raises fails the row.
 
     Replicate r draws from the stream (cfg.base_seed, r) at every grid
     point, and the i.i.d. Pareto draw at n is the first n rows of the one
     at the largest n.  So each replicate is one pool task: it takes that
     draw once, at the largest n, and runs the grid points on its prefixes
-    in ascending n.  With fewer replicates than threads, the threads beyond
-    the replicate count stay idle.  Rows are assembled in (n, replicate,
-    estimator) order, and an exception from a task is raised where its grid
-    point falls in that order.  Each grid point's spec and true measure
+    in ascending n, on min(threads, replicates, usable CPUs) workers: a
+    thread beyond the CPUs only adds switching.  Rows are assembled in
+    (n, replicate, estimator) order, an exception from a task raised where
+    its grid point falls in it.  Each grid point's spec and true measure
     are built once, before the pool starts, and its replicates share them.
     No product in a sweep calls BLAS, so it runs on the pool's threads
     alone: its LAPACK calls, the two-step estimator's d x d determinant and
@@ -260,7 +261,9 @@ def run_convergence_experiment(
     if runner is None:
         runner = _default_runner(cfg)
     models = {n: _model_at(cfg, n) for n in cfg.n_grid}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cfg.replicates, cpus or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         per_rep = list(
             pool.map(lambda rep: _replicate_task(cfg, models, rep, runner), range(cfg.replicates))
         )

@@ -338,15 +338,16 @@ def _as_int(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n observations X = A Z plus the spec and seed that generated them;
-    ``seed`` and ``stream_id`` are integers, not booleans, stored as Python
-    ints, and ``xs`` is a read-only float64 (n, spec.d) array, finite and
-    >= 0."""
+    """n observations X = A Z plus the spec and seed that generated them.
+    ``seed`` and ``stream_id`` are Python ints, not booleans; ``xs`` is a
+    read-only float64 (n, spec.d) array, finite and >= 0; ``norms``, derived
+    and read by every threshold, is a read-only ``row_sums(xs)``, inf on overflow."""
 
     spec: ModelSpec
     seed: int
     stream_id: int
     xs: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
@@ -358,6 +359,8 @@ class SampleBatch:
         if not (0 <= lo and hi < np.inf):
             raise InvalidAtomError(f"negative or non-finite value: min {lo}, max {hi}")
         object.__setattr__(self, "xs", xs)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "norms", _frozen(row_sums(xs)))
 
     @property
     def n(self) -> int:

@@ -142,16 +142,15 @@ def _lloyd(points, centers):
 
 
 def _line_order(points):
-    """Order of the points along the line they span, or None if they span more.
+    """The axis j that orders the points along the line they span, or None.
 
     The line runs through the extreme points of the widest coordinate j,
     the first of equal widths.  The points count as collinear when each
     lies within 2^10 machine epsilons (relative to the largest coordinate
     magnitude) of it, i.e. off the line by rounding only: coordinate c of
     a point's offset is (x_c - lo_c) - t span_c, t = (x_j - lo_j) / span_j.
-    Returns (argsort along j, j).  Every step takes one column at a time:
-    a reduction along axis 0 of an (n, d) array, or a broadcast to one,
-    runs numpy's inner loop once per row.
+    Every step takes one column at a time: a reduction along axis 0 of an
+    (n, d) array, or a broadcast to one, runs numpy's inner loop once per row.
     """
     cols = points.T
     tops = np.array([col.max() for col in cols])
@@ -168,7 +167,7 @@ def _line_order(points):
             off -= t * span[c]
             if not np.abs(off).max() <= tol:
                 return None
-    return np.argsort(cols[j]), j
+    return j
 
 
 def _leftmost_argmin(vals, lens):
@@ -225,33 +224,31 @@ def _best_boundaries(cost, u, k):
     return np.array(bounds[::-1])
 
 
-def _exact_line_labels(points, order, j, k):
+def _exact_line_labels(points, j, k):
     """Labels of the least-inertia partition of collinear points.
 
     Optimal clusters of points on a line are contiguous along it, and their
     inertia is that of coordinate j times a constant, so the search runs
     over contiguous runs of the values of coordinate j in sorted order,
-    splitting only between distinct values.
+    splitting only between distinct values.  A label counts the runs that
+    start at or below the point's value.
     """
-    key = points[order, j]
-    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    cuts = np.concatenate(([0], cuts, [key.size]))
+    values = np.sort(points[:, j])
+    cuts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1, [values.size]))
     u = cuts.size - 1
     if u < k:
         raise TooFewPointsError(f"{u} distinct positions along the line for k={k}")
     # Prefix sums of the values and of their squares at the group
     # boundaries; centering keeps the cancellation in the cost small.
-    key = key - key.mean()
+    key = values - values.mean()
     s1 = np.concatenate(([0.0], np.cumsum(key)))[cuts]
     s2 = np.concatenate(([0.0], np.cumsum(key * key)))[cuts]
 
     def cost(a, b):
         return (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / (cuts[b] - cuts[a])
 
-    bounds = _best_boundaries(cost, u, k)
-    labels = np.empty(key.size, dtype=np.int64)
-    labels[order] = np.repeat(np.arange(k), np.diff(cuts[bounds]))
-    return labels
+    starts = values[cuts[_best_boundaries(cost, u, k)[1:-1]]]
+    return np.searchsorted(starts, points[:, j], side="right")
 
 
 def kmeans(points, k: int) -> KMeansResult:
@@ -288,9 +285,9 @@ def kmeans(points, k: int) -> KMeansResult:
     n = points.shape[0]
     if n < k:
         raise TooFewPointsError(f"{n} points for k={k}")
-    line = _line_order(points)
-    if line is not None:
-        labels = _exact_line_labels(points, *line, k)
+    j = _line_order(points)
+    if j is not None:
+        labels = _exact_line_labels(points, j, k)
         sums, counts = _center_update(points, labels, k)
         centers = sums / counts[:, None]
         inertia = float(_squared_distances(points, _by_label(centers, labels)).sum())

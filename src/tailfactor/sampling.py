@@ -101,21 +101,20 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
     lower bound on the acceptance rate (at most ROUND_ROWS rows): at first
     the larger of m^-(alpha+1) and P(max z >= t | max z >= a), as
     max(z) >= t implies ||z||_1 >= t; later the acceptance rate seen so
-    far, if higher.  So most calls take one round.  A round
-    counts only its proposals up to the last vector it takes, which makes
-    the result the first ``count`` accepted proposals of the stream,
-    however the rounds fall.  Each round's proposals are built in the
-    array of uniforms it draws, one column at a time: a column of an
-    (rows, m) array is one long vector op where a (rows, m) broadcast runs
-    numpy's inner loop once per row.  J is read off its cumulative weights
-    by ``_first_index``, and the accepted rows are copied into the output by
-    index, column by column.  Raises MaxTrialsExceededError where
-    vectors are still missing once the counted proposals reach the budget
-    (checked before each round, so the last round may pass it), and
-    SampleOverflowError as soon as a counted proposal has a coordinate
-    beyond the float64 range: dropping it would truncate the law.  Raises
-    InvalidAlphaError unless 0 < alpha < inf, and ValueError for m < 1 or
-    a NaN t.
+    far, if higher.  So most calls take one round.  A round counts only its
+    proposals up to the last vector it takes, which makes the result the
+    first ``count`` accepted proposals of the stream, however the rounds
+    fall.  A round's uniforms are transposed once, so each step on a
+    coordinate is one long vector op on a contiguous row, where a (rows, m)
+    broadcast runs numpy's inner loop once per row.  J is read off its
+    cumulative weights by ``_first_index``, and the accepted proposals are
+    taken into the output by index, all coordinates at once.  Raises
+    MaxTrialsExceededError where vectors are still missing once the counted
+    proposals reach the budget (checked before each round, so the last
+    round may pass it), and SampleOverflowError as soon as a counted
+    proposal has a coordinate beyond the float64 range: dropping it would
+    truncate the law.  Raises InvalidAlphaError unless 0 < alpha < inf, and
+    ValueError for m < 1 or a NaN t.
     """
     check_alpha(alpha)
     if m < 1:
@@ -143,26 +142,24 @@ def sample_conditional_pareto(count, m, alpha, t, gen):
         need = count - filled
         rate = max(filled / proposals, floor) if proposals else floor
         size = max(need, math.ceil(min(need / rate, ROUND_ROWS))) if rate else need
-        u = gen.random((size, m + 1))
-        first = _first_index(np.multiply(u[:, 0], first_cdf[-1], out=u[:, 0]), first_cdf)
-        z = u[:, 1:]  # coordinate j is built in column j + 1 of u
+        u = gen.random((size, m + 1)).T.copy()  # proposal i is column i
+        first = _first_index(np.multiply(u[0], first_cdf[-1], out=u[0]), first_cdf)
+        z = u[1:]  # coordinate j is built in row j + 1 of u
         with np.errstate(over="ignore"):  # overflow raises below
-            for j in range(m):
-                col = z[:, j]
-                col[np.flatnonzero(first > j)] *= 1.0 - q  # truncated to [0, a)
-                _pareto_in_place(col, alpha)
+            for j, coord in enumerate(z):
+                if j < m - 1:  # J <= m - 1: the last coordinate is never truncated
+                    coord[np.flatnonzero(first > j)] *= 1.0 - q  # truncated to [0, a)
+                _pareto_in_place(coord, alpha)
                 at = np.flatnonzero(first == j)
-                col[at] = (1.0 + a) * (1.0 + col[at]) - 1.0  # conditioned on >= a
-            hits = np.flatnonzero(row_sums(z) >= t)[:need]
-        used = int(hits[-1]) + 1 if hits.size == need else len(z)
-        if not all(np.isfinite(z[:used, j]).all() for j in range(m)):
-            bad = int((~np.isfinite(z[:used]).all(axis=1)).sum())  # for the message
-            raise SampleOverflowError(
-                f"{bad} of {used} proposals overflowed "
-                f"float64 (t={t}, m={m}, alpha={alpha})"
-            )
-        for j in range(m):  # np.take would copy the strided column first
-            out[filled : filled + hits.size, j] = z[hits, j]
+                coord[at] = (1.0 + a) * (1.0 + coord[at]) - 1.0  # conditioned on >= a
+            # numpy sums 8 or more entries pairwise only along a contiguous row
+            hits = np.flatnonzero(row_sums(z.T if m < 8 else z.T.copy()) >= t)[:need]
+        used = int(hits[-1]) + 1 if hits.size == need else size
+        finite = np.isfinite(z[:, :used]).all(axis=0)
+        if not finite.all():
+            msg = f"{used - np.count_nonzero(finite)} of {used} proposals overflowed float64"
+            raise SampleOverflowError(f"{msg} (t={t}, m={m}, alpha={alpha})")
+        out[filled : filled + hits.size] = z[:, hits].T
         filled += hits.size
         proposals += used
     return out

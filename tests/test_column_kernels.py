@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from tailfactor.errors import NoExceedancesError
 from tailfactor.estimators import _thresholded_points
-from tailfactor.measures import _onto_simplex, divide_rows, row_sums
+from tailfactor.measures import ModelSpec, SampleBatch, _onto_simplex, divide_rows, row_sums
 from tailfactor.numerics import _assign_points, _by_label, _line_order, _squared_distances
 from tailfactor.sampling import _first_index
 from tailfactor.transport import _l1_costs
@@ -31,7 +31,7 @@ def _line_order_oracle(points):
         tol = 2**10 * np.finfo(np.float64).eps * np.abs(points).max()
         if not np.abs(off).max() <= tol:
             return None
-    return np.argsort(points[:, j]), j
+    return j
 
 
 def _onto_simplex_oracle(rows, norms):
@@ -85,11 +85,8 @@ def _same(a, b):
 def test_column_kernels_match_their_broadcast_forms(xs, cut, k, data):
     n, d = xs.shape
     with np.errstate(all="ignore"):
-        # kmeans: the line test and order, the widest coordinate's first index
-        got, want = _line_order(xs), _line_order_oracle(xs)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[1] == want[1] and _same(got[0], want[0])
+        # kmeans: the line test and its axis, the widest coordinate's first index
+        assert _line_order(xs) == _line_order_oracle(xs)
         # kmeans: distances to one center, to each row's center, labels
         centers = xs[data.draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))]
         centers = centers + data.draw(st.sampled_from([0.0, 0.25]))
@@ -106,15 +103,18 @@ def test_column_kernels_match_their_broadcast_forms(xs, cut, k, data):
         norms = row_sums(xs)
         assert _same(divide_rows(xs, norms), xs / norms[:, None])
         assert _same(_onto_simplex(xs, norms), _onto_simplex_oracle(xs, norms))
+        # a batch holds |xs|, since X = A Z >= 0
+        batch = SampleBatch(ModelSpec(A=np.eye(d), alpha=1.0, s=0.2), 0, 0, np.abs(xs))
+        norms = row_sums(batch.xs)
         tau = np.sort(norms)[cut] if cut < n else -1.0
         mask = norms > tau
         if not mask.any():
             with pytest.raises(NoExceedancesError):
-                _thresholded_points(xs, tau)
+                _thresholded_points(batch, tau)
         else:
-            points, n_tau = _thresholded_points(xs, tau)
+            points, n_tau = _thresholded_points(batch, tau)
             assert n_tau == mask.sum()
-            assert _same(points, _onto_simplex_oracle(xs[mask], norms[mask]))
+            assert _same(points, _onto_simplex_oracle(batch.xs[mask], norms[mask]))
         # transport: the l1 cost matrix
         for xb in (xs, xs[::-1][: max(1, n // 2)] + 0.125):
             assert _same(_l1_costs(xs, xb), np.abs(xs[:, None, :] - xb[None, :, :]).sum(axis=2))
@@ -127,8 +127,8 @@ def test_line_order_tolerance_reads_the_largest_magnitude():
     t[:2] = 0.0, 1.0
     for scale in (-3.0, -1e6):
         pts = scale * np.column_stack([t, 1.0 - t])
-        got, want = _line_order(pts), _line_order_oracle(pts)
-        assert want is not None and got[1] == want[1] and _same(got[0], want[0])
+        want = _line_order_oracle(pts)
+        assert want is not None and _line_order(pts) == want
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tailfactor import estimators, measures, numerics
 from tailfactor.errors import (
     DimensionMismatchError,
     InvalidAlphaError,
     InvalidAtomError,
     NoExceedancesError,
     NoSolutionError,
+    TailFactorError,
     TooFewPointsError,
 )
 from tailfactor.estimators import (
-    BLOCK_ROWS,
     R_HAT,
     ConvConfig,
     TwoStepConfig,
@@ -30,7 +31,7 @@ from tailfactor.estimators import (
     solve_theta,
     two_step_from_directions,
 )
-from tailfactor.measures import ModelSpec, SampleBatch, spectral_measure_of
+from tailfactor.measures import ModelSpec, SampleBatch, column_dot, spectral_measure_of
 from tailfactor.numerics import invert_square_matrix
 from tailfactor.sampling import generate_dataset, tail_threshold
 from tailfactor.transport import wasserstein_p
@@ -133,19 +134,153 @@ def test_magnitude_stage_rescales_an_entry_whose_terms_overflow():
     ids=["2x2-negative-inverse", "identity", "3x3"],
 )
 def test_magnitude_stage_counts_match_the_matrix_product(a_dir):
-    # the per-column counts of x . a_inv[k] > tau, against the whole product,
-    # over two whole blocks of rows and part of a third
+    # the per-column counts of x . a_inv[k] > tau, against the whole product
     a_dir = np.array(a_dir)
     cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
     spec = ModelSpec(A=a_dir * 2.0, alpha=2.0, s=0.2, latent_kind="iid-pareto")
     a_inv = invert_square_matrix(a_dir)
     for seed in range(6):
-        batch = generate_dataset(spec, 2 * BLOCK_ROWS + 123, seed=seed)
+        batch = generate_dataset(spec, 2 * 2**15 + 123, seed=seed)
         tau = tail_threshold(batch.n, 2.0, 0.2, 1.0)
         counts = (batch.xs @ a_inv.T > tau).sum(axis=0).tolist()
         thetas = [solve_theta(c, batch.n, R_HAT, tau, 2.0) for c in counts]
         a_hat, _ = two_step_from_directions(batch, cfg, a_dir)
         assert np.array_equal(a_hat, a_dir * thetas), (seed, counts)
+
+
+def _whole_product_counts(batch, a_dir, tau):
+    """Each coordinate's count of rows with x . a_inv[k] > tau, every row
+    multiplied by column_dot; an entry that overflows is compared after
+    scaling its row by its largest entry, tau scaled the same way."""
+    counts = []
+    for w in invert_square_matrix(a_dir):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot = column_dot(batch.xs, w)
+        bad = ~np.isfinite(dot)
+        scale = batch.xs[bad].max(axis=1)
+        above = dot > tau
+        above[bad] = column_dot(batch.xs[bad] / scale[:, None], w) > tau / scale
+        counts.append(int(above.sum()))
+    return counts
+
+
+def _stage_counts(monkeypatch, batch, a_dir, kappa):
+    """The counts the magnitude stage hands solve_theta, up to the first
+    that has no solution."""
+    seen = []
+
+    def record(count, *args):
+        seen.append(count)
+        return solve_theta(count, *args)
+
+    monkeypatch.setattr(estimators, "solve_theta", record)
+    try:
+        two_step_from_directions(batch, TwoStepConfig(kappa_tilde=0.3, kappa=kappa), a_dir)
+    except TailFactorError:  # a count of 0, or an a_dir with negative entries
+        pass
+    return seen
+
+
+def _rows_at_tau(a_dir, n, kappa=1.0):
+    """For each row w of a_dir's inverse, rows x with x . w within a few
+    ulps of tau on either side, padded with rows of ones to n rows: x on w's
+    largest entry alone, where x . w <= max(w, 0) ||x||_1 is tight; with a
+    fraction of an ulp of that entry on the next coordinate, which the row
+    sum may round away while the product keeps it; and with a small entry
+    where w is negative."""
+    tau = tail_threshold(n, 2.0, 0.2, kappa)
+    rows = []
+    for w in invert_square_matrix(a_dir):
+        j = int(np.argmax(w))
+        x = np.zeros(len(w))
+        x[j] = tau / w[j]
+        for _ in range(5):
+            x[j] = np.nextafter(x[j], 0.0)
+        for _ in range(9):
+            x[j] = np.nextafter(x[j], np.inf)
+            for share in (0.0, 0.3, 0.45, 0.6, 0.9):
+                y = x.copy()
+                y[(j + 1) % len(w)] = share * np.spacing(x[j])
+                rows.append(y)
+            if w.min() < 0:
+                y = x.copy()
+                y[np.argmin(w)] = 1e-15 * x[j]
+                rows.append(y)
+    return np.vstack(rows + [np.ones(len(a_dir))] * (n - len(rows)))
+
+
+def _square_batch(xs):
+    spec = ModelSpec(A=np.eye(xs.shape[1]), alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    return SampleBatch(spec=spec, seed=0, stream_id=0, xs=xs)
+
+
+def _drawn(A, seed):
+    return generate_dataset(ModelSpec(A=A, alpha=2.0, s=0.2), 5000, seed=seed).xs
+
+
+A3 = [[0.6, 0.1, 0.2], [0.3, 0.7, 0.2], [0.1, 0.2, 0.6]]
+NEGATIVE_INVERSE = [[0.8, 0.3], [0.2, 0.7]]
+NEAR_SINGULAR = [[0.501, 0.499], [0.499, 0.501]]  # inverse entries +-250
+NON_POSITIVE_ROW = [[1.0, 0.5], [0.0, -1.0]]  # its own inverse: row 1 is (0, -1)
+TIED_TOP = [[1 / 3, -0.5], [1 / 3, 0.5]]  # inverse row 0 is (1.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "a_dir, xs, kappa",
+    [
+        (NEAR_SINGULAR, _drawn(NEAR_SINGULAR, 3), 1.0),
+        (NEAR_SINGULAR, _rows_at_tau(NEAR_SINGULAR, 1000), 1.0),
+        (NEGATIVE_INVERSE, _rows_at_tau(NEGATIVE_INVERSE, 1000), 1.0),
+        (np.eye(2), _rows_at_tau(np.eye(2), 1000), 1.0),
+        (TIED_TOP, _rows_at_tau(TIED_TOP, 1000), 1.0),
+        (NON_POSITIVE_ROW, _rows_at_tau(np.eye(2), 1000), 1.0),
+        (A3, _rows_at_tau(A3, 1000), 1.0),
+        (A3, _drawn(A3, 4), 1.0),
+        (NEGATIVE_INVERSE, np.array(OVERFLOWING_PRODUCTS), 1.0),
+        # tau below the normal range: every row is multiplied
+        (np.eye(2), _rows_at_tau(np.eye(2), 4000, 1e-310), 1e-310),
+    ],
+    ids=[
+        "large-negative-inverse", "large-negative-inverse-at-tau", "negative-inverse-at-tau",
+        "identity-at-tau", "tied-top-at-tau", "all-non-positive-row", "d3-at-tau", "d3",
+        "overflow", "subnormal-tau",
+    ],
+)
+def test_magnitude_stage_screen_keeps_every_counted_row(monkeypatch, a_dir, xs, kappa):
+    # the radius screen drops no row the whole product counts
+    a_dir = np.array(a_dir, dtype=np.float64)
+    batch = _square_batch(xs)
+    tau = tail_threshold(batch.n, 2.0, 0.2, kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _stage_counts(monkeypatch, batch, a_dir, kappa)
+    assert len(counts) == len(a_dir) and counts == _whole_product_counts(batch, a_dir, tau)
+
+
+def test_magnitude_stage_counts_of_named_batches(monkeypatch):
+    # the overflow batch keeps its counts [6, 3]; the row (0, -1) counts 0
+    batch = _rows_batch(OVERFLOWING_PRODUCTS)
+    a_dir, _ = estimate_directions(batch, TwoStepConfig(kappa_tilde=0.3, kappa=1.0))
+    assert _stage_counts(monkeypatch, batch, a_dir, 1.0) == [6, 3]
+    counts = _stage_counts(monkeypatch, _square_batch(_rows_at_tau(np.eye(2), 1000)),
+                           np.array(NON_POSITIVE_ROW), 1.0)
+    assert counts[1] == 0 and counts[0] > 0
+
+
+def test_thresholds_take_no_row_sum_of_the_batch(monkeypatch):
+    # the batch's l1-norms are summed once, when it is built; both
+    # estimators' thresholds read them
+    spec = ModelSpec(A=[[1.0, 0.4], [0.3, 1.0]], alpha=2.0, s=0.3)
+    batch = generate_dataset(spec, 2**14, seed=11)
+    sizes = []
+    for module in (estimators, measures, numerics):
+        real = module.row_sums
+        monkeypatch.setattr(
+            module, "row_sums", lambda xs, real=real: sizes.append(len(xs)) or real(xs)
+        )
+    estimate_conventional(batch, ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.3))
+    estimate_two_step(batch, TwoStepConfig(kappa_tilde=0.3, kappa=1.0))
+    assert sizes and max(sizes) < batch.n // 4
 
 
 def test_conventional_threshold_regimes():

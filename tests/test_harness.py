@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,33 @@ def test_serial_and_threaded_runs_identical():
     r8 = run_convergence_experiment(cfg, threads=8)
     assert r1.rows == r8.rows
     assert r1.slope_fits == r8.slope_fits
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_pool_threads_never_outnumber_the_usable_cpus(monkeypatch):
+    # --threads is an upper bound: the pool starts min(threads, replicates,
+    # usable CPUs) workers, and the rows stay the serial run's
+    cfg = _cfg(replicates=8)
+    serial = run_convergence_experiment(cfg, threads=1).rows
+    for cpus in (None, 1, 2):
+        if cpus is not None:  # the CPUs this process may run on
+            affinity = set(range(cpus))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        workers = set()
+        default = harness._default_runner(cfg)
+
+        def runner(tag, batch, truth):
+            workers.add(threading.get_ident())
+            time.sleep(0.002)  # each task yields, so an idle worker would take the next
+            return default(tag, batch, truth)
+
+        assert run_convergence_experiment(cfg, threads=8, runner=runner).rows == serial
+        assert len(workers) <= _usable_cpus()
 
 
 def test_failed_replicates_counted_not_fatal(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -198,6 +199,26 @@ def test_sample_batch_checks_its_rows():
     for value in (-0.5, -5e-324, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidAtomError, match="negative or non-finite value"):
             SampleBatch(spec=spec, seed=0, stream_id=0, xs=[[3.0, 1.0], [value, 1.0]])
+
+
+def test_sample_batch_carries_its_l1_norms():
+    # derived once when built: row_sums(xs) to the byte, inf where a sum
+    # overflows, read-only, no __init__ argument, and rebuilt by replace
+    spec = ModelSpec(A=np.ones((3, 3)), alpha=1.0, s=0.2)
+    batch = generate_dataset(spec, 4096, seed=5)
+    assert batch.norms.tobytes() == row_sums(batch.xs).tobytes()
+    assert not batch.norms.flags.writeable
+    with pytest.raises(ValueError):
+        batch.norms[0] = 0.0
+    assert [f.name for f in dataclasses.fields(SampleBatch) if f.init] == [
+        "spec", "seed", "stream_id", "xs"
+    ]
+    with pytest.raises(TypeError):
+        SampleBatch(spec=spec, seed=0, stream_id=0, xs=batch.xs, norms=batch.norms)
+    other = dataclasses.replace(batch, xs=batch.xs[::-1])
+    assert other.norms.tobytes() == batch.norms[::-1].tobytes()
+    huge = SampleBatch(spec, 0, 0, np.full((2, 3), 1.5e308))
+    assert huge.norms.tolist() == [math.inf] * 2
 
 
 def test_negative_and_large_seeds_draw_distinct_streams():

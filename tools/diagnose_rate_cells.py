@@ -103,10 +103,10 @@ def population_bias(n, cfg: ConvConfig):
     kept, total, block = [], 0, 0
     while total < POP_POINTS:
         stream = POP_STREAM + (n << 32) + block
-        x = generate_dataset(spec, POP_BLOCK, BASE_SEED, stream_id=stream).xs
+        batch = generate_dataset(spec, POP_BLOCK, BASE_SEED, stream_id=stream)
         block += 1
         try:
-            above, _ = _thresholded_points(x, tau)
+            above, _ = _thresholded_points(batch, tau)
         except NoExceedancesError:
             continue
         kept.append(above)

@@ -190,18 +190,17 @@ def _median(values) -> float:
     return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
-def stage_errors(batch, ts_cfg, truth, p):
-    """W_p errors of the magnitude and the direction stage of the two-step fit.
+def stage_errors(batch, ts_cfg, a_dir, truth, p):
+    """W_p errors of the magnitude and the direction stage of the two-step
+    fit whose direction matrix is ``a_dir``.
 
     Magnitude stage: the tail-frequency equation solved with the true column
     directions (the l1-normalized columns of A).  Direction stage: the
-    directions from `estimate_directions`, each scaled by the true magnitude
-    of the nearest true column.  A magnitude stage that raises a typed error
-    reads nan.
+    columns of ``a_dir``, each scaled by the true magnitude of the nearest
+    true column.  A magnitude stage that raises a typed error reads nan.
     """
     norms = batch.spec.A.sum(axis=0)
     true_dirs = batch.spec.A / norms
-    a_dir, _ = estimate_directions(batch, ts_cfg)
     gaps = _l1_costs(a_dir.T, true_dirs.T)
     mu_dir = spectral_measure_of(a_dir * norms[gaps.argmin(axis=1)], batch.spec.alpha)
     try:
@@ -218,18 +217,22 @@ def run_staged_experiment(cfg: ExperimentConfig, threads: int = 1):
     Returns (result, stages): ``result`` is what `run_convergence_experiment`
     returns, and stages[n] holds the `stage_errors` (magnitude, direction)
     pair of every two-step replicate at n whose full fit completed, in
-    replicate order.
+    replicate order.  Each two-step replicate fits its directions once:
+    the full fit and the stages share them.
     """
     default = _default_runner(cfg)
     stages = {}
 
     def run(tag, batch, truth):
-        row = default(tag, batch, truth)
-        if tag == "two-step":
-            stages[batch.n, batch.stream_id] = stage_errors(
-                batch, cfg.two_step, truth, cfg.p
-            )
-        return row
+        if tag != "two-step":
+            return default(tag, batch, truth)
+        a_dir, n_tt = estimate_directions(batch, cfg.two_step)
+        _, mu = two_step_from_directions(batch, cfg.two_step, a_dir)
+        error = wasserstein_p(mu, truth, cfg.p)
+        stages[batch.n, batch.stream_id] = stage_errors(
+            batch, cfg.two_step, a_dir, truth, cfg.p
+        )
+        return error, n_tt
 
     result = run_convergence_experiment(cfg, threads, runner=run)
     return result, {

@@ -273,7 +273,8 @@ LATENT_KINDS = ("iid-pareto", "tilted-worst-case")
 class ModelSpec:
     """One member of the heavy-tailed linear factor model class.
 
-    ``A`` is a non-negative d-by-m loading matrix, ``alpha`` the tail index,
+    ``A`` is a non-negative d-by-m loading matrix of integers or floats
+    (ValueError for bools or strings), ``alpha`` the tail index,
     ``s`` the deviation parameter in (0, 1/2) and ``latent_kind`` selects the
     latent-factor law, one of LATENT_KINDS.  ``law_n`` is the sample size
     of a law that depends on it: "tilted-worst-case" requires it and takes
@@ -288,7 +289,10 @@ class ModelSpec:
     zeta: ClassVar[float] = 1.0  # tail-threshold scale; perfbench's tracer reads it too
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _frozen(np.atleast_2d(self.A)))
+        A = np.atleast_2d(self.A)
+        if A.dtype.kind not in "iuf":  # bools and strings are no loadings
+            raise ValueError(f"loading matrix must hold integers or floats, got {A.dtype}")
+        object.__setattr__(self, "A", _frozen(A))
         law_n = self.law_n if self.latent_kind == "tilted-worst-case" else None
         object.__setattr__(self, "law_n", law_n if law_n is None else _as_int("law_n", law_n))
         validate_model_spec(self)

@@ -60,105 +60,87 @@ def _skip_draws(gen: np.random.Generator, k: int) -> None:
     gen.bit_generator.random_raw(k % 4)
 
 
-def _max_tail(x: float, m: int, alpha: float) -> float:
-    """P(max z >= x) for m i.i.d. Pareto(alpha) components, x >= 0."""
+def _max_tail(x: float, alpha: float) -> float:
+    """P(max z >= x) for two i.i.d. Pareto(alpha) components, x >= 0."""
     q = (1.0 + x) ** -alpha
-    return -math.expm1(m * math.log1p(-q)) if q < 1.0 else 1.0
-
-
-def _first_index(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The number of j < len(cdf) - 1 with x >= cdf[j], for each entry of
-    x: ``min(searchsorted(cdf, x, side="right"), len(cdf) - 1)`` for a
-    non-decreasing cdf, ties included, as one compare per entry of cdf
-    instead of a binary search per entry of x."""
-    first = np.zeros(x.shape, dtype=np.intp)
-    for c in cdf[:-1]:
-        first += x >= c
-    return first
+    return -math.expm1(2.0 * math.log1p(-q)) if q < 1.0 else 1.0
 
 
 # Largest round of the conditional sampler, unless more vectors are missing.
 ROUND_ROWS = 2**16
 
 
-def sample_conditional_pareto(count, m, alpha, t, gen):
-    """``count`` vectors of m i.i.d. Pareto(alpha) components given ||z||_1 >= t,
-    drawn with the numpy Generator ``gen``.
+def sample_conditional_pareto(count, alpha, t, gen):
+    """``count`` vectors z of two i.i.d. Pareto(alpha) components given
+    z_1 + z_2 >= t, drawn with the numpy Generator ``gen``: the worst-case
+    law's redraw above its tail threshold.
 
     Exact rejection sampling.  Proposals come from the law conditioned on
-    max(z) >= a with a = t/m, an event that contains ||z||_1 >= t, drawn by
-    inverse CDF: the index J = 0..m-1 of the first coordinate at or above a
-    has P(J = j) proportional to (1-q)^j with q = P(z_1 >= a) = (1+a)^-alpha;
-    coordinates before J are truncated to [0, a), coordinate J is
-    conditioned on z_J >= a and the ones after J are unconditioned.  A
-    proposal is accepted if its norm reaches t.  The acceptance rate is at
-    least m^-(alpha+1) for every t (single big jump: Asmussen & Kroese,
-    Adv. Appl. Prob. 2006), so the budget, 1000 * ceil(m^(alpha+1))
-    proposals per vector or 0 where m^(alpha+1) overflows float64, only
-    guards against a defect.
+    max(z) >= a with a = t/2, an event that contains z_1 + z_2 >= t, drawn
+    by inverse CDF: z_2 is the first coordinate at or above a (J = 1) with
+    probability (1-q)/(2-q), q = P(z_1 >= a) = (1+a)^-alpha; then z_1 is
+    truncated to [0, a) and z_2 conditioned on z_2 >= a, else z_1 is
+    conditioned on z_1 >= a and z_2 unconditioned.  A proposal is accepted
+    if z_1 + z_2 reaches t.  The acceptance rate is at least 2^-(alpha+1)
+    for every t (single big jump: Asmussen & Kroese, Adv. Appl. Prob.
+    2006), so the budget, 1000 * ceil(2^(alpha+1)) proposals per vector or
+    0 where 2^(alpha+1) overflows float64, only guards against a defect.
 
     Proposals are drawn in rounds of the missing vectors' count over a
     lower bound on the acceptance rate (at most ROUND_ROWS rows): at first
-    the larger of m^-(alpha+1) and P(max z >= t | max z >= a), as
-    max(z) >= t implies ||z||_1 >= t; later the acceptance rate seen so
+    the larger of 2^-(alpha+1) and P(max z >= t | max z >= a), as
+    max(z) >= t implies z_1 + z_2 >= t; later the acceptance rate seen so
     far, if higher.  So most calls take one round.  A round counts only its
     proposals up to the last vector it takes, which makes the result the
     first ``count`` accepted proposals of the stream, however the rounds
     fall.  A round's uniforms are transposed once, so each step on a
-    coordinate is one long vector op on a contiguous row, where a (rows, m)
-    broadcast runs numpy's inner loop once per row.  J is read off its
-    cumulative weights by ``_first_index``, and the accepted proposals are
-    taken into the output by index, all coordinates at once.  Raises
+    coordinate is one long vector op on a contiguous row, and the accepted
+    proposals are taken into the output by index.  Raises
     MaxTrialsExceededError where vectors are still missing once the counted
     proposals reach the budget (checked before each round, so the last
     round may pass it), and SampleOverflowError as soon as a counted
     proposal has a coordinate beyond the float64 range: dropping it would
     truncate the law.  Raises InvalidAlphaError unless 0 < alpha < inf, and
-    ValueError for m < 1 or a NaN t.
+    ValueError for a NaN t.
     """
     check_alpha(alpha)
-    if m < 1:
-        raise ValueError(f"need m >= 1 components, got {m}")
     if math.isnan(t):
         raise ValueError(f"need a threshold t, got {t}")
     try:
-        budget = count * 1000 * math.ceil(m ** (alpha + 1.0))
+        budget = count * 1000 * math.ceil(2 ** (alpha + 1.0))
     except OverflowError:  # no floor to size a budget by: none is drawn
         budget = 0
     level = max(float(t), 0.0)
-    a = level / m
+    a = level / 2
     q = (1.0 + a) ** (-alpha)
-    first_cdf = np.cumsum((1.0 - q) ** np.arange(m))
-    above_a = _max_tail(a, m, alpha)
-    floor = max(m ** -(alpha + 1.0), _max_tail(level, m, alpha) / above_a if above_a else 0.0)
-    out = np.empty((count, m))
+    above_a = _max_tail(a, alpha)
+    floor = max(2 ** -(alpha + 1.0), _max_tail(level, alpha) / above_a if above_a else 0.0)
+    out = np.empty((count, 2))
     filled = proposals = 0
     while filled < count:
         if proposals >= budget:
             raise MaxTrialsExceededError(
                 f"accepted {filled} of {count} vectors after {proposals} "
-                f"proposals (t={t}, m={m}, alpha={alpha})"
+                f"proposals (t={t}, alpha={alpha})"
             )
         need = count - filled
         rate = max(filled / proposals, floor) if proposals else floor
         size = max(need, math.ceil(min(need / rate, ROUND_ROWS))) if rate else need
-        u = gen.random((size, m + 1)).T.copy()  # proposal i is column i
-        first = _first_index(np.multiply(u[0], first_cdf[-1], out=u[0]), first_cdf)
+        u = gen.random((size, 3)).T.copy()  # proposal i is column i
+        second = u[0] * (1.0 + (1.0 - q)) >= 1.0  # J = 1, w.p. (1 - q) / (2 - q)
+        jumps = np.flatnonzero(~second), np.flatnonzero(second)  # z_1, z_2 >= a
         z = u[1:]  # coordinate j is built in row j + 1 of u
         with np.errstate(over="ignore"):  # overflow raises below
-            for j, coord in enumerate(z):
-                if j < m - 1:  # J <= m - 1: the last coordinate is never truncated
-                    coord[np.flatnonzero(first > j)] *= 1.0 - q  # truncated to [0, a)
+            z[0, jumps[1]] *= 1.0 - q  # truncated to [0, a)
+            for coord, at in zip(z, jumps):
                 _pareto_in_place(coord, alpha)
-                at = np.flatnonzero(first == j)
                 coord[at] = (1.0 + a) * (1.0 + coord[at]) - 1.0  # conditioned on >= a
-            # numpy sums 8 or more entries pairwise only along a contiguous row
-            hits = np.flatnonzero(row_sums(z.T if m < 8 else z.T.copy()) >= t)[:need]
+            hits = np.flatnonzero(z[0] + z[1] >= t)[:need]
         used = int(hits[-1]) + 1 if hits.size == need else size
         finite = np.isfinite(z[:, :used]).all(axis=0)
         if not finite.all():
             msg = f"{used - np.count_nonzero(finite)} of {used} proposals overflowed float64"
-            raise SampleOverflowError(f"{msg} (t={t}, m={m}, alpha={alpha})")
+            raise SampleOverflowError(f"{msg} (t={t}, alpha={alpha})")
         out[filled : filled + hits.size] = z[:, hits].T
         filled += hits.size
         proposals += used
@@ -212,7 +194,7 @@ def _latent_in_place(spec: ModelSpec, z: np.ndarray, gen) -> np.ndarray:
             z[:, j] /= tilt
         t = tail_threshold(spec.law_n, spec.alpha, spec.s, spec.zeta)
         rows = np.flatnonzero(row_sums(z) >= t)
-        redrawn = sample_conditional_pareto(rows.size, 2, spec.alpha, t, gen)
+        redrawn = sample_conditional_pareto(rows.size, spec.alpha, t, gen)
         for j in range(2):
             z[rows, j] = redrawn[:, j]
     return z

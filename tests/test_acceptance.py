@@ -272,6 +272,43 @@ def test_acceptance_sweeps_pin_golden_bytes(tmp_path):
     assert not moved, moved
 
 
+# float.hex of criterion 2's median magnitude and direction stage errors per
+# grid point, read from the same cached sweeps.
+STAGE_MEDIANS = {
+    0.5: (
+        ("0x1.5c01741091990p-6", "0x1.b3c56c7262d00p-7", "0x1.0a94ee4ea4bc0p-6",
+         "0x1.6f870530f35c0p-7", "0x1.01b48ca9c3f20p-7", "0x1.a4baa1e2dc180p-8",
+         "0x1.696c2156a5900p-8"),
+        ("0x1.20100271888d4p-9", "0x1.371bbe8a91947p-11", "0x1.261375ecc0e7ep-13",
+         "0x1.08a161e93c86ap-14", "0x1.da1010040bfbcp-16", "0x1.0cd1fbbd8ad1cp-17",
+         "0x1.68c965a639bd7p-19"),
+    ),
+    1.0: (
+        ("0x1.30014f5e43138p-5", "0x1.28f87488602a0p-6", "0x1.e3e7a9d8558e0p-7",
+         "0x1.5d3cb912810a0p-7", "0x1.0babcee9260c0p-7", "0x1.b436b20b27400p-8",
+         "0x1.5fc11111eae40p-8"),
+        ("0x1.d71219b8d2648p-5", "0x1.19e9b41020f27p-5", "0x1.0bf8d2987ba7ap-6",
+         "0x1.4cc5803045192p-7", "0x1.9c7a8df705127p-8", "0x1.c83257c8f8b49p-9",
+         "0x1.d289eaab4fbf9p-10"),
+    ),
+    2.0: (
+        ("0x1.eca4b18337ae0p-5", "0x1.64650da152410p-5", "0x1.9c18c8ec4c540p-6",
+         "0x1.4115102146f40p-6", "0x1.0030e1c12adc0p-6", "0x1.85003bf573740p-7",
+         "0x1.39c1f35cc9940p-7"),
+        ("0x1.f526041d19bb6p-3", "0x1.a157cfcf8219cp-3", "0x1.4c6a286d49ca3p-3",
+         "0x1.0b8d8709a062bp-3", "0x1.81c7307440b7bp-4", "0x1.1905efb3b8305p-4",
+         "0x1.a1c41e9ef6033p-5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(STAGE_MEDIANS))
+def test_criterion_2_stage_medians_pin_their_bytes(alpha):
+    _, magnitude, direction = _run_two_step_cell(alpha, with_conv=(alpha == 2.0))
+    got = tuple(m.hex() for m in magnitude), tuple(d.hex() for d in direction)
+    assert got == STAGE_MEDIANS[alpha]
+
+
 def _random_measure(rng, max_atoms, d=2):
     k = int(rng.integers(1, max_atoms + 1))
     pts = rng.uniform(0, 1, size=(k, d))
@@ -329,7 +366,7 @@ def test_criterion_5_sampler_fidelity():
     den2, _ = integrate.quad(dens, t, np.inf)
     target = num / (den1 + den2)
     # 400 k draws: the 2 % tolerance is 4.6 standard errors of the fraction.
-    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(506, 0).generator())
+    draws = sample_conditional_pareto(400_000, alpha, t, RngStream(506, 0).generator())
     frac = float((draws[:, 0] > q).mean())
     rel = abs(frac - target) / target
     elapsed = time.monotonic() - start

@@ -420,6 +420,14 @@ MALFORMED = {
         "estimator.conv.collapse_k: must be the model's m",
     ),
     "sidecar-without-alpha": (_estimate(spoil_batch=_drop_sidecar_alpha), "lacks key 'alpha'"),
+    "sidecar-A-strings": (
+        _estimate(spoil_batch=_sidecar(A=[["1", "0"], ["0", "1"]])),
+        "loading matrix must hold integers or floats, got <U1",
+    ),
+    "sidecar-A-bools": (
+        _estimate(spoil_batch=_sidecar(A=[[True, False], [False, True]])),
+        "loading matrix must hold integers or floats, got bool",
+    ),
     "misspelled-estimator-tag": (
         _experiment(lambda d: d["experiment"].update(estimators=["conv", "twostep"])),
         "experiment.estimators",

@@ -16,7 +16,6 @@ from tailfactor.errors import NoExceedancesError
 from tailfactor.estimators import _thresholded_points
 from tailfactor.measures import ModelSpec, SampleBatch, _onto_simplex, divide_rows, row_sums
 from tailfactor.numerics import _assign_points, _by_label, _line_order, _squared_distances
-from tailfactor.sampling import _first_index
 from tailfactor.transport import _l1_costs
 
 UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -129,17 +128,3 @@ def test_line_order_tolerance_reads_the_largest_magnitude():
         pts = scale * np.column_stack([t, 1.0 - t])
         want = _line_order_oracle(pts)
         assert want is not None and _line_order(pts) == want
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(
-    hnp.arrays(np.float64, st.integers(1, 6), elements=st.sampled_from([0.0, 0.5, 1.0, 2.5])),
-    st.lists(UNIT, max_size=20),
-)
-def test_first_index_matches_searchsorted(weights, us):
-    # the conditional sampler's cdf of J: weights (1 - q)^j, all but the
-    # first 0 at t = 0, so the cdf ties; m = 1 has one entry
-    cdf = np.cumsum(np.concatenate(([1.0], weights[1:])))
-    x = np.concatenate((np.array(us) * cdf[-1], cdf, [0.0]))
-    want = np.minimum(np.searchsorted(cdf, x, side="right"), cdf.size - 1)
-    assert _same(_first_index(x, cdf), want)

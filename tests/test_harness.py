@@ -13,7 +13,7 @@ import pytest
 
 from tailfactor.errors import ConfigError, ExperimentAbortedError, IoError
 from tailfactor.errors import NearSingularError, TooFewPointsError
-from tailfactor import harness
+from tailfactor import estimators, harness
 from tailfactor.estimators import ConvConfig, TwoStepConfig
 from tailfactor.harness import (
     ExperimentConfig,
@@ -393,9 +393,14 @@ def test_staged_sweep_matches_default_rows_for_any_thread_count(monkeypatch):
         assert len(stages[n]) == sum(not r.failed for r in done)
         assert all(len(pair) == 2 for pair in stages[n])
 
-    # a magnitude stage that raises a typed error reads nan; the rest stands
-    def singular(*args):
-        raise NearSingularError("synthetic")
+    # a magnitude stage that raises a typed error reads nan; the rest stands.
+    # The worst case's A is diagonal, so its true directions are the identity.
+    fit = harness.two_step_from_directions
+
+    def singular(batch, ts_cfg, a_dir):
+        if np.array_equal(a_dir, np.eye(2)):
+            raise NearSingularError("synthetic")
+        return fit(batch, ts_cfg, a_dir)
 
     monkeypatch.setattr(harness, "two_step_from_directions", singular)
     res3, stages3 = run_staged_experiment(cfg)
@@ -403,6 +408,23 @@ def test_staged_sweep_matches_default_rows_for_any_thread_count(monkeypatch):
     for n in cfg.n_grid:
         assert [d for _, d in stages3[n]] == [d for _, d in stages[n]]
         assert all(math.isnan(m) for m, _ in stages3[n])
+
+
+def test_staged_sweep_fits_each_replicates_directions_once(monkeypatch):
+    # the stages reuse the full fit's direction matrix: no second k-means
+    calls = []
+    kmeans = estimators.kmeans
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "kmeans", counting)
+    cfg = _cfg(replicates=2, conv=None, two_step=TwoStepConfig(kappa_tilde=0.3, kappa=1.0))
+    run_convergence_experiment(cfg)
+    plain = len(calls)
+    run_staged_experiment(cfg)
+    assert plain == 6 and len(calls) - plain == plain  # 2 replicates at 3 grid points
 
 
 def test_line_chart_widens_a_flat_range():

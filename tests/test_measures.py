@@ -271,3 +271,9 @@ def test_model_spec_validation():
     assert ModelSpec(A=np.eye(2), alpha=1e300, s=0.2).alpha == 1e300
     spec = ModelSpec(A=np.eye(2), alpha=1.0, s=0.2)
     assert spec.d == 2 and spec.m == 2
+    # a loading matrix holds numbers: bools and strings would read as 0 and 1
+    for A in ([[True, False], [False, True]], [["1", "0"], ["0", "1"]], np.eye(2, dtype=object)):
+        with pytest.raises(ValueError, match="must hold integers or floats, got"):
+            ModelSpec(A=A, alpha=1.0, s=0.2)
+    ints = ModelSpec(A=np.eye(2, dtype=np.uint8), alpha=1.0, s=0.2).A
+    assert ints.dtype == np.float64 and np.array_equal(ints, np.eye(2))

@@ -85,32 +85,32 @@ def test_conditional_sampler_against_quadrature():
 
     # 400 k draws put the 2 % tolerance at 4.6 standard errors of the
     # tail fraction (target 0.116).
-    draws = sample_conditional_pareto(400_000, 2, alpha, t, RngStream(23, 0).generator())
+    draws = sample_conditional_pareto(400_000, alpha, t, RngStream(23, 0).generator())
     assert np.all(draws.sum(axis=1) >= t)
     frac = float((draws[:, 0] > q).mean())
     assert frac == pytest.approx(target, rel=0.02)
 
 
 def test_conditional_sampler_max_trials_budget():
-    # m^(alpha+1) overflows float64 at alpha = 1e300: no floor sizes a
+    # 2^(alpha+1) overflows float64 at alpha = 1e300: no floor sizes a
     # budget, so one missing vector raises before anything is drawn.
     gen = RngStream(1, 0).generator()
     with pytest.raises(MaxTrialsExceededError, match="accepted 0 of 1 vectors after 0"):
-        sample_conditional_pareto(1, 2, 1e300, 1.0, gen)
+        sample_conditional_pareto(1, 1e300, 1.0, gen)
     assert gen.random() == RngStream(1, 0).generator().random()
     # At the edge of the float range (t = inf, 1e308) part of the law lies
     # beyond float64 (about 31 % above 1.8e308 at t = 1e308), so a proposal
     # overflows: the sampler raises rather than return a truncated law.
     for count, t in ((1000, math.inf), (1000, 1e308), (10, 1e308)):
         with pytest.raises(SampleOverflowError):
-            sample_conditional_pareto(count, 2, 2.0, t, RngStream(1, 0).generator())
+            sample_conditional_pareto(count, 2.0, t, RngStream(1, 0).generator())
 
 
 def test_rejection_cost_scales_with_acceptance_probability():
     # Count the proposals the sampler draws per accepted vector.  Proposing
-    # from the law conditioned on max(z) >= t/m accepts with probability at
-    # least m^-(alpha+1) at every threshold, so the cost must stay below
-    # that bound's inverse however rare the event {||z||_1 >= t} is.
+    # from the law conditioned on max(z) >= t/2 accepts with probability at
+    # least 2^-(alpha+1) at every threshold, so the cost must stay below
+    # that bound's inverse however rare the event {z_1 + z_2 >= t} is.
     class CountingGen(np.random.Generator):
         def __init__(self, seed):
             super().__init__(RngStream(seed, 0).generator().bit_generator)
@@ -121,31 +121,30 @@ def test_rejection_cost_scales_with_acceptance_probability():
                 self.rows += int(np.atleast_1d(size)[0])
             return super().random(size)
 
-    alpha, m = 1.0, 2
+    alpha = 1.0
     for t in (10.0, 100.0, 1e6):
         cg = CountingGen(5)
-        out = sample_conditional_pareto(500, m, alpha, t, cg)
-        assert out.shape == (500, m)
+        out = sample_conditional_pareto(500, alpha, t, cg)
+        assert out.shape == (500, 2)
         assert np.all(out.sum(axis=1) >= t)
-        assert cg.rows / 500 <= m ** (alpha + 1)
+        assert cg.rows / 500 <= 2 ** (alpha + 1)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(
     st.integers(1, 5),
-    st.sampled_from([2, 3]),
     st.floats(0.1, 10.0),
     st.floats(0.0, 1e308),
     st.integers(0, 2**32),
 )
-@example(0, 2, 1e300, 1.0, 0)  # m^(alpha+1) overflows: no budget, nothing to draw
-@example(1, 2, 1e300, 1.0, 0)
-def test_conditional_sampler_property_tail_vectors_or_typed_error(count, m, alpha, t, seed):
+@example(0, 1e300, 1.0, 0)  # 2^(alpha+1) overflows: no budget, nothing to draw
+@example(1, 1e300, 1.0, 0)
+def test_conditional_sampler_property_tail_vectors_or_typed_error(count, alpha, t, seed):
     try:
-        out = sample_conditional_pareto(count, m, alpha, t, RngStream(seed, 0).generator())
+        out = sample_conditional_pareto(count, alpha, t, RngStream(seed, 0).generator())
     except (MaxTrialsExceededError, SampleOverflowError):
         return
-    assert out.shape == (count, m)
+    assert out.shape == (count, 2)
     assert np.all(np.isfinite(out)) and np.all(out >= 0)
     with np.errstate(over="ignore"):
         assert np.all(out.sum(axis=1) >= t)
@@ -168,21 +167,19 @@ def test_extreme_alpha_raises_typed_errors():
     assert np.isfinite(generate_dataset(spec, n, 1, 5).xs).all()
     # the conditional sampler's power overflows too: a typed error, no warning
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
-        sample_conditional_pareto(5, 2, 1e-3, 1.0, RngStream(1, 0).generator())
-    # alpha <= 0 is no tail index; m = 0 is no vector
+        sample_conditional_pareto(5, 1e-3, 1.0, RngStream(1, 0).generator())
+    # alpha <= 0 is no tail index
     for alpha in (-1.0, 0.0):
         with pytest.raises(InvalidAlphaError):
             ModelSpec(A=np.eye(2), alpha=alpha, s=0.2)  # so no draw gets it
         with pytest.raises(InvalidAlphaError):
             tail_threshold(256, alpha, 0.4)
     with pytest.raises(InvalidAlphaError):
-        sample_conditional_pareto(3, 2, -2.0, 5.0, RngStream(1, 0).generator())
-    with pytest.raises(ValueError, match="m >= 1"):
-        sample_conditional_pareto(3, 0, 2.0, 5.0, RngStream(1, 0).generator())
-    # a NaN threshold is no event: rejected before any draw, as m < 1 is
+        sample_conditional_pareto(3, -2.0, 5.0, RngStream(1, 0).generator())
+    # a NaN threshold is no event: rejected before any draw
     gen = RngStream(1, 0).generator()
     with pytest.raises(ValueError, match="need a threshold t, got nan"):
-        sample_conditional_pareto(10, 2, 2.0, float("nan"), gen)
+        sample_conditional_pareto(10, 2.0, float("nan"), gen)
     assert gen.random() == RngStream(1, 0).generator().random()
 
 
@@ -237,8 +234,9 @@ def test_negative_and_large_seeds_draw_distinct_streams():
 
 
 def test_conditional_sampler_rare_event_costs_few_rounds():
-    # alpha = 10, m = 3 accepts about one proposal in 6e4; rounds sized by
-    # the acceptance rate seen so far draw them in a handful of calls.
+    # alpha = 10 at t = 1e3 accepts about one proposal in 1e3 (the bound is
+    # 2^-11); rounds sized by the acceptance rate seen so far draw them in a
+    # handful of calls.
     calls = []
 
     class CountingGen(np.random.Generator):
@@ -247,14 +245,14 @@ def test_conditional_sampler_rare_event_costs_few_rounds():
             return super().random(size)
 
     gen = CountingGen(RngStream(3, 0).generator().bit_generator)
-    out = sample_conditional_pareto(2, 3, 10.0, 1e3, gen)
+    out = sample_conditional_pareto(2, 10.0, 1e3, gen)
     assert np.all(out.sum(axis=1) >= 1e3)
     assert len(calls) <= 20
     # The vectors are the first accepted proposals of the stream, whatever
     # the rounds: fewer vectors from the same stream are a prefix.
-    for m, alpha, t in ((2, 2.0, 50.0), (3, 10.0, 1e3), (3, 0.5, 1e6)):
-        more = sample_conditional_pareto(7, m, alpha, t, RngStream(4, 0).generator())
-        fewer = sample_conditional_pareto(3, m, alpha, t, RngStream(4, 0).generator())
+    for alpha, t in ((2.0, 50.0), (10.0, 1e3), (0.5, 1e6)):
+        more = sample_conditional_pareto(7, alpha, t, RngStream(4, 0).generator())
+        fewer = sample_conditional_pareto(3, alpha, t, RngStream(4, 0).generator())
         assert np.array_equal(more[:3], fewer)
 
 
@@ -501,33 +499,29 @@ def test_generate_dataset_pins_its_bytes(kind, alpha, s, n, stream_id, digest):
     assert _digest(generate_dataset(spec, n, 20240601, stream_id).xs) == digest
 
 
-# The same for 300 conditional vectors drawn from RngStream(m, int(t)).
+# The same for 300 conditional vectors drawn from RngStream(seed, int(t));
+# t = 3.249 is the worst case's threshold at n = 2^17, alpha = 2, s = 0.4.
 @pytest.mark.parametrize(
-    "m, alpha, t, digest",
+    "seed, alpha, t, digest",
     [
-        (1, 2.0, 0.0, "9199c20eacd55dde"),
-        (1, 2.0, 1.0, "13ce7ed7ea9db80d"),
-        (1, 2.0, 10.0, "5138a07ed0a73e6b"),
-        (1, 2.0, 1e3, "d85857a3d173cc10"),
         (2, 2.0, 0.0, "da90eddcc1ec96d8"),
         (2, 2.0, 1.0, "d270d6f5f8cbb267"),
         (2, 2.0, 10.0, "ef7ab0fdcd857887"),
         (2, 2.0, 1e3, "301dd7f8d696f9f5"),
-        (3, 2.0, 0.0, "88e020312dba15fb"),
-        (3, 2.0, 1.0, "79c581b0e670baba"),
-        (3, 2.0, 10.0, "e4dfebbf02a963af"),
-        (3, 2.0, 1e3, "558f887dce2d39cb"),
-        (5, 2.0, 0.0, "442ac90a620899b7"),
-        (5, 2.0, 1.0, "9480e8ac98f40718"),
-        (5, 2.0, 10.0, "c7d202eb06e1c8ab"),
-        (5, 2.0, 1e3, "0578f10608e9f5eb"),
-        (1, 0.5, 1.0, "ddb1340a41a94ac7"),
         (2, 1.0, 10.0, "c80b12bbd0c60c62"),
-        (3, 0.5, 1e3, "93442e95256325ce"),
+        (2, 0.5, 0.0, "a69937fdcb8b2b24"),
+        (2, 0.5, 3.249, "0509a42b4ced7057"),
+        (2, 0.5, 1e3, "f98a2804c7dc4ad3"),
+        (2, 1.0, 0.0, "677df548878480b6"),
+        (2, 1.0, 3.249, "77ccdbc72d4a332d"),
+        (2, 1.0, 1e3, "d24284b347148bc2"),
+        (2, 3.3, 0.0, "01b923bf735cb816"),
+        (2, 3.3, 3.249, "c7e2e61dc4d74f27"),
+        (2, 3.3, 1e3, "41d725b47c6b6430"),
     ],
 )
-def test_conditional_sampler_pins_its_bytes(m, alpha, t, digest):
-    out = sample_conditional_pareto(300, m, alpha, t, RngStream(m, int(t)).generator())
+def test_conditional_sampler_pins_its_bytes(seed, alpha, t, digest):
+    out = sample_conditional_pareto(300, alpha, t, RngStream(seed, int(t)).generator())
     assert _digest(out) == digest
 
 
@@ -549,7 +543,7 @@ def test_conditional_sampler_first_round_is_sized_by_the_acceptance_bound():
     n, s, alpha = 2**17, 0.2, 2.0
     t = tail_threshold(n, alpha, s)
     gen = _RecordingGen(RngStream(1, 0).generator().bit_generator)
-    sample_conditional_pareto(234, 2, alpha, t, gen)
+    sample_conditional_pareto(234, alpha, t, gen)
     q_t, q_a = (1.0 + t) ** -alpha, (1.0 + t / 2) ** -alpha
     bound = (1.0 - (1.0 - q_t) ** 2) / (1.0 - (1.0 - q_a) ** 2)
     assert gen.sizes[0][0] == pytest.approx(234 / bound, abs=1.0)

@@ -18,7 +18,8 @@ grid.  The sweeps use one thread per CPU; the numbers do not depend on the
 thread count.
 
 The stage decomposition is `tailfactor.harness.run_staged_experiment`, the
-sweep the acceptance suite's criterion 2 runs.
+sweep the acceptance suite's criterion 2 runs: each two-step replicate fits
+its directions once, and the full error and the direction stage share them.
 
 Usage:
     PYTHONPATH=src python tools/diagnose_rate_cells.py [--kmax 20]

@@ -24,6 +24,7 @@ from .measures import (
     _is_bool,
     _onto_simplex,
     check_alpha,
+    check_every_row,
     check_s,
     column_dot,
     divide_rows,
@@ -32,13 +33,12 @@ from .measures import (
     spectral_measure_of,
 )
 from .numerics import invert_square_matrix, kmeans
-from .sampling import scaled_power, tail_threshold
+from .sampling import TINY, scaled_power, tail_threshold
 
 # Tail scale r of the latent law P(Z > x) = r (1 + x)^-alpha.
 R_HAT = 1.0
 # Below this, solve_theta takes ratio^(-1/alpha) - 1 from expm1: it cancels.
 CANCEL_GAP = 1e-3
-TINY = np.finfo(np.float64).tiny
 
 
 def _check_settings(cfg, kind: str, positive) -> None:
@@ -84,7 +84,10 @@ def _thresholded_points(batch: SampleBatch, tau: float):
     boolean row mask costs several times more on an (n, d) array.  A row
     whose l1-norm overflows float64 counts as above every tau and is
     normalized after scaling it by its largest entry, as ``make_measure``
-    does, so it keeps its direction."""
+    does, so it keeps its direction.  ValueError for a tau below the
+    radius of a batch built above one: it holds no row under its radius."""
+    if batch.radius > 0 and tau < batch.radius:
+        raise ValueError(f"tau={tau} is below the batch's radius {batch.radius}")
     idx = np.flatnonzero(batch.norms > tau)
     if idx.size == 0:
         raise NoExceedancesError(f"no sample above tau={tau}")
@@ -138,7 +141,9 @@ def estimate_directions(batch: SampleBatch, cfg: TwoStepConfig):
     one per factor of the batch's model.
 
     Returns (matrix with unit-l1 columns sorted lexicographically, n_tau_tilde).
+    The two-step fit reads every row: ValueError for a batch above a radius.
     """
+    check_every_row(batch, "estimate_directions")
     tau_tilde = direction_threshold(batch.n, batch.spec.alpha, cfg.kappa_tilde)
     try:
         points, n_tt = _thresholded_points(batch, tau_tilde)
@@ -183,9 +188,11 @@ def two_step_from_directions(batch: SampleBatch, cfg: TwoStepConfig, a_dir):
     covers the rounding of ``row_sums``, ``column_dot`` and this test while
     tau and c max|w| are normal floats (else every row is).  An overflowing
     entry is compared after scaling its row by its largest entry, tau scaled
-    the same way, as ``_onto_simplex`` keeps such a row.  Returns (A_hat,
-    measure).
+    the same way, as ``_onto_simplex`` keeps such a row.  That screen's
+    radius depends on ``a_dir``, so it reads every row: ValueError for a
+    batch above a radius.  Returns (A_hat, measure).
     """
+    check_every_row(batch, "two_step_from_directions")
     a_dir = np.asarray(a_dir, dtype=np.float64)
     a_inv = invert_square_matrix(a_dir)
     n, alpha = batch.n, batch.spec.alpha

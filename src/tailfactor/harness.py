@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ExperimentAbortedError,
+    InvalidAlphaError,
     IoError,
     TailFactorError,
 )
@@ -25,6 +26,7 @@ from .estimators import (
     ConvConfig,
     TwoStepConfig,
     check_square_model,
+    conventional_threshold,
     estimate_conventional,
     estimate_directions,
     estimate_two_step,
@@ -32,7 +34,7 @@ from .estimators import (
 )
 from .measures import _as_int, _fmt, spectral_measure_of
 from .numerics import fit_loglog_slope
-from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw
+from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw, uniform_draw
 from .svg import line_chart
 from .transport import _l1_costs, check_p, wasserstein_p
 
@@ -142,12 +144,22 @@ def _default_runner(cfg: ExperimentConfig):
     return run
 
 
-def _grid_point_rows(cfg: ExperimentConfig, model, n: int, rep: int, draw, runner):
+def _tail_radius(conv: ConvConfig, n: int) -> float:
+    """The radius a conv-only sweep builds its batches above at n: the
+    estimator's threshold, or inf where that overflows float64 (the
+    estimator then fails its row with the error)."""
+    try:
+        return conventional_threshold(n, conv)
+    except InvalidAlphaError:
+        return math.inf
+
+
+def _grid_point_rows(cfg: ExperimentConfig, model, n: int, rep: int, draw, radius, runner):
     """The result rows of replicate ``rep`` at n, drawn from ``model``, the
     (spec, truth) pair `_model_at` gives at n, on the prefix of the
-    replicate's shared Pareto draw ``draw``."""
+    replicate's shared draw ``draw``, its batch built above ``radius``."""
     spec, truth = model
-    batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep, draw=draw)
+    batch = generate_dataset(spec, n, cfg.base_seed, stream_id=rep, draw=draw, radius=radius)
     rows = []
     for tag in cfg.tags:
         try:
@@ -158,22 +170,26 @@ def _grid_point_rows(cfg: ExperimentConfig, model, n: int, rep: int, draw, runne
     return rows
 
 
-def _replicate_task(cfg: ExperimentConfig, models, rep: int, runner):
+def _replicate_task(cfg: ExperimentConfig, models, radii, rep: int, runner):
     """The result rows of replicate ``rep``, one list per grid point n,
-    drawn from ``models[n]``, each from ``runner``'s (error, count).
+    drawn from ``models[n]`` above ``radii[n]``, each from ``runner``'s
+    (error, count).
 
-    The replicate's i.i.d. Pareto draw is taken once, at the largest n, and
-    each grid point's batch reads its first n rows (see
-    `generate_dataset`).  Grid points run in ascending n, each batch freed
-    before the next is built, and the largest builds its batch in the
-    shared draw itself.  An exception ends the list in place of the grid
-    point that raised it, for the caller to raise in (n, replicate) order."""
+    The replicate's draw is taken once, at the largest n, and each grid
+    point's batch reads its first n rows (see `generate_dataset`): the
+    uniforms where the batches are built above a radius, else the Pareto
+    draw, so a full sweep takes each quantile once.  Grid points run in
+    ascending n, each batch freed before the next is built, and a full
+    sweep's largest builds its batch in the shared draw itself.  An
+    exception ends the list in place of the grid point that raised it, for
+    the caller to raise in (n, replicate) order."""
     n_max = cfg.n_grid[-1]
     out = []
     try:
-        draw = pareto_draw(models[n_max][0], n_max, cfg.base_seed, rep)
+        draw_of = uniform_draw if radii[n_max] > 0 else pareto_draw
+        draw = draw_of(models[n_max][0], n_max, cfg.base_seed, rep)
         for n in cfg.n_grid:
-            out.append(_grid_point_rows(cfg, models[n], n, rep, draw, runner))
+            out.append(_grid_point_rows(cfg, models[n], n, rep, draw, radii[n], runner))
     except Exception as exc:  # the caller raises it in (n, replicate) order
         out.append(exc)
     return out
@@ -260,15 +276,26 @@ def run_convergence_experiment(
     are built once, before the pool starts, and its replicates share them.
     No product in a sweep calls BLAS, so it runs on the pool's threads
     alone: its LAPACK calls, the two-step estimator's d x d determinant and
-    inverse, are far too small for OpenBLAS to split over threads."""
+    inverse, are far too small for OpenBLAS to split over threads.
+
+    A conv-only sweep on the default runner reads only the rows above the
+    estimator's threshold, so its batches hold only those
+    (`generate_dataset`'s radius, `_tail_radius`), with the same bytes in
+    every row.  Any other sweep, a custom ``runner``'s included, builds
+    every row."""
+    tail = runner is None and cfg.tags == ("conv",)
     if runner is None:
         runner = _default_runner(cfg)
     models = {n: _model_at(cfg, n) for n in cfg.n_grid}
+    radii = {n: _tail_radius(cfg.conv, n) if tail else 0.0 for n in cfg.n_grid}
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, cfg.replicates, cpus or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_rep = list(
-            pool.map(lambda rep: _replicate_task(cfg, models, rep, runner), range(cfg.replicates))
+            pool.map(
+                lambda rep: _replicate_task(cfg, models, radii, rep, runner),
+                range(cfg.replicates),
+            )
         )
     rows = []
     for i in range(len(cfg.n_grid)):

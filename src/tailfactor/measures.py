@@ -340,17 +340,34 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_radius(radius: float) -> None:
+    """Raise ValueError unless a batch's radius is a number >= 0."""
+    if not radius >= 0:
+        raise ValueError(f"need a radius >= 0, got {radius}")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
-    """n observations X = A Z plus the spec and seed that generated them.
-    ``seed`` and ``stream_id`` are Python ints, not booleans; ``xs`` is a
-    read-only float64 (n, spec.d) array, finite and >= 0; ``norms``, derived
-    and read by every threshold, is a read-only ``row_sums(xs)``, inf on overflow."""
+    """The observations X = A Z of an n-row sample whose l1-norm reaches
+    ``radius``, in sample order, plus the spec and seed that generated them.
+
+    At radius 0, the default, that is every row, and n defaults to their
+    count.  At radius > 0, ``xs`` may be any rows of the sample, in sample
+    order, that include every row at or above the radius, and the batch
+    keeps those alone: readers of the rows above a threshold >= radius see
+    what the whole sample gives them.  ``seed``, ``stream_id`` and ``n``
+    are Python ints, not booleans; ``xs`` is a read-only float64
+    (rows, spec.d) array, finite and >= 0; ``norms``, derived and read by
+    every threshold, is a read-only ``row_sums(xs)``, inf on overflow.
+    Raises ValueError for a negative radius or for an n below the rows
+    given, or other than their count at radius 0."""
 
     spec: ModelSpec
     seed: int
     stream_id: int
     xs: np.ndarray = field(repr=False)
+    n: Optional[int] = None
+    radius: float = 0.0
     norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -362,13 +379,26 @@ class SampleBatch:
         lo, hi = xs.min(initial=0.0), xs.max(initial=0.0)
         if not (0 <= lo and hi < np.inf):
             raise InvalidAtomError(f"negative or non-finite value: min {lo}, max {hi}")
-        object.__setattr__(self, "xs", xs)
+        check_radius(self.radius)
+        n = len(xs) if self.n is None else _as_int("n", self.n)
+        if n < len(xs) or (self.radius == 0 and n != len(xs)):
+            raise ValueError(f"n = {n} for {len(xs)} rows at radius {self.radius}")
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "norms", _frozen(row_sums(xs)))
+            norms = row_sums(xs)
+        if self.radius > 0:
+            kept = np.flatnonzero(norms >= self.radius)
+            xs, norms = _frozen(np.take(xs, kept, axis=0)), np.take(norms, kept)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "norms", _frozen(norms))
 
-    @property
-    def n(self) -> int:
-        return self.xs.shape[0]
+
+def check_every_row(batch: SampleBatch, reader: str) -> None:
+    """ValueError unless ``batch`` holds every row of its sample (radius 0):
+    ``reader`` needs them all."""
+    if batch.radius > 0:
+        raise ValueError(f"{reader} needs every row, got a batch above radius {batch.radius}")
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,11 @@ def _exact_line_labels(points, j, k):
     inertia is that of coordinate j times a constant, so the search runs
     over contiguous runs of the values of coordinate j in sorted order,
     splitting only between distinct values.  A label counts the runs that
-    start at or below the point's value.
+    start at or below the point's value.  Where every value is distinct,
+    each group is one point, and the prefix sums are read as they are.
     """
-    values = np.sort(points[:, j])
+    col = points[:, j]
+    values = np.sort(col)
     cuts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1, [values.size]))
     u = cuts.size - 1
     if u < k:
@@ -241,14 +243,21 @@ def _exact_line_labels(points, j, k):
     # Prefix sums of the values and of their squares at the group
     # boundaries; centering keeps the cancellation in the cost small.
     key = values - values.mean()
-    s1 = np.concatenate(([0.0], np.cumsum(key)))[cuts]
-    s2 = np.concatenate(([0.0], np.cumsum(key * key)))[cuts]
+    s1 = np.concatenate(([0.0], np.cumsum(key)))
+    s2 = np.concatenate(([0.0], np.cumsum(key * key)))
+    distinct = u == values.size
+    if not distinct:
+        s1, s2 = s1[cuts], s2[cuts]
 
     def cost(a, b):
-        return (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / (cuts[b] - cuts[a])
+        size = b - a if distinct else cuts[b] - cuts[a]
+        return (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / size
 
-    starts = values[cuts[_best_boundaries(cost, u, k)[1:-1]]]
-    return np.searchsorted(starts, points[:, j], side="right")
+    bounds = _best_boundaries(cost, u, k)[1:-1]
+    labels = np.zeros(col.size, dtype=np.intp)
+    for start in values[bounds if distinct else cuts[bounds]]:
+        labels += col >= start
+    return labels
 
 
 def kmeans(points, k: int) -> KMeansResult:

@@ -24,8 +24,8 @@ from .errors import (
     SampleSizeError,
     TailFactorError,
 )
-from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, check_s, column_dot, row_sums
-from .measures import worst_case_tilts
+from .measures import ModelSpec, SampleBatch, _fmt, check_alpha, check_radius, check_s
+from .measures import check_every_row, column_dot, row_sums, worst_case_tilts
 from .numerics import RngStream
 
 
@@ -42,15 +42,19 @@ def _pareto_in_place(u: np.ndarray, alpha: float) -> np.ndarray:
     return u
 
 
+def uniform_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
+    """The first n * spec.m uniforms of the stream (seed, stream_id) as an
+    (n, spec.m) array: the draw a batch of n rows of `generate_dataset`
+    starts from.  It is the first n rows of the draw at any larger n."""
+    return RngStream(seed, stream_id).generator().random((n, spec.m))
+
+
 def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
-    """The i.i.d. Pareto(spec.alpha) (n, spec.m) array a batch of n rows of
-    `generate_dataset` starts from: the first n * spec.m uniforms of the
-    stream (seed, stream_id), transformed in place.  It is the first n rows
-    of the draw at any larger n.  An entry beyond the float64 range reads
-    inf: the worst case redraws its row, and the i.i.d. model's batch
-    refuses it with SampleOverflowError."""
-    u = RngStream(seed, stream_id).generator().random((n, spec.m))
-    return _pareto_in_place(u, spec.alpha)
+    """``uniform_draw(spec, n, seed, stream_id)`` transformed in place into
+    the i.i.d. Pareto(spec.alpha) array a full batch starts from.  An entry
+    beyond the float64 range reads inf: the worst case redraws its row, and
+    the i.i.d. model's batch refuses it with SampleOverflowError."""
+    return _pareto_in_place(uniform_draw(spec, n, seed, stream_id), spec.alpha)
 
 
 def _skip_draws(gen: np.random.Generator, k: int) -> None:
@@ -224,31 +228,91 @@ def check_sample_size(n: int, width: int) -> None:
         raise SampleSizeError(f"an n x {width} float64 array is too large to index")
 
 
+# Relative slack of the tail screen's bound, far above the few roundings
+# between a row's largest Pareto value and its latent sum or l1-norm.
+SCREEN_SLACK = 2.0**-20
+TINY = np.finfo(np.float64).tiny
+
+
+def _screen_level(spec: ModelSpec, radius: float) -> float:
+    """The level c such that a row of uniforms whose entries are all below
+    c is neither redrawn by the worst case nor at or above ``radius`` > 0.
+
+    Let y = z / tilts be a row's latent vector (tilts of 1 and no redraw
+    for "iid-pareto"), so its l1-norm is sum_j colsum_j(A) y_j.  With
+    b = min(t / sum_j (1 / tilt_j), radius / sum_j (colsum_j(A) / tilt_j))
+    (t the worst case's tail threshold, inf for "iid-pareto"), a row with
+    max z < b has a latent sum below t and a norm below the radius.  b is
+    shrunk by SCREEN_SLACK, which covers the roundings of the tilt divide,
+    the sums and X = A Z, and capped at the largest float, so a row whose
+    quantile overflows always passes.  The Pareto quantile
+    (1 - u)^(-1/alpha) - 1 stays below b for u < 1 - (1 + b)^-alpha; c is
+    that level with (1 + b)^-alpha raised by a relative margin
+    SCREEN_SLACK * max(1, alpha), which covers a quantile off by a few ulps
+    (its exponent -1/alpha rounded, the power's own error, the - 1).  Where
+    b or the radius is below the normal range, c is 0 and every row passes.
+    """
+    tilts = (1.0,) * spec.m
+    level = math.inf
+    if spec.latent_kind == "tilted-worst-case":
+        tilts = worst_case_tilts(spec.law_n, spec.s)
+        t = tail_threshold(spec.law_n, spec.alpha, spec.s, spec.zeta)
+        level = t / sum(1.0 / tilt for tilt in tilts)
+    colsums = spec.A.sum(axis=0).tolist()
+    bound = min(level, radius / sum(c / tilt for c, tilt in zip(colsums, tilts)))
+    b = min(bound * (1.0 - SCREEN_SLACK), np.finfo(np.float64).max)
+    if not min(b, radius) >= TINY:
+        return 0.0
+    return 1.0 - (1.0 + b) ** -spec.alpha * (1.0 + SCREEN_SLACK * max(1.0, spec.alpha))
+
+
+def _tail_rows(spec: ModelSpec, u: np.ndarray, radius: float) -> np.ndarray:
+    """The rows of the uniforms ``u`` (n, m) whose largest entry is at or
+    above ``_screen_level(spec, radius)``, in order: every row the worst
+    case redraws or whose observation reaches the radius."""
+    top = u[:, 0]
+    for j in range(1, u.shape[1]):
+        top = np.maximum(top, u[:, j])
+    return np.take(u, np.flatnonzero(top >= _screen_level(spec, radius)), axis=0)
+
+
 def generate_dataset(
-    spec: ModelSpec, n: int, seed: int, stream_id: int = 0, *, draw=None
+    spec: ModelSpec, n: int, seed: int, stream_id: int = 0, *, draw=None, radius=0.0
 ) -> SampleBatch:
     """n observations X = A Z of the spec's law (for the worst case, the law
     at spec.law_n, whatever n is), bit-reproducible given (seed, stream_id);
     SampleOverflowError if one leaves the float64 range (alpha near 0).
 
-    The latent batch starts from ``pareto_draw(spec, n, seed, stream_id)``.
+    At ``radius`` > 0 the batch holds only the rows whose l1-norm is at or
+    above it (`SampleBatch`), the same rows to the byte.  Every step of a
+    row (quantile, tilt, redraw test, X = A Z, norm) reads that row alone,
+    so only the rows `_screen_level` cannot rule out are built: among them
+    every row the worst case redraws, in the same order, so the conditional
+    sampler draws the same vectors, and every row that overflows, so the
+    same error is raised.
+
+    The latent batch starts from ``uniform_draw(spec, n, seed, stream_id)``.
     That draw is the first n rows of the one at any larger size, so a
     caller that needs the stream at several n can take it once and pass it
     as ``draw``: a float64 (N, spec.m) array with N >= n, equal to
-    ``pareto_draw(spec, N, seed, stream_id)``.  Its first n rows then stand
-    in for the batch's own draw, and the batch is the same to the byte:
-    either way the worst case's conditional draws come from a generator
-    moved past the n * m uniforms of those rows.  When ``draw`` has exactly
-    n rows and is writeable, the batch is built in it: it is overwritten
-    and made read-only, as the batch may share its memory.  Otherwise it is
-    left as it was.  A draw of another shape raises DimensionMismatchError.
+    ``pareto_draw(spec, N, seed, stream_id)`` at radius 0, or to
+    ``uniform_draw(spec, N, seed, stream_id)`` at radius > 0, where the
+    screen reads the uniforms before any quantile.  Its first n rows then
+    stand in for the batch's own draw, and the batch is the same to the
+    byte: either way the worst case's conditional draws come from a
+    generator moved past the n * m uniforms of those rows.
+    When a Pareto ``draw`` has exactly n rows and is writeable, the batch
+    is built in it: it is overwritten and made read-only, as the batch may
+    share its memory.  Otherwise it is left as it was.  A draw of another
+    shape raises DimensionMismatchError, a negative radius ValueError.
     X is summed in column order with no BLAS call (``_times_A``); a
     diagonal A scales the latent columns in place instead of forming a
     second n x m array.
     """
     check_sample_size(n, max(spec.A.shape))
+    check_radius(radius)
     if draw is None:
-        draw = pareto_draw(spec, n, seed, stream_id)
+        draw = (pareto_draw if radius == 0 else uniform_draw)(spec, n, seed, stream_id)
     elif not (
         isinstance(draw, np.ndarray)
         and draw.dtype == np.float64
@@ -258,7 +322,10 @@ def generate_dataset(
     ):
         got = f"{getattr(draw, 'dtype', type(draw).__name__)} {np.shape(draw)}"
         raise DimensionMismatchError(f"need a float64 (N >= {n}, {spec.m}) draw, got {got}")
-    z = draw if len(draw) == n and draw.flags.writeable else draw[:n].copy()
+    if radius > 0:
+        z = _pareto_in_place(_tail_rows(spec, draw[:n], radius), spec.alpha)
+    else:
+        z = draw if len(draw) == n and draw.flags.writeable else draw[:n].copy()
     gen = RngStream(seed, stream_id).generator()
     _skip_draws(gen, n * spec.m)
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
@@ -266,7 +333,7 @@ def generate_dataset(
     if z is draw:
         draw.setflags(write=False)
     try:
-        return SampleBatch(spec=spec, seed=seed, stream_id=stream_id, xs=xs)
+        return SampleBatch(spec, seed, stream_id, xs, n=n, radius=radius)
     except InvalidAtomError:  # A, Z >= 0: only an overflow makes an entry invalid
         raise SampleOverflowError(f"X = A Z overflowed at alpha={spec.alpha}") from None
 
@@ -276,6 +343,7 @@ def generate_dataset(
 
 
 def write_batch(batch: SampleBatch, csv_path) -> None:
+    check_every_row(batch, "write_batch")
     csv_path = Path(csv_path)
     d = batch.xs.shape[1]
     lines = [",".join(f"x{j + 1}" for j in range(d))]

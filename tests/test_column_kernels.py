@@ -3,7 +3,8 @@
 Each (n, d) reduction, row broadcast and boolean row gather on the sweep
 path is written one column at a time, or as an index gather, for speed.
 The broadcast form each one replaced is kept here as its oracle: the two
-must give the same bytes.
+must give the same bytes.  So is the gathered, searchsorted form of exact
+k-means labels on a line.
 """
 
 import numpy as np
@@ -12,10 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tailfactor.errors import NoExceedancesError
+from tailfactor.errors import NoExceedancesError, TooFewPointsError
 from tailfactor.estimators import _thresholded_points
 from tailfactor.measures import ModelSpec, SampleBatch, _onto_simplex, divide_rows, row_sums
-from tailfactor.numerics import _assign_points, _by_label, _line_order, _squared_distances
+from tailfactor.numerics import (
+    _assign_points,
+    _best_boundaries,
+    _by_label,
+    _exact_line_labels,
+    _line_order,
+    _squared_distances,
+)
 from tailfactor.transport import _l1_costs
 
 UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -48,6 +56,32 @@ def _assign_points_oracle(points, centers):
         d2[:, c] = row_sums((points - center) ** 2)
     labels = np.argmin(d2, axis=1)
     return labels, float(d2[np.arange(points.shape[0]), labels].sum())
+
+
+def _exact_line_labels_oracle(points, j, k):
+    values = np.sort(points[:, j])
+    cuts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1, [values.size]))
+    u = cuts.size - 1
+    if u < k:
+        raise TooFewPointsError(f"{u} distinct positions along the line for k={k}")
+    key = values - values.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(key)))[cuts]
+    s2 = np.concatenate(([0.0], np.cumsum(key * key)))[cuts]
+
+    def cost(a, b):
+        return (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / (cuts[b] - cuts[a])
+
+    starts = values[cuts[_best_boundaries(cost, u, k)[1:-1]]]
+    return np.searchsorted(starts, points[:, j], side="right")
+
+
+def _labels_or_error(labels, *args):
+    """The labels, or the type of the error raised: squared offsets that
+    overflow float64 leave no finite cost, and an IndexError."""
+    try:
+        return labels(*args)
+    except (TooFewPointsError, IndexError) as exc:
+        return type(exc)
 
 
 @st.composite
@@ -98,6 +132,12 @@ def test_column_kernels_match_their_broadcast_forms(xs, cut, k, data):
         )
         got, want = _assign_points(xs, centers), _assign_points_oracle(xs, centers)
         assert _same(got[0], want[0]) and got[1] == want[1]
+        # kmeans: exact labels on a line, its positions distinct or not
+        line = _line_order(xs)
+        if line is not None:
+            got = _labels_or_error(_exact_line_labels, xs, line, k)
+            want = _labels_or_error(_exact_line_labels_oracle, xs, line, k)
+            assert got == want if isinstance(want, type) else _same(got, want)
         # estimators: rows above tau, by index, onto the simplex
         norms = row_sums(xs)
         assert _same(divide_rows(xs, norms), xs / norms[:, None])

@@ -33,7 +33,7 @@ from tailfactor.estimators import (
 )
 from tailfactor.measures import ModelSpec, SampleBatch, column_dot, spectral_measure_of
 from tailfactor.numerics import invert_square_matrix
-from tailfactor.sampling import generate_dataset, tail_threshold
+from tailfactor.sampling import generate_dataset, tail_threshold, write_batch
 from tailfactor.transport import wasserstein_p
 
 
@@ -223,6 +223,9 @@ NEGATIVE_INVERSE = [[0.8, 0.3], [0.2, 0.7]]
 NEAR_SINGULAR = [[0.501, 0.499], [0.499, 0.501]]  # inverse entries +-250
 NON_POSITIVE_ROW = [[1.0, 0.5], [0.0, -1.0]]  # its own inverse: row 1 is (0, -1)
 TIED_TOP = [[1 / 3, -0.5], [1 / 3, 0.5]]  # inverse row 0 is (1.5, 1.5)
+# Inverse row 1 has two large positive entries; a screen with no slack,
+# r max(w, 0) > tau, drops one of its rows at tau that the product counts.
+NO_SLACK_DROPS = [[0.4, 0.1, 0.7], [0.7, 0.3, 0.9], [0.8, 1.0, 0.9]]
 
 
 @pytest.mark.parametrize(
@@ -236,6 +239,7 @@ TIED_TOP = [[1 / 3, -0.5], [1 / 3, 0.5]]  # inverse row 0 is (1.5, 1.5)
         (NON_POSITIVE_ROW, _rows_at_tau(np.eye(2), 1000), 1.0),
         (A3, _rows_at_tau(A3, 1000), 1.0),
         (A3, _drawn(A3, 4), 1.0),
+        (NO_SLACK_DROPS, _rows_at_tau(NO_SLACK_DROPS, 1000), 1.0),
         (NEGATIVE_INVERSE, np.array(OVERFLOWING_PRODUCTS), 1.0),
         # tau below the normal range: every row is multiplied
         (np.eye(2), _rows_at_tau(np.eye(2), 4000, 1e-310), 1e-310),
@@ -243,6 +247,7 @@ TIED_TOP = [[1 / 3, -0.5], [1 / 3, 0.5]]  # inverse row 0 is (1.5, 1.5)
     ids=[
         "large-negative-inverse", "large-negative-inverse-at-tau", "negative-inverse-at-tau",
         "identity-at-tau", "tied-top-at-tau", "all-non-positive-row", "d3-at-tau", "d3",
+        "no-slack-drops-a-row",
         "overflow", "subnormal-tau",
     ],
 )
@@ -265,6 +270,20 @@ def test_magnitude_stage_counts_of_named_batches(monkeypatch):
     counts = _stage_counts(monkeypatch, _square_batch(_rows_at_tau(np.eye(2), 1000)),
                            np.array(NON_POSITIVE_ROW), 1.0)
     assert counts[1] == 0 and counts[0] > 0
+
+
+def test_magnitude_stage_multiplies_only_the_rows_its_screen_admits(monkeypatch):
+    # with no slack, spread = 0 is below the normal range and every row is
+    # multiplied: the counts hold, the screen is gone
+    spec = ModelSpec(A=[[1.0, 0.4], [0.3, 1.0]], alpha=2.0, s=0.3)
+    batch = generate_dataset(spec, 2**14, seed=11)
+    sizes = []
+    real = estimators.column_dot
+    monkeypatch.setattr(
+        estimators, "column_dot", lambda xs, w: sizes.append(len(xs)) or real(xs, w)
+    )
+    two_step_from_directions(batch, TwoStepConfig(kappa_tilde=0.3, kappa=1.0), spec.A / 1.3)
+    assert len(sizes) >= 2 and max(sizes) < batch.n // 4
 
 
 def test_thresholds_take_no_row_sum_of_the_batch(monkeypatch):
@@ -293,6 +312,14 @@ def test_conventional_threshold_regimes():
     # small-s regime: exponent (1-2s)/alpha
     cfg = ConvConfig(kappa_bar=1.0, alpha=2.0, s=0.1)
     assert conventional_threshold(16, cfg) == pytest.approx(16 ** (0.8 / 2.0))
+
+
+def test_conventional_threshold_switches_at_one_third_below_alpha_one():
+    # 2 + max(1, alpha) = 3: at alpha = 0.5, s = 0.35 >= 1/3 takes the
+    # kappa_bar n^(1/min(2 + alpha, 3 alpha)) = n^(2/3) branch; a switch at
+    # 1/(2 + alpha) = 0.4 would give n^((1 - 2s)/alpha) = n^0.6
+    cfg = ConvConfig(kappa_bar=1.0, alpha=0.5, s=0.35)
+    assert conventional_threshold(2**12, cfg) == pytest.approx(2.0**8, rel=1e-12)
 
 
 def test_conventional_threshold_continuous_at_regime_boundary():
@@ -475,6 +502,31 @@ def test_two_step_requires_square_model():
     square = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2)
     with pytest.raises(TooFewPointsError):
         estimate_two_step(generate_dataset(square, 2, seed=0), cfg)
+
+
+def test_readers_of_every_row_refuse_a_tail_batch(tmp_path):
+    # the two-step fit and the CSV writer need every row of the sample; a
+    # threshold below the radius would miss rows the batch dropped
+    spec = ModelSpec(A=np.diag([1.2, 0.8]), alpha=2.0, s=0.2, latent_kind="tilted-worst-case",
+                     law_n=4096)
+    batch = generate_dataset(spec, 4096, seed=3, radius=5.0)
+    assert 0 < len(batch.xs) < batch.n == 4096 and batch.norms.min() >= 5.0
+    cfg = TwoStepConfig(kappa_tilde=0.3, kappa=1.0)
+    for call in (
+        lambda: estimate_directions(batch, cfg),
+        lambda: estimate_two_step(batch, cfg),
+        lambda: two_step_from_directions(batch, cfg, np.eye(2)),
+        lambda: write_batch(batch, tmp_path / "batch.csv"),
+    ):
+        with pytest.raises(ValueError, match="needs every row, got a batch above radius 5.0"):
+            call()
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="tau=4.0 is below the batch's radius 5.0"):
+        empirical_angular_measure(batch, 4.0)
+    full = generate_dataset(spec, 4096, seed=3)
+    mu, n_tau = empirical_angular_measure(batch, 5.0)
+    assert n_tau == np.count_nonzero(full.norms > 5.0)
+    assert mu.atoms.tobytes() == empirical_angular_measure(full, 5.0)[0].atoms.tobytes()
 
 
 def test_config_validation():

@@ -110,6 +110,55 @@ def test_shared_draw_gives_the_rows_of_per_grid_point_draws(monkeypatch, model, 
     ]
 
 
+def _spy_radii(monkeypatch):
+    """The (n, radius) of every batch the sweeps build from here on."""
+    seen = []
+    build = harness.generate_dataset
+
+    def spy(spec, n, *args, radius, **kw):
+        seen.append((n, radius))
+        return build(spec, n, *args, radius=radius, **kw)
+
+    monkeypatch.setattr(harness, "generate_dataset", spy)
+    return seen, build
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dict(),
+        dict(
+            n_grid=ODD_GRID,
+            latent_kind="iid-pareto",
+            fixed_A=np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]]),
+        ),
+    ],
+    ids=["worst-case", "iid-3x3-odd-n"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_conv_only_sweep_builds_its_batches_above_the_threshold(monkeypatch, model, threads):
+    cfg = _cfg(replicates=3, **model)
+    seen, build = _spy_radii(monkeypatch)
+    tail = run_convergence_experiment(cfg, threads=threads)
+    want = [(n, estimators.conventional_threshold(n, cfg.conv)) for n in cfg.n_grid]
+    assert sorted(seen) == sorted(want * 3)
+    # each (n, replicate) drawing its own full batch gives the same rows
+    monkeypatch.setattr(harness, "generate_dataset", lambda *a, draw, radius, **k: build(*a, **k))
+    assert tail.rows == run_convergence_experiment(cfg).rows
+    # a threshold beyond float64 keeps only the rows whose norm overflows
+    assert harness._tail_radius(ConvConfig(kappa_bar=1.0, alpha=0.005, s=0.1), 1024) == math.inf
+
+
+def test_sweeps_that_read_every_row_build_full_batches(monkeypatch):
+    # two-step reads every row, and a custom runner may read any
+    seen, _ = _spy_radii(monkeypatch)
+    run_convergence_experiment(_cfg(two_step=TWO_STEP))
+    run_convergence_experiment(_cfg(conv=None, two_step=TWO_STEP))
+    run_convergence_experiment(_cfg(), runner=lambda tag, batch, truth: (1.0 / batch.n, 1))
+    run_staged_experiment(_cfg(two_step=TWO_STEP))
+    assert len(seen) == 4 * 9 and {radius for _, radius in seen} == {0.0}
+
+
 def test_sweep_raises_the_first_error_in_grid_order():
     # Replicate 0 fails at the largest n, replicate 2 at the middle one: the
     # per-replicate tasks raise the error of (512, 2), which comes first in

@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from tailfactor.errors import (
@@ -17,9 +19,17 @@ from tailfactor.errors import (
     MaxTrialsExceededError,
     SampleOverflowError,
     SampleSizeError,
+    TailFactorError,
     TooFewPointsError,
     WorstCaseDimensionError,
     ZeroColumnError,
+)
+from tailfactor import sampling
+from tailfactor.estimators import (
+    ConvConfig,
+    conventional_threshold,
+    empirical_angular_measure,
+    estimate_conventional,
 )
 from tailfactor.measures import ModelSpec, SampleBatch, row_sums
 from tailfactor.sampling import (
@@ -31,6 +41,7 @@ from tailfactor.sampling import (
     read_batch,
     sample_conditional_pareto,
     tail_threshold,
+    uniform_draw,
     worst_case_tilts,
     write_batch,
     _latent_in_place,
@@ -208,7 +219,7 @@ def test_sample_batch_carries_its_l1_norms():
     with pytest.raises(ValueError):
         batch.norms[0] = 0.0
     assert [f.name for f in dataclasses.fields(SampleBatch) if f.init] == [
-        "spec", "seed", "stream_id", "xs"
+        "spec", "seed", "stream_id", "xs", "n", "radius"
     ]
     with pytest.raises(TypeError):
         SampleBatch(spec=spec, seed=0, stream_id=0, xs=batch.xs, norms=batch.norms)
@@ -216,6 +227,120 @@ def test_sample_batch_carries_its_l1_norms():
     assert other.norms.tobytes() == batch.norms[::-1].tobytes()
     huge = SampleBatch(spec, 0, 0, np.full((2, 3), 1.5e308))
     assert huge.norms.tolist() == [math.inf] * 2
+
+
+def test_sample_batch_keeps_the_rows_at_or_above_its_radius():
+    spec = ModelSpec(A=np.eye(2), alpha=2.0, s=0.2, latent_kind="iid-pareto")
+    xs = np.array([[3.0, 1.0], [0.5, 0.5], [2.0, 0.0], [0.1, 0.2]])
+    batch = SampleBatch(spec, 0, 0, xs, n=10, radius=2.0)
+    assert batch.xs.tolist() == [[3.0, 1.0], [2.0, 0.0]] and not batch.xs.flags.writeable
+    assert batch.norms.tolist() == [4.0, 2.0] and not batch.norms.flags.writeable
+    assert (batch.n, batch.radius) == (10, 2.0)
+    assert dataclasses.replace(batch).xs.tolist() == batch.xs.tolist()
+    full = SampleBatch(spec, 0, 0, xs)
+    assert (full.n, full.radius, len(full.xs)) == (4, 0.0, 4)  # n defaults to the row count
+    # fewer rows in the sample than given, or a full batch missing rows
+    for n, radius in ((3, 2.0), (5, 0.0)):
+        with pytest.raises(ValueError, match=f"n = {n} for 4 rows"):
+            SampleBatch(spec, 0, 0, xs, n=n, radius=radius)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="need a radius >= 0"):
+            SampleBatch(spec, 0, 0, xs, n=4, radius=radius)
+        with pytest.raises(ValueError, match="need a radius >= 0"):
+            generate_dataset(spec, 4, 0, radius=radius)
+    # a non-finite row is refused, not dropped below the radius
+    with pytest.raises(InvalidAtomError):
+        SampleBatch(spec, 0, 0, [[math.nan, 1.0], [3.0, 1.0]], n=2, radius=2.0)
+
+
+def _built(spec, n, seed, stream_id, **kw):
+    """generate_dataset's batch, or the type and message of the typed error
+    it raised, and the count of every conditional draw it made."""
+    counts = []
+    real = sampling.sample_conditional_pareto
+
+    def record(count, *args):
+        counts.append(count)
+        return real(count, *args)
+
+    with mock.patch.object(sampling, "sample_conditional_pareto", record):
+        try:
+            return generate_dataset(spec, n, seed, stream_id, **kw), counts
+        except TailFactorError as exc:
+            return (type(exc), str(exc)), counts
+
+
+def _estimate(fn, *args):
+    """An estimator's measure bytes and count, or its typed error."""
+    try:
+        mu, count = fn(*args)
+        return mu.atoms.tobytes(), mu.weights.tobytes(), count
+    except TailFactorError as exc:
+        return type(exc), str(exc)
+
+
+def _threshold(fn, *args):
+    """A radial threshold, inf where it overflows float64."""
+    try:
+        return fn(*args)
+    except InvalidAlphaError:
+        return math.inf
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["tilted-worst-case", "iid-pareto"]),
+    alpha=st.sampled_from([0.004, 0.01, 0.3]) | st.floats(0.05, 4.0),
+    s=st.floats(0.05, 0.45),
+    n=st.integers(3, 3000),
+    seed=st.integers(0, 2**40),
+    kappa=st.floats(0.05, 2.0),
+    where=st.sampled_from(["0+", "below", "at", "above"]),
+    share=st.floats(0.01, 1.0),
+    extra=st.sampled_from([0, 0, 7]),
+    A=hnp.arrays(np.float64, (3, 3), elements=st.floats(0.05, 2.0)),
+)
+@example("iid-pareto", 0.004, 0.2, 2000, 1, 1.0, "at", 1.0, 0, np.ones((3, 3)))  # overflows
+@example("tilted-worst-case", 0.01, 0.45, 2000, 3, 0.5, "below", 0.5, 7, np.ones((3, 3)))
+def test_tail_batch_is_the_full_batch_above_its_radius(
+    kind, alpha, s, n, seed, kappa, where, share, extra, A
+):
+    # The rows a batch built above a radius holds, their bytes, its n, the
+    # conditional draws and any error are those of the full batch; so are
+    # the estimates read above the radius.  Only the screen's proof keeps
+    # every row that reaches the radius or is redrawn.
+    spec = model_at(None if kind == "tilted-worst-case" else A, alpha, s, kind, n)
+    conv = ConvConfig(kappa_bar=kappa, alpha=alpha, s=s)
+    tau = _threshold(conventional_threshold, n, conv)
+    radius = {
+        "0+": 5e-324,
+        "below": tau * share,
+        "at": tau,
+        "above": _threshold(tail_threshold, n, alpha, s) * (1.0 + 9.0 * share),
+    }[where]
+    draw = uniform_draw(spec, n + extra, seed, 2) if extra else None
+    full, full_counts = _built(spec, n, seed, 2)
+    tail, tail_counts = _built(spec, n, seed, 2, draw=draw, radius=radius)
+    assert tail_counts == full_counts
+    if not isinstance(full, SampleBatch):
+        assert tail == full
+        return
+    kept = np.flatnonzero(full.norms >= radius)
+    assert (tail.n, tail.radius) == (n, radius)
+    assert tail.xs.shape == (kept.size, spec.d)
+    assert tail.xs.tobytes() == full.xs[kept].tobytes()
+    assert tail.norms.tobytes() == full.norms[kept].tobytes()
+    above = max(radius, min(tau, 1e300))
+    assert _estimate(empirical_angular_measure, tail, above) == _estimate(
+        empirical_angular_measure, full, above
+    )
+    if tau >= radius:
+        assert _estimate(estimate_conventional, tail, conv) == _estimate(
+            estimate_conventional, full, conv
+        )
+    else:
+        with pytest.raises(ValueError, match="below the batch's radius"):
+            estimate_conventional(tail, conv)
 
 
 def test_negative_and_large_seeds_draw_distinct_streams():

@@ -104,7 +104,7 @@ def population_bias(n, cfg: ConvConfig):
     kept, total, block = [], 0, 0
     while total < POP_POINTS:
         stream = POP_STREAM + (n << 32) + block
-        batch = generate_dataset(spec, POP_BLOCK, BASE_SEED, stream_id=stream)
+        batch = generate_dataset(spec, POP_BLOCK, BASE_SEED, stream_id=stream, radius=tau)
         block += 1
         try:
             above, _ = _thresholded_points(batch, tau)

@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .measures import _as_int, _fmt, spectral_measure_of
 from .numerics import fit_loglog_slope
-from .sampling import check_sample_size, generate_dataset, model_at, pareto_draw, uniform_draw
+from .sampling import check_sample_size, generate_dataset, model_at, uniform_draw
 from .svg import line_chart
 from .transport import _l1_costs, check_p, wasserstein_p
 
@@ -175,19 +175,16 @@ def _replicate_task(cfg: ExperimentConfig, models, radii, rep: int, runner):
     drawn from ``models[n]`` above ``radii[n]``, each from ``runner``'s
     (error, count).
 
-    The replicate's draw is taken once, at the largest n, and each grid
-    point's batch reads its first n rows (see `generate_dataset`): the
-    uniforms where the batches are built above a radius, else the Pareto
-    draw, so a full sweep takes each quantile once.  Grid points run in
-    ascending n, each batch freed before the next is built, and a full
-    sweep's largest builds its batch in the shared draw itself.  An
-    exception ends the list in place of the grid point that raised it, for
-    the caller to raise in (n, replicate) order."""
+    The replicate's uniforms are drawn once, at the largest n, and each
+    grid point's batch reads their first n rows (see `generate_dataset`).
+    Grid points run in ascending n, each batch freed before the next is
+    built, and a full sweep's largest builds its batch in the shared draw
+    itself.  An exception ends the list in place of the grid point that
+    raised it, for the caller to raise in (n, replicate) order."""
     n_max = cfg.n_grid[-1]
     out = []
     try:
-        draw_of = uniform_draw if radii[n_max] > 0 else pareto_draw
-        draw = draw_of(models[n_max][0], n_max, cfg.base_seed, rep)
+        draw = uniform_draw(models[n_max][0], n_max, cfg.base_seed, rep)
         for n in cfg.n_grid:
             out.append(_grid_point_rows(cfg, models[n], n, rep, draw, radii[n], runner))
     except Exception as exc:  # the caller raises it in (n, replicate) order
@@ -266,9 +263,9 @@ def run_convergence_experiment(
     conv, n_tau_tilde for two-step); a TailFactorError it raises fails the row.
 
     Replicate r draws from the stream (cfg.base_seed, r) at every grid
-    point, and the i.i.d. Pareto draw at n is the first n rows of the one
-    at the largest n.  So each replicate is one pool task: it takes that
-    draw once, at the largest n, and runs the grid points on its prefixes
+    point, and its uniforms at n are the first n rows of those at the
+    largest n.  So each replicate is one pool task: it draws them once, at
+    the largest n, and runs the grid points on their prefixes
     in ascending n, on min(threads, replicates, usable CPUs) workers: a
     thread beyond the CPUs only adds switching.  Rows are assembled in
     (n, replicate, estimator) order, an exception from a task raised where

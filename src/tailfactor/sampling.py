@@ -49,14 +49,6 @@ def uniform_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.n
     return RngStream(seed, stream_id).generator().random((n, spec.m))
 
 
-def pareto_draw(spec: ModelSpec, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
-    """``uniform_draw(spec, n, seed, stream_id)`` transformed in place into
-    the i.i.d. Pareto(spec.alpha) array a full batch starts from.  An entry
-    beyond the float64 range reads inf: the worst case redraws its row, and
-    the i.i.d. model's batch refuses it with SampleOverflowError."""
-    return _pareto_in_place(uniform_draw(spec, n, seed, stream_id), spec.alpha)
-
-
 def _skip_draws(gen: np.random.Generator, k: int) -> None:
     """Move the fresh Philox generator ``gen`` past its next k doubles, as
     if ``gen.random(k)`` had run: each counter step yields four of them."""
@@ -294,17 +286,16 @@ def generate_dataset(
     The latent batch starts from ``uniform_draw(spec, n, seed, stream_id)``.
     That draw is the first n rows of the one at any larger size, so a
     caller that needs the stream at several n can take it once and pass it
-    as ``draw``: a float64 (N, spec.m) array with N >= n, equal to
-    ``pareto_draw(spec, N, seed, stream_id)`` at radius 0, or to
-    ``uniform_draw(spec, N, seed, stream_id)`` at radius > 0, where the
-    screen reads the uniforms before any quantile.  Its first n rows then
-    stand in for the batch's own draw, and the batch is the same to the
-    byte: either way the worst case's conditional draws come from a
+    as ``draw``: ``uniform_draw(spec, N, seed, stream_id)`` with N >= n.
+    Its first n rows then stand in for the batch's own draw, and the batch
+    is the same to the byte: the Pareto quantile runs entry by entry on the
+    rows it keeps, and the worst case's conditional draws come from a
     generator moved past the n * m uniforms of those rows.
-    When a Pareto ``draw`` has exactly n rows and is writeable, the batch
-    is built in it: it is overwritten and made read-only, as the batch may
-    share its memory.  Otherwise it is left as it was.  A draw of another
-    shape raises DimensionMismatchError, a negative radius ValueError.
+    When ``draw`` has exactly n rows, radius is 0 and it is writeable, the
+    batch is built in it: it is overwritten and made read-only, as the
+    batch may share its memory.  Otherwise it is left as it was.  A draw
+    of another shape raises DimensionMismatchError, a negative radius
+    ValueError.
     X is summed in column order with no BLAS call (``_times_A``); a
     diagonal A scales the latent columns in place instead of forming a
     second n x m array.
@@ -312,7 +303,7 @@ def generate_dataset(
     check_sample_size(n, max(spec.A.shape))
     check_radius(radius)
     if draw is None:
-        draw = (pareto_draw if radius == 0 else uniform_draw)(spec, n, seed, stream_id)
+        draw = uniform_draw(spec, n, seed, stream_id)
     elif not (
         isinstance(draw, np.ndarray)
         and draw.dtype == np.float64
@@ -323,9 +314,10 @@ def generate_dataset(
         got = f"{getattr(draw, 'dtype', type(draw).__name__)} {np.shape(draw)}"
         raise DimensionMismatchError(f"need a float64 (N >= {n}, {spec.m}) draw, got {got}")
     if radius > 0:
-        z = _pareto_in_place(_tail_rows(spec, draw[:n], radius), spec.alpha)
+        z = _tail_rows(spec, draw[:n], radius)
     else:
         z = draw if len(draw) == n and draw.flags.writeable else draw[:n].copy()
+    _pareto_in_place(z, spec.alpha)
     gen = RngStream(seed, stream_id).generator()
     _skip_draws(gen, n * spec.m)
     with np.errstate(over="ignore", invalid="ignore"):  # raises below

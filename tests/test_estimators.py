@@ -347,6 +347,8 @@ def test_solve_theta_closed_form_example():
     # count/n/r = 0.81, alpha = 2: (0.81)^(-1/2) - 1 = 1/9, theta = 9*tau
     theta = solve_theta(count=81, n=100, r_hat=1.0, tau=10.0, alpha=2.0)
     assert theta == pytest.approx(90.0, abs=1e-10)
+    # a gap of about 0.0996 is far from cancelling: the plain power, to the byte
+    assert solve_theta(827, 1000, 1.0, 10.0, 2.0) == 10.0 / (0.827**-0.5 - 1.0)
 
 
 def test_solve_theta_against_bisection_oracle():

@@ -37,7 +37,6 @@ from tailfactor.sampling import (
     check_sample_size,
     generate_dataset,
     model_at,
-    pareto_draw,
     read_batch,
     sample_conditional_pareto,
     tail_threshold,
@@ -62,7 +61,7 @@ def test_pareto_quantile_examples():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_pareto_sampler_matches_cdf(alpha):
-    x = pareto_draw(ModelSpec(np.eye(2), alpha, 0.2), 100_000, 7).ravel()
+    x = _pareto_in_place(uniform_draw(ModelSpec(np.eye(2), alpha, 0.2), 100_000, 7), alpha).ravel()
     # CDF of the shifted Pareto: F(x) = 1 - (1+x)^(-alpha)
     stat, _ = stats.kstest(x, lambda t: 1.0 - (1.0 + t) ** (-alpha))
     assert stat < 0.01
@@ -174,7 +173,7 @@ def test_extreme_alpha_raises_typed_errors():
     n = 2**17
     A = np.diag(worst_case_tilts(n, 0.4))
     spec = ModelSpec(A=A, alpha=0.02, s=0.4, latent_kind="tilted-worst-case", law_n=n)
-    assert np.isinf(pareto_draw(spec, n, 1, 5)).any()
+    assert np.isinf(_pareto_in_place(uniform_draw(spec, n, 1, 5), spec.alpha)).any()
     assert np.isfinite(generate_dataset(spec, n, 1, 5).xs).all()
     # the conditional sampler's power overflows too: a typed error, no warning
     with pytest.raises(SampleOverflowError, match="alpha=0.001"):
@@ -429,7 +428,7 @@ def test_worst_case_law_is_the_one_at_the_specs_n():
     assert spec.law_n == 1024
     tilts = np.array(worst_case_tilts(1024, 0.4))
     t = tail_threshold(1024, 2.0, 0.4)
-    draw = pareto_draw(spec, 4096, 1)
+    draw = _pareto_in_place(uniform_draw(spec, 4096, 1), spec.alpha)
     xs = generate_dataset(spec, 4096, 1).xs
     kept = row_sums(draw / tilts) < t  # the latent rows left as drawn
     assert 0 < kept.sum() < 4096
@@ -500,8 +499,8 @@ def test_shared_draw_prefix_gives_the_batch_bytes():
     # skips a part of a Philox block.
     for n, spec in _models():
         own = generate_dataset(spec, n, 20240601, stream_id=5).xs
-        draw = pareto_draw(spec, 1000, 20240601, 5)
-        assert np.array_equal(pareto_draw(spec, n, 20240601, 5), draw[:n])
+        draw = uniform_draw(spec, 1000, 20240601, 5)
+        assert np.array_equal(uniform_draw(spec, n, 20240601, 5), draw[:n])
         before = draw.copy()
         shared = generate_dataset(spec, n, 20240601, stream_id=5, draw=draw).xs
         assert shared.tobytes() == own.tobytes(), (n, spec.latent_kind)
@@ -515,7 +514,7 @@ def test_shared_draw_prefix_gives_the_batch_bytes():
         assert np.array_equal(frozen, before[:n])
     # n rows, writeable and a diagonal A: the batch is the draw itself
     spec = model_at(np.diag([2.0, 0.5]), 2.0, 0.4, "tilted-worst-case", 300)
-    draw = pareto_draw(spec, 300, 3, 1)
+    draw = uniform_draw(spec, 300, 3, 1)
     assert np.shares_memory(generate_dataset(spec, 300, 3, 1, draw=draw).xs, draw)
     assert not draw.flags.writeable  # the caller cannot change the batch
 
@@ -542,7 +541,7 @@ def test_diagonal_A_scales_in_place_with_the_product_bytes():
     spec = ModelSpec(A=np.diag([1e308, 1.0]), alpha=2.0, s=0.2, latent_kind="iid-pareto")
     with pytest.raises(SampleOverflowError, match="X = A Z overflowed"):
         generate_dataset(spec, 64, seed=1)
-    draw = pareto_draw(spec, 64, 1)
+    draw = uniform_draw(spec, 64, 1)
     with pytest.raises(SampleOverflowError, match="X = A Z overflowed"):
         generate_dataset(spec, 64, seed=1, draw=draw)
 
@@ -587,10 +586,10 @@ def test_times_A_zero_entry_times_an_overflowed_latent_raises():
     # inf * 0 = nan in X: a NaN is no overflow to inf, but still not finite
     A = np.array([[1.0, 0.0], [0.5, 1.0]])
     spec = ModelSpec(A=A, alpha=2.0, s=0.2, latent_kind="iid-pareto")
-    draw = pareto_draw(spec, 64, 1)
-    draw[5, 1] = np.inf
+    draw = uniform_draw(spec, 64, 1)
+    draw[5, 1] = 1.0  # its quantile is inf
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_times_A(draw.copy(), spec.A)[5, 0])
+        assert np.isnan(_times_A(_pareto_in_place(draw.copy(), 2.0), spec.A)[5, 0])
     with pytest.raises(SampleOverflowError, match="X = A Z overflowed"):
         generate_dataset(spec, 64, seed=1, draw=draw)
 
